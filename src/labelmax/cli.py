@@ -7,7 +7,8 @@ formula.  The printed cost is always checked against the input before
 anything reaches stdout.
 
 Exit codes: 0 optimum found, 20 hard part unsatisfiable, 1 anything
-else (parse or I/O error, budget exhaustion, internal check failure).
+else (parse or I/O error, budget exhaustion, a weight sum above 2^64-1,
+internal check failure), with a one-line message on stderr.
 """
 
 import argparse
@@ -17,7 +18,8 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from .bce import BceRecord, bce_fixpoint, bce_reconstruct, write_record_sidecar
-from .dimacs import ParseError, parse_auto, write_solution, write_wcnf
+from .dimacs import (ParseError, ParsedInstance, parse_auto, write_solution,
+                     write_wcnf)
 from .lcnf_prep import (BveRecord, PrepConfig, bve_reconstruct, dump_lcnf,
                         preprocess_lcnf)
 from .model import MaxSatSolution, WCNF, clause_satisfied, lcnf_from_wcnf
@@ -113,6 +115,13 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
+def _parse_reporting_warnings(path: str) -> ParsedInstance:
+    parsed = parse_auto(_read_text(path))
+    for w in parsed.warnings:
+        print(f"c warning: {w}")
+    return parsed
+
+
 def _status_code(status: str) -> int:
     if status == "optimum":
         return 0
@@ -122,7 +131,7 @@ def _status_code(status: str) -> int:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    parsed = parse_auto(_read_text(args.file))
+    parsed = _parse_reporting_warnings(args.file)
     trace_cb = None
     if args.trace:
         def trace_cb(msg: str) -> None:
@@ -154,7 +163,7 @@ def _sidecar_payload(f: WCNF, bce_rec: BceRecord, bve_rec: BveRecord,
 
 
 def _cmd_preprocess(args: argparse.Namespace) -> int:
-    parsed = parse_auto(_read_text(args.file))
+    parsed = _parse_reporting_warnings(args.file)
     f = parsed.wcnf
     steps = args.prep.split(",")
     bce_rec: BceRecord = []
@@ -294,11 +303,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ParseError, ValueError) as e:
+    except (OSError, ParseError, ValueError, ArithmeticError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except PipelineError as e:
         print(f"internal error: {e}", file=sys.stderr)
+        return 1
+    except RuntimeError as e:  # the solver's own consistency checks
+        print(f"error: {e}", file=sys.stderr)
         return 1
 
 

@@ -12,12 +12,13 @@ label without clauses can never be charged.
 
 from __future__ import annotations
 
-from collections import Counter
+import heapq
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from .model import (Assignment, LCNF, LabelledClause, clause_satisfied,
-                    clause_vars, is_tautology)
+                    is_tautology)
 
 __all__ = [
     "BveEntry", "BveRecord", "PrepConfig", "l_resolve", "l_ve", "l_bve",
@@ -145,62 +146,178 @@ def l_ssr(phi: LCNF, c1: LabelledClause, c2: LabelledClause) -> LCNF:
 
 # ---------------------------------------------------------------------------
 # pass schedule
+#
+# The passes share one mutable clause store with per-literal occurrence
+# lists (backward subsumption and strengthening as in Een & Biere, SAT
+# 2005).  Each pass gives exactly the clause set, and BVE exactly the
+# record, of applying the rules above one at a time in the order given in
+# its docstring; the tests check this against such a rule-by-rule
+# schedule built from l_sub, l_ssr and l_ve.
 
 
-def _sub_fixpoint(phi: LCNF) -> LCNF:
-    while True:
-        cs = phi.sorted_clauses()
-        removed = set()
-        for c1 in cs:
-            if c1 in removed:
+class _ClauseStore:
+    """A set of labelled clauses plus literal -> clauses occurrence lists."""
+
+    def __init__(self, clauses: Iterable[LabelledClause]) -> None:
+        self.clauses: Set[LabelledClause] = set()
+        self.occ: Dict[int, Set[LabelledClause]] = defaultdict(set)
+        self.edits = 0
+        for c in clauses:
+            self.add(c)
+
+    def add(self, c: LabelledClause) -> bool:
+        """Insert ``c``; False if it was already present."""
+        if c in self.clauses:
+            return False
+        self.clauses.add(c)
+        for l in c.lits:
+            self.occ[l].add(c)
+        self.edits += 1
+        return True
+
+    def remove(self, c: LabelledClause) -> None:
+        self.clauses.remove(c)
+        for l in c.lits:
+            self.occ[l].discard(c)
+        self.edits += 1
+
+    def mentioning(self, x: int) -> Set[LabelledClause]:
+        return self.occ.get(x, set()) | self.occ.get(-x, set())
+
+
+def _sub_fixpoint(store: _ClauseStore) -> None:
+    """Drop every clause that another clause strictly subsumes.
+
+    Strict clause inclusion with label inclusion is a strict partial
+    order, so the fixpoint is unique: the clauses no other clause
+    subsumes.  A clause removed early cannot be missed as a subsumer,
+    since whatever it subsumes its own subsumer subsumes too.
+    """
+    for c1 in list(store.clauses):
+        if c1 not in store.clauses:
+            continue
+        if c1.lits:
+            rare = min(c1.lits, key=lambda l: len(store.occ[l]))
+            candidates = list(store.occ[rare])
+        else:
+            candidates = list(store.clauses)
+        n1 = len(c1.lits)
+        for c2 in candidates:
+            if (len(c2.lits) > n1 and c1.labels <= c2.labels
+                    and set(c1.lits).issubset(c2.lits)):
+                store.remove(c2)
+
+
+def _ssr_pivot(c1: LabelledClause, c2: LabelledClause) -> Optional[int]:
+    """The literal on which ``l_ssr(phi, c1, c2)`` strengthens c2, or None."""
+    if len(c2.lits) <= len(c1.lits) or not c1.labels <= c2.labels:
+        return None
+    s1, s2 = set(c1.lits), set(c2.lits)
+    for l in c1.lits:
+        if -l in s2 and s1 - {l} < s2 - {-l}:
+            return l
+    return None
+
+
+def _ssr_fixpoint(store: _ClauseStore) -> None:
+    """Self-subsuming resolution to fixpoint, one strengthening at a time.
+
+    Each step applies the pair a full scan would find first: the first
+    c1 in ``sort_key`` order that strengthens any clause, and the first
+    such c2 in the same order.  A clause outside the heap strengthens
+    nothing.  A step keeps it that way for every clause but the new one:
+    whatever strengthens the new clause also strengthened the longer
+    clause it replaces.  So only the new clause, and c1, which may
+    strengthen more, are queued again.
+    """
+    keys: Dict[LabelledClause, Tuple] = {}
+
+    def key(c: LabelledClause) -> Tuple:
+        k = keys.get(c)
+        if k is None:
+            k = keys[c] = c.sort_key()
+        return k
+
+    # keys are distinct per clause, so the heap never compares clauses
+    heap = [(key(c), c) for c in store.clauses]
+    heapq.heapify(heap)
+    queued = set(store.clauses)
+
+    def push(c: LabelledClause) -> None:
+        if c not in queued:
+            queued.add(c)
+            heapq.heappush(heap, (key(c), c))
+
+    while heap:
+        _, c1 = heapq.heappop(heap)
+        queued.discard(c1)
+        if c1 not in store.clauses:
+            continue
+        c2 = None
+        for l in c1.lits:
+            for c in store.occ.get(-l, ()):
+                if ((c2 is None or key(c) < key(c2))
+                        and _ssr_pivot(c1, c) is not None):
+                    c2 = c
+        if c2 is None:
+            continue
+        l = _ssr_pivot(c1, c2)
+        repl = LabelledClause.make(set(c2.lits) - {-l}, c2.labels)
+        store.remove(c2)
+        push(c1)
+        if store.add(repl):
+            push(repl)
+
+
+def _new_resolvents(store: _ClauseStore, x: int, limit: int,
+                    max_labelset: int) -> Optional[Set[LabelledClause]]:
+    """The non-tautological resolvents on ``x`` that the store lacks, or
+    None once ``limit`` of them turn up or one carries more than
+    ``max_labelset`` labels."""
+    # each side minus its pivot literal; a tautology resolves to nothing
+    pos = [(set(c.lits) - {x}, c.labels) for c in store.occ[x]
+           if not is_tautology(c.lits)]
+    neg = [(set(c.lits) - {-x}, c.labels) for c in store.occ[-x]
+           if not is_tautology(c.lits)]
+    new: Set[LabelledClause] = set()
+    for a, a_labels in pos:
+        for b, b_labels in neg:
+            if any(-m in b for m in a):
                 continue
-            l1 = set(c1.lits)
-            for c2 in cs:
-                if c2 == c1 or c2 in removed:
-                    continue
-                if l1 < set(c2.lits) and c1.labels <= c2.labels:
-                    removed.add(c2)
-        if not removed:
-            return phi
-        phi = LCNF(phi.clauses - removed, dict(phi.label_weights))
+            r = LabelledClause.make(a | b, a_labels | b_labels)
+            if r in store.clauses or r in new:
+                continue
+            if len(new) + 1 >= limit or len(r.labels) > max_labelset:
+                return None
+            new.add(r)
+    return new
 
 
-def _ssr_fixpoint(phi: LCNF) -> LCNF:
-    # restart the pair scan after each strengthening; each application
-    # removes one literal from the formula, so this terminates
-    changed = True
-    while changed:
-        changed = False
-        cs = phi.sorted_clauses()
-        for c1 in cs:
-            for c2 in cs:
-                out = l_ssr(phi, c1, c2)
-                if out.clauses != phi.clauses:
-                    phi = out
-                    changed = True
-                    break
-            if changed:
-                break
-    return phi
+def _bve_sweep(store: _ClauseStore, record: BveRecord,
+               max_labelset: int) -> None:
+    """One pass of bounded variable elimination.
 
-
-def _bve_sweep(phi: LCNF, record: BveRecord, max_labelset: int) -> LCNF:
-    occ: Counter = Counter()
-    for c in phi.clauses:
-        for v in clause_vars(c.lits):
-            occ[v] += 1
-    for x in sorted(phi.vars(), key=lambda v: (occ[v], v)):
-        group = frozenset(c for c in phi.clauses if x in c.lits or -x in c.lits)
+    Variables are tried in (occurrences, variable) order, fixed at the
+    start of the sweep.  Eliminating x is ``l_ve``: the clauses
+    mentioning x give way to their non-tautological resolvents.  It is
+    accepted iff fewer resolvents are new to the store than clauses
+    mention x, and no new resolvent carries more than ``max_labelset``
+    labels.
+    """
+    variables = {abs(l) for l, cs in store.occ.items() if cs}
+    counts = {v: len(store.mentioning(v)) for v in variables}
+    for x in sorted(counts, key=lambda v: (counts[v], v)):
+        group = store.mentioning(x)
         if not group:
             continue
-        cand = l_ve(phi, x)
-        if cand.size() >= phi.size():
+        new = _new_resolvents(store, x, len(group), max_labelset)
+        if new is None:
             continue
-        if any(len(c.labels) > max_labelset for c in cand.clauses - phi.clauses):
-            continue
-        record.append(BveEntry(x, group))
-        phi = cand
-    return phi
+        record.append(BveEntry(x, frozenset(group)))
+        for c in group:
+            store.remove(c)
+        for r in new:
+            store.add(r)
 
 
 def preprocess_lcnf(phi: LCNF,
@@ -212,18 +329,21 @@ def preprocess_lcnf(phi: LCNF,
     record needed to rebuild assignments over the original variables.
     """
     cfg = config if config is not None else PrepConfig()
+    store = _ClauseStore(phi.clauses)
     record: BveRecord = []
     for _ in range(cfg.max_rounds):
-        before = phi.clauses
+        # no round can undo its own edits: SUB and SSR only lower the
+        # literal count, and an eliminated variable never comes back
+        edits = store.edits
         if cfg.sub:
-            phi = _sub_fixpoint(phi)
+            _sub_fixpoint(store)
         if cfg.ssr:
-            phi = _ssr_fixpoint(phi)
+            _ssr_fixpoint(store)
         if cfg.bve:
-            phi = _bve_sweep(phi, record, cfg.max_labelset)
-        if phi.clauses == before:
+            _bve_sweep(store, record, cfg.max_labelset)
+        if store.edits == edits:
             break
-    return phi, record
+    return LCNF(frozenset(store.clauses), dict(phi.label_weights)), record
 
 
 # ---------------------------------------------------------------------------

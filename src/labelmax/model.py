@@ -167,9 +167,6 @@ class WCNF:
             *(w for c, w in self.soft if not clause_satisfied(c, tau))
         )
 
-    def copy(self) -> "WCNF":
-        return WCNF(list(self.hard), list(self.soft), self.num_vars)
-
 
 # ---------------------------------------------------------------------------
 # LCNF

@@ -129,12 +129,13 @@ def brute_force_maxsat(f: WCNF, max_vars: int = MAX_ORACLE_VARS) -> Optional[Max
         hard_ok &= _clause_sat_array(c, n, idx)
     if not hard_ok.any():
         return None
-    cost = np.zeros(idx.shape, dtype=np.int64)
+    # int64 while every partial sum fits, exact Python ints past that
+    wide = sum(w for _, w in f.soft) > np.iinfo(np.int64).max
+    cost = np.zeros(idx.shape, dtype=object if wide else np.int64)
     for c, w in f.soft:
-        cost += w * (~_clause_sat_array(c, n, idx))
-    big = int(cost.max()) + 1 if len(f.soft) else 1
-    cost = np.where(hard_ok, cost, big)
-    a = int(np.argmin(cost))  # first minimum = lex-least
+        cost += (~_clause_sat_array(c, n, idx)).astype(cost.dtype) * w
+    feasible = np.flatnonzero(hard_ok)
+    a = int(feasible[np.argmin(cost[feasible])])  # first minimum = lex-least
     tau = _index_assignment(a, n)
     falsified = frozenset(
         i for i, (c, _) in enumerate(f.soft, start=1)

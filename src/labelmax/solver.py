@@ -52,7 +52,6 @@ class LabelState:
     label: int
     weight: int
     selector_versions: List[int] = field(default_factory=list)
-    relaxation_vars: List[int] = field(default_factory=list)
 
     @property
     def selector(self) -> int:
@@ -219,30 +218,59 @@ class _IncDriver:
 
 def _min_cost_hitting_set(families: Iterable[FrozenSet[int]],
                           weights: Dict[int, int]) -> FrozenSet[int]:
-    """Cheapest label set intersecting every family (branch and bound)."""
+    """Cheapest label set intersecting every family.
+
+    Families that share no label, directly or through others, are hit
+    independently, so each such component gets its own branch and bound;
+    a singleton family is a component of its own once supersets are
+    dropped.
+    """
     fams = sorted({frozenset(f) for f in families},
                   key=lambda f: (len(f), sorted(f)))
     mins: List[FrozenSet[int]] = []
     for f in fams:
         if not any(g <= f for g in mins):
             mins.append(f)
+    # union-find over labels; each component keeps the order of ``mins``
+    parent: Dict[int, int] = {}
+
+    def root(l: int) -> int:
+        while parent.setdefault(l, l) != l:
+            parent[l] = parent[parent[l]]
+            l = parent[l]
+        return l
+
+    for f in mins:
+        first = root(min(f))
+        for l in f:
+            parent[root(l)] = first
+    components: Dict[int, List[FrozenSet[int]]] = {}
+    for f in mins:
+        components.setdefault(root(min(f)), []).append(f)
+    out: Set[int] = set()
+    for comp in components.values():
+        out |= _component_hitting_set(comp, weights)
+    return frozenset(out)
+
+
+def _component_hitting_set(mins: List[FrozenSet[int]],
+                           weights: Dict[int, int]) -> FrozenSet[int]:
+    """Depth-first branch and bound on an explicit stack: branch on the
+    first family not yet hit, cheapest label first; the first set found
+    at the optimal cost wins."""
     best: Optional[FrozenSet[int]] = None
     best_cost = 0
-
-    def dfs(chosen: FrozenSet[int], cost: int) -> None:
-        nonlocal best, best_cost
+    stack = [(frozenset(), 0)]
+    while stack:
+        chosen, cost = stack.pop()
         if best is not None and cost >= best_cost:
-            return
-        for f in mins:
-            if not f & chosen:
-                break
-        else:
+            continue
+        f = next((f for f in mins if not f & chosen), None)
+        if f is None:
             best, best_cost = chosen, cost
-            return
-        for l in sorted(f, key=lambda x: (weights[x], x)):
-            dfs(chosen | {l}, cost + weights[l])
-
-    dfs(frozenset(), 0)
+            continue
+        for l in sorted(f, key=lambda x: (weights[x], x), reverse=True):
+            stack.append((chosen | {l}, cost + weights[l]))
     assert best is not None  # the union of all families always hits
     return best
 
@@ -333,15 +361,13 @@ def solve_lcnf(phi: LCNF, algorithm: str = "wmsu1", mode: str = "noninc",
             st = states[l]
             r = variables.fresh()
             relaxed_this_iteration.append(r)
-            st.relaxation_vars.append(r)
             carrying = [c for c in working if l in c.labels]
             if st.weight > w_min:
                 # split: the label keeps its clauses at reduced weight; a
                 # twin label worth w_min owns the relaxed copies
                 nl = label_ids.fresh()
                 st.weight -= w_min
-                states[nl] = LabelState(nl, w_min, [variables.fresh()],
-                                        [r])
+                states[nl] = LabelState(nl, w_min, [variables.fresh()])
                 copies = [LabelledClause.make((r,) + c.lits,
                                               (c.labels - {l}) | {nl})
                           for c in carrying]

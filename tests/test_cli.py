@@ -207,6 +207,28 @@ def test_solve_trace_lines_precede_solution(tmp_path, capsys):
     assert lines[-3] == "o 2"
 
 
+@pytest.mark.parametrize("header", ["p wcnf 1 2", f"p wcnf 1 2 {2**64 - 1}"])
+def test_solve_weight_sum_above_cap_is_an_error(tmp_path, capsys, header):
+    path = tmp_path / "huge.wcnf"
+    path.write_text(f"{header}\n{2**64 - 2} 1 0\n{2**64 - 2} -1 0\n")
+    assert main(["solve", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", [["solve"], ["preprocess"],
+                                     ["preprocess", "--emit-wcnf"]])
+def test_parser_warnings_are_printed_as_comments(tmp_path, capsys, command):
+    path = tmp_path / "miscounted.wcnf"
+    path.write_text(EXAMPLE1.replace("p wcnf 3 6 7", "p wcnf 3 5 7"))
+    assert main(command + [str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "c warning: header declares 5 clauses, file contains 6"
+    assert not any("warning" in l for l in lines[1:])
+
+
 def test_solve_vline_spans_declared_variables(tmp_path, capsys):
     # declared universe is wider than the clauses mention
     path = tmp_path / "wide.wcnf"

@@ -1,13 +1,16 @@
 import random
+from collections import Counter
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from labelmax.lcnf_prep import (BveEntry, PrepConfig, bve_reconstruct, dump_lcnf,
-                                l_bve, l_resolve, l_ssr, l_sub, l_ve,
-                                preprocess_lcnf)
-from labelmax.model import (LCNF, induced_subformula, is_tautology, lclause,
-                            lcnf_from_wcnf, lcnf_satisfied)
+from labelmax.bce import bce_fixpoint
+from labelmax.lcnf_prep import (BveEntry, BveRecord, PrepConfig,
+                                bve_reconstruct, dump_lcnf, l_bve, l_resolve,
+                                l_ssr, l_sub, l_ve, preprocess_lcnf)
+from labelmax.model import (LCNF, WCNF, clause_vars, induced_subformula,
+                            is_tautology, lclause, lcnf_from_wcnf,
+                            lcnf_satisfied)
 from labelmax.oracle import (brute_force_lcnf_maxsat, enumerate_mcs_labels,
                              random_lcnf, random_wcnf)
 
@@ -286,3 +289,192 @@ def test_reconstruct_ignores_clauses_outside_retained_context():
 def test_dump_format():
     phi = LCNF([lclause([1, -2]), lclause([2], [1, 3])], {1: 1, 3: 2})
     assert dump_lcnf(phi) == "1 -2 |\n2 | 1 3"
+
+
+# ---------------------------------------------------------------------------
+# the occurrence-list passes against the rule-by-rule schedule
+
+
+def _reference_sub(phi):
+    # sweep all pairs in sort order until a sweep removes nothing
+    while True:
+        out = phi
+        cs = phi.sorted_clauses()
+        for c1 in cs:
+            for c2 in cs:
+                out = l_sub(out, c1, c2)
+        if out.clauses == phi.clauses:
+            return phi
+        phi = out
+
+
+def _reference_ssr(phi):
+    # apply the first applicable pair in sort order, then rescan
+    while True:
+        cs = phi.sorted_clauses()
+        out = next((o for c1 in cs for c2 in cs
+                    for o in [l_ssr(phi, c1, c2)] if o is not phi), None)
+        if out is None:
+            return phi
+        phi = out
+
+
+def _reference_bve(phi, record, max_labelset):
+    occ = Counter(v for c in phi.clauses for v in clause_vars(c.lits))
+    for x in sorted(phi.vars(), key=lambda v: (occ[v], v)):
+        group = frozenset(c for c in phi.clauses
+                          if x in c.lits or -x in c.lits)
+        if not group:
+            continue
+        cand = l_ve(phi, x)
+        if cand.size() >= phi.size():
+            continue
+        if any(len(c.labels) > max_labelset
+               for c in cand.clauses - phi.clauses):
+            continue
+        record.append(BveEntry(x, group))
+        phi = cand
+    return phi
+
+
+def reference_preprocess(phi, config=None):
+    """The pass schedule built from the single-step rules alone: what
+    ``preprocess_lcnf`` must return, clause set and record alike."""
+    cfg = config if config is not None else PrepConfig()
+    record: BveRecord = []
+    for _ in range(cfg.max_rounds):
+        before = phi.clauses
+        if cfg.sub:
+            phi = _reference_sub(phi)
+        if cfg.ssr:
+            phi = _reference_ssr(phi)
+        if cfg.bve:
+            phi = _reference_bve(phi, record, cfg.max_labelset)
+        if phi.clauses == before:
+            break
+    return phi, record
+
+
+CONFIGS = [
+    PrepConfig(),
+    PrepConfig(ssr=False, bve=False),
+    PrepConfig(sub=False, bve=False),
+    PrepConfig(sub=False, ssr=False),
+    PrepConfig(max_rounds=1),
+    PrepConfig(max_labelset=1),
+]
+
+
+def assert_matches_reference(phi, config=None):
+    out, rec = preprocess_lcnf(phi, config)
+    want, want_rec = reference_preprocess(phi, config)
+    assert out.clauses == want.clauses
+    assert out.label_weights == want.label_weights
+    assert rec == want_rec
+
+
+def tseitin_wcnf(seed, n_inputs=5, n_gates=12):
+    """Random and/or/xor circuit with hard gate definitions and soft
+    units on every input and every unread gate output."""
+    rng = random.Random(seed)
+    f = WCNF(num_vars=n_inputs + n_gates)
+    unread = list(range(1, n_inputs + 1))
+    for k in range(n_gates):
+        y = n_inputs + 1 + k
+        a = unread.pop(rng.randrange(len(unread))) if unread else \
+            rng.randrange(1, y)
+        b = rng.choice([v for v in range(1, y) if v != a])
+        if b in unread:
+            unread.remove(b)
+        unread.append(y)
+        a *= rng.choice((1, -1))
+        b *= rng.choice((1, -1))
+        kind = rng.choice(("and", "or", "xor"))
+        if kind == "and":
+            gate = [(-y, a), (-y, b), (y, -a, -b)]
+        elif kind == "or":
+            gate = [(y, -a), (y, -b), (-y, a, b)]
+        else:
+            gate = [(-y, a, b), (-y, -a, -b), (y, -a, b), (y, a, -b)]
+        for c in gate:
+            f.add_hard(c)
+    for v in list(range(1, n_inputs + 1)) + sorted(unread):
+        f.add_soft((rng.choice((v, -v)),), rng.randint(1, 5))
+    return f
+
+
+def pigeon_wcnf(seed, holes=3, surplus=1):
+    """Soft "pigeon i sits somewhere" clauses, hard at-most-one per hole."""
+    rng = random.Random(seed)
+    pigeons = holes + surplus
+    f = WCNF(num_vars=pigeons * holes)
+    for j in range(holes):
+        for i in range(pigeons):
+            for k in range(i + 1, pigeons):
+                f.add_hard((-(i * holes + j + 1), -(k * holes + j + 1)))
+    for i in range(pigeons):
+        f.add_soft([i * holes + j + 1 for j in range(holes)],
+                   rng.randint(1, 9))
+    return f
+
+
+@pytest.mark.parametrize("config", CONFIGS)
+def test_passes_match_reference_on_random_lcnf(config):
+    for seed in range(200):
+        assert_matches_reference(random_lcnf(seed), config)
+
+
+@pytest.mark.parametrize("config", CONFIGS)
+def test_passes_match_reference_on_random_wcnf(config):
+    for seed in range(100):
+        assert_matches_reference(lcnf_from_wcnf(random_wcnf(seed)), config)
+
+
+@pytest.mark.parametrize("config", CONFIGS)
+def test_passes_match_reference_on_circuits_and_pigeonholes(config):
+    # SSR order decides the result only on the circuits, where a
+    # strengthened clause can strengthen another in turn
+    for seed in range(6):
+        f = tseitin_wcnf(seed)
+        assert_matches_reference(lcnf_from_wcnf(f), config)
+        assert_matches_reference(lcnf_from_wcnf(bce_fixpoint(f)[0]), config)
+    for seed, (holes, surplus) in enumerate([(3, 1), (3, 2), (4, 1)]):
+        assert_matches_reference(lcnf_from_wcnf(pigeon_wcnf(seed, holes,
+                                                            surplus)),
+                                 config)
+
+
+# Each formula tells the SSR pass apart from a variant that is wrong in one
+# way: picking c1's last pivot literal rather than its first (only a
+# tautological c2 offers two), not queueing the strengthened clause, and
+# not queueing c1 again after it strengthened a clause.
+SSR_ORDER_CASES = [
+    [([], []), ([-2, 2, -3, 3], []), ([-1, 2, -3, 3], []),
+     ([1, -2, -3, 3], []), ([1, 2, -3, 3], []), ([2, 3], []), ([], [1]),
+     ([-1, 3], [2])],
+    [([-1, -3], []), ([2, 3, -4], []), ([3], []), ([], [2]), ([1, -3], [2])],
+    [([-1, -2, 2], []), ([-1, 1, 3, -4], []), ([1], []), ([1, -3, -4], []),
+     ([-2], [1]), ([], [2])],
+]
+
+
+@pytest.mark.parametrize("rows", SSR_ORDER_CASES)
+@pytest.mark.parametrize("config", CONFIGS)
+def test_passes_match_reference_on_ssr_order_cases(rows, config):
+    phi = LCNF(frozenset(lclause(lits, labels) for lits, labels in rows),
+               {1: 1, 2: 1})
+    assert_matches_reference(phi, config)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.sets(st.integers(-5, 5).filter(bool),
+                                  max_size=4),
+                          st.sets(st.integers(1, 4), max_size=3)),
+                max_size=14),
+       st.sampled_from(CONFIGS))
+def test_passes_match_reference_property(rows, config):
+    # tautologies, empty clauses and repeated literal sets under
+    # different labels all included
+    phi = LCNF(frozenset(lclause(lits, labels) for lits, labels in rows),
+               {l: l for l in range(1, 5)})
+    assert_matches_reference(phi, config)

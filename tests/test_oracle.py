@@ -78,6 +78,16 @@ def test_brute_force_maxsat_respects_hard_clauses():
     assert sol.model[1] == 0
 
 
+def test_brute_force_maxsat_cost_exact_beyond_int64():
+    f = WCNF()
+    for lits in [(1,), (-1,), (2,), (-2,)]:
+        f.add_soft(lits, 2**62)
+    sol = brute_force_maxsat(f)
+    assert sol.cost == 2**63
+    assert sol.model == {1: 0, 2: 0}
+    assert sol.falsified == frozenset([1, 3])
+
+
 def test_brute_force_maxsat_var_cap():
     f = WCNF(num_vars=21)
     f.add_soft([21], 1)

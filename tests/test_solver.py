@@ -1,11 +1,14 @@
+import random
+
 import pytest
 
 from labelmax.engine import BudgetExceededError, SolveOutcome
 from labelmax.model import (LCNF, WCNF, cost_of_labels, induced_subformula,
                             lclause, lcnf_from_wcnf, lcnf_satisfied)
 from labelmax.oracle import (brute_force_lcnf_maxsat, brute_force_maxsat,
-                             random_lcnf, random_wcnf)
-from labelmax.solver import (CoreLabels, extract_core_labels, relax_label,
+                             minimal_hitting_sets, random_lcnf, random_wcnf)
+from labelmax.solver import (CoreLabels, _min_cost_hitting_set,
+                             extract_core_labels, relax_label,
                              solve_fu_malik_lcnf, solve_lcnf, solve_wmsu1_lcnf)
 
 
@@ -253,3 +256,34 @@ def test_all_hard_satisfiable_costs_zero():
         assert sol.cost == 0
         assert sol.falsified == frozenset()
         assert lcnf_satisfied(phi, sol.model)
+
+
+# ---------------------------------------------------------------------------
+# certification's hitting-set search
+
+
+def test_min_cost_hitting_set_is_cheapest_on_random_families():
+    for seed in range(300):
+        rng = random.Random(seed)
+        labels = range(1, rng.randint(4, 10))
+        weights = {l: rng.randint(1, 6) for l in labels}
+        fams = [frozenset(rng.sample(labels, rng.randint(1, 3)))
+                for _ in range(rng.randint(1, 8))]
+        hit = _min_cost_hitting_set(fams, weights)
+        assert all(f & hit for f in fams), seed
+        best = min(sum(weights[l] for l in h)
+                   for h in minimal_hitting_sets(fams))
+        assert sum(weights[l] for l in hit) == best, seed
+
+
+@pytest.mark.parametrize("fams", [
+    [frozenset([2 * i + 1, 2 * i + 2]) for i in range(1500)],
+    [frozenset([i]) for i in range(1, 1501)],
+], ids=["disjoint-pairs", "singletons"])
+def test_min_cost_hitting_set_of_many_families_needs_no_deep_recursion(fams):
+    # one label chosen per family: the recursive search ran out of stack
+    weights = {l: 1 + l % 3 for l in range(1, 3001)}
+    hit = _min_cost_hitting_set(fams, weights)
+    assert len(hit) == 1500 and all(f & hit for f in fams)
+    assert sum(weights[l] for l in hit) == \
+        sum(min(weights[l] for l in f) for f in fams)
