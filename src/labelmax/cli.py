@@ -20,8 +20,7 @@ from typing import Callable, Dict, List, Optional
 from .bce import BceRecord, bce_fixpoint, bce_reconstruct, write_record_sidecar
 from .dimacs import (ParseError, ParsedInstance, parse_auto, write_solution,
                      write_wcnf)
-from .lcnf_prep import (BveRecord, PrepConfig, bve_reconstruct, dump_lcnf,
-                        preprocess_lcnf)
+from .lcnf_prep import BveRecord, bve_reconstruct, dump_lcnf, preprocess_lcnf
 from .model import MaxSatSolution, WCNF, clause_satisfied, lcnf_from_wcnf
 from .oracle import MAX_ORACLE_VARS, brute_force_maxsat, random_wcnf
 from .reduction import lcnf_to_wcnf

@@ -8,6 +8,13 @@ unsatisfiable answer under assumptions carries a failed-assumption
 subset read off the final conflict analysis, so the engine can serve as
 the core extractor for the MaxSAT loops.
 
+Internally a literal is an index, as in MiniSat: variable ``v`` is
+``2v`` when positive and ``2v + 1`` when negative, so negation is
+``^ 1`` and the variable is ``>> 1``.  Clauses, watch lists, the trail
+and learnt clauses hold indices; DIMACS integers appear only at the API
+edge (``add_clause``, ``solve``'s assumptions, the model and the failed
+assumptions).
+
 Clauses are permanent once added; deactivation happens outside the
 engine by selector literals finalized with unit clauses.  A handle stays
 usable after every solve call (it backtracks to the root level before
@@ -18,7 +25,7 @@ The behaviour is fully deterministic for a fixed add/solve history.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
@@ -30,6 +37,9 @@ _RESCALE_LIMIT = 1e100
 _ACT_DECAY = 1.0 / 0.95
 _RESTART_FIRST = 100
 _RESTART_FACTOR = 1.5
+# the lazy branching heap is rebuilt from its live entries once it holds
+# this many entries per variable
+_ORDER_SLACK = 4
 
 
 class BudgetExceededError(RuntimeError):
@@ -48,8 +58,11 @@ class SolveOutcome:
 
 
 def _lit_idx(lit: int) -> int:
-    v = lit if lit > 0 else -lit
-    return (v << 1) | (lit < 0)
+    return (lit << 1) if lit > 0 else ((-lit << 1) | 1)
+
+
+def _idx_lit(i: int) -> int:
+    return -(i >> 1) if i & 1 else i >> 1
 
 
 class CdclSolver:
@@ -78,22 +91,24 @@ class CdclSolver:
     # -- variables ---------------------------------------------------------
 
     def new_var(self) -> int:
-        self.num_vars += 1
-        self._val.extend((UNASSIGNED, UNASSIGNED))
-        self._level.append(0)
-        self._reason.append(-1)
-        self._activity.append(0.0)
-        self._watches.extend(([], []))
-        self._seen.append(0)
-        heappush(self._order, (0.0, self.num_vars))
+        self.ensure_var(self.num_vars + 1)
         return self.num_vars
 
     def ensure_var(self, v: int) -> None:
-        while self.num_vars < v:
-            self.new_var()
-
-    def _value(self, lit: int) -> int:
-        return self._val[_lit_idx(lit)]
+        n = v - self.num_vars
+        if n <= 0:
+            return
+        first = self.num_vars + 1
+        self.num_vars = v
+        self._val.extend([UNASSIGNED] * (2 * n))
+        self._level.extend([0] * n)
+        self._reason.extend([-1] * n)
+        self._activity.extend([0.0] * n)
+        self._watches.extend([] for _ in range(2 * n))
+        self._seen.extend(bytes(n))
+        # no heap entry is smaller than (0.0, u) for a new, highest u, so
+        # appending these is what pushing them one by one would do
+        self._order.extend((0.0, u) for u in range(first, v + 1))
 
     # -- clause database ---------------------------------------------------
 
@@ -101,19 +116,22 @@ class CdclSolver:
         """Root-level add; may only be called between solve calls."""
         assert not self._trail_lim, "add_clause only at the root level"
         self.stats["clauses_added"] += 1
-        c = sorted(set(lits), key=lambda l: (abs(l), l))
-        if any(-l in set(c) for l in c):
+        s = set(lits)
+        if not s.isdisjoint([-l for l in s]):
             return  # tautology: permanently satisfied, nothing to store
-        for l in c:
-            self.ensure_var(abs(l))
+        # one literal per variable, so index order is variable order
+        c = sorted(map(_lit_idx, s))
+        if c and c[-1] >> 1 > self.num_vars:
+            self.ensure_var(c[-1] >> 1)
         # drop literals already false at the root, stop if satisfied
+        val = self._val
         out = []
-        for l in c:
-            v = self._value(l)
+        for i in c:
+            v = val[i]
             if v == TRUE:
                 return
             if v == UNASSIGNED:
-                out.append(l)
+                out.append(i)
         if not out:
             self._unsat0 = True
             return
@@ -123,38 +141,56 @@ class CdclSolver:
             return
         cid = len(self._clauses)
         self._clauses.append(out)
-        self._watches[_lit_idx(out[0])].append(cid)
-        self._watches[_lit_idx(out[1])].append(cid)
+        self._watches[out[0]].append(cid)
+        self._watches[out[1]].append(cid)
 
     # -- trail -------------------------------------------------------------
 
-    def _enqueue(self, lit: int, reason: int) -> bool:
-        i = _lit_idx(lit)
-        if self._val[i] != UNASSIGNED:
-            return self._val[i] == TRUE
-        self._val[i] = TRUE
-        self._val[i ^ 1] = FALSE
-        v = abs(lit)
+    def _enqueue(self, p: int, reason: int) -> bool:
+        val = self._val
+        if val[p] != UNASSIGNED:
+            return val[p] == TRUE
+        val[p] = TRUE
+        val[p ^ 1] = FALSE
+        v = p >> 1
         self._level[v] = len(self._trail_lim)
         self._reason[v] = reason
-        self._trail.append(lit)
+        self._trail.append(p)
         return True
 
     def _cancel_until(self, level: int) -> None:
-        if len(self._trail_lim) <= level:
+        trail_lim = self._trail_lim
+        if len(trail_lim) <= level:
             return
-        bound = self._trail_lim[level]
-        for k in range(len(self._trail) - 1, bound - 1, -1):
-            lit = self._trail[k]
-            i = _lit_idx(lit)
-            self._val[i] = UNASSIGNED
-            self._val[i ^ 1] = UNASSIGNED
-            v = abs(lit)
-            self._reason[v] = -1
-            heappush(self._order, (-self._activity[v], v))
-        del self._trail[bound:]
-        del self._trail_lim[level:]
-        self._qhead = len(self._trail)
+        trail = self._trail
+        val = self._val
+        reason = self._reason
+        act = self._activity
+        order = self._order
+        bound = trail_lim[level]
+        for k in range(len(trail) - 1, bound - 1, -1):
+            p = trail[k]
+            val[p] = UNASSIGNED
+            val[p ^ 1] = UNASSIGNED
+            v = p >> 1
+            reason[v] = -1
+            heappush(order, (-act[v], v))
+        del trail[bound:]
+        del trail_lim[level:]
+        self._qhead = len(trail)
+        if len(order) > _ORDER_SLACK * self.num_vars:
+            self._rebuild_order()
+
+    def _rebuild_order(self) -> None:
+        """One entry per unassigned variable at its current activity.
+        The lazy heap always holds such an entry for each unassigned
+        variable; the entries dropped here are stale or assigned, so the
+        variables are picked in the same order."""
+        val = self._val
+        act = self._activity
+        self._order = [(-act[u], u) for u in range(1, self.num_vars + 1)
+                       if val[u << 1] == UNASSIGNED]
+        self._order.sort()
 
     # -- propagation -------------------------------------------------------
 
@@ -162,122 +198,139 @@ class CdclSolver:
         """Exhaust the queue; return a conflicting clause id or -1."""
         val = self._val
         clauses = self._clauses
-        while self._qhead < len(self._trail):
-            p = self._trail[self._qhead]
-            self._qhead += 1
-            self.stats["propagations"] += 1
-            fi = _lit_idx(-p)  # clauses watching -p must be fixed
-            ws = self._watches[fi]
+        watches = self._watches
+        trail = self._trail
+        level = self._level
+        reason = self._reason
+        dl = len(self._trail_lim)
+        qhead = start = self._qhead
+        confl = -1
+        while qhead < len(trail):
+            fl = trail[qhead] ^ 1  # clauses watching the false literal
+            qhead += 1
+            ws = watches[fl]
             n = len(ws)
             i = j = 0
             while i < n:
                 cid = ws[i]
                 i += 1
                 c = clauses[cid]
-                if c[0] == -p:
-                    c[0], c[1] = c[1], c[0]
                 first = c[0]
-                if val[_lit_idx(first)] == TRUE:
+                if first == fl:
+                    first = c[0] = c[1]
+                    c[1] = fl
+                if val[first] == TRUE:
                     ws[j] = cid
                     j += 1
                     continue
-                moved = False
                 for k in range(2, len(c)):
                     lk = c[k]
-                    if val[_lit_idx(lk)] != FALSE:
-                        c[1], c[k] = lk, c[1]
-                        self._watches[_lit_idx(lk)].append(cid)
-                        moved = True
+                    if val[lk] != FALSE:
+                        c[1] = lk
+                        c[k] = fl
+                        watches[lk].append(cid)
                         break
-                if moved:
-                    continue
-                ws[j] = cid
-                j += 1
-                if val[_lit_idx(first)] == FALSE:
-                    while i < n:  # keep the remaining watchers
-                        ws[j] = ws[i]
-                        j += 1
-                        i += 1
-                    del ws[j:]
-                    self._qhead = len(self._trail)
-                    return cid
-                self._enqueue(first, cid)
+                else:
+                    ws[j] = cid
+                    j += 1
+                    if val[first] == FALSE:
+                        confl = cid
+                        while i < n:  # keep the remaining watchers
+                            ws[j] = ws[i]
+                            j += 1
+                            i += 1
+                        break
+                    val[first] = TRUE
+                    val[first ^ 1] = FALSE
+                    v = first >> 1
+                    level[v] = dl
+                    reason[v] = cid
+                    trail.append(first)
             del ws[j:]
-        return -1
+            if confl >= 0:
+                break
+        self.stats["propagations"] += qhead - start
+        self._qhead = len(trail)
+        return confl
 
     # -- conflict analysis -------------------------------------------------
 
-    def _bump(self, v: int) -> None:
-        self._activity[v] += self._var_inc
-        if self._activity[v] > _RESCALE_LIMIT:
-            for u in range(1, self.num_vars + 1):
-                self._activity[u] *= 1e-100
-            self._var_inc *= 1e-100
-            self._order = [(-self._activity[u], u)
-                           for u in range(1, self.num_vars + 1)
-                           if self._value(u) == UNASSIGNED]
-            self._order.sort()
+    def _rescale_activity(self) -> None:
+        act = self._activity
+        for u in range(1, self.num_vars + 1):
+            act[u] *= 1e-100
+        self._var_inc *= 1e-100
+        self._rebuild_order()
 
     def _analyze(self, confl: int) -> Tuple[List[int], int]:
         """First-UIP learned clause and its backjump level."""
         seen = self._seen
+        level = self._level
+        trail = self._trail
+        clauses = self._clauses
+        reason = self._reason
+        act = self._activity
         learnt: List[int] = [0]
         path = 0
-        p = 0
-        idx = len(self._trail) - 1
+        p = -1
+        idx = len(trail) - 1
         cur = len(self._trail_lim)
         cleanup: List[int] = []
         while True:
-            c = self._clauses[confl]
-            for q in (c if p == 0 else c[1:]):
-                v = abs(q)
-                if not seen[v] and self._level[v] > 0:
+            c = clauses[confl]
+            for q in (c if p < 0 else c[1:]):
+                v = q >> 1
+                if not seen[v] and level[v] > 0:
                     seen[v] = 1
                     cleanup.append(v)
-                    self._bump(v)
-                    if self._level[v] >= cur:
+                    act[v] += self._var_inc
+                    if act[v] > _RESCALE_LIMIT:
+                        self._rescale_activity()
+                    if level[v] >= cur:
                         path += 1
                     else:
                         learnt.append(q)
-            while not seen[abs(self._trail[idx])]:
+            while not seen[trail[idx] >> 1]:
                 idx -= 1
-            p = self._trail[idx]
+            p = trail[idx]
             idx -= 1
-            seen[abs(p)] = 0
+            seen[p >> 1] = 0
             path -= 1
             if path == 0:
                 break
-            confl = self._reason[abs(p)]
-        learnt[0] = -p
+            confl = reason[p >> 1]
+        learnt[0] = p ^ 1
         for v in cleanup:
             seen[v] = 0
         if len(learnt) == 1:
             return learnt, 0
         # watch the literal from the highest remaining level
-        mi = max(range(1, len(learnt)), key=lambda k: self._level[abs(learnt[k])])
+        mi = max(range(1, len(learnt)), key=lambda k: level[learnt[k] >> 1])
         learnt[1], learnt[mi] = learnt[mi], learnt[1]
-        return learnt, self._level[abs(learnt[1])]
+        return learnt, level[learnt[1] >> 1]
 
     def _analyze_final(self, a: int) -> FrozenSet[int]:
-        """Assumptions responsible for the falsified assumption ``a``."""
-        failed = {a}
+        """Assumptions responsible for the falsified assumption ``a``,
+        as DIMACS literals."""
+        failed = {_idx_lit(a)}
         if not self._trail_lim:
             return frozenset(failed)
         seen = self._seen
-        seen[abs(a)] = 1
+        level = self._level
+        seen[a >> 1] = 1
         for k in range(len(self._trail) - 1, self._trail_lim[0] - 1, -1):
-            lit = self._trail[k]
-            v = abs(lit)
+            p = self._trail[k]
+            v = p >> 1
             if not seen[v]:
                 continue
             if self._reason[v] == -1:
-                failed.add(lit)  # an assumption decision
+                failed.add(_idx_lit(p))  # an assumption decision
             else:
                 for q in self._clauses[self._reason[v]][1:]:
-                    if self._level[abs(q)] > 0:
-                        seen[abs(q)] = 1
+                    if level[q >> 1] > 0:
+                        seen[q >> 1] = 1
             seen[v] = 0
-        seen[abs(a)] = 0
+        seen[a >> 1] = 0
         return frozenset(failed)
 
     # -- branching ---------------------------------------------------------
@@ -285,9 +338,10 @@ class CdclSolver:
     def _pick_branch_var(self) -> int:
         order = self._order
         act = self._activity
+        val = self._val
         while order:
             na, v = heappop(order)
-            if self._value(v) == UNASSIGNED and -na == act[v]:
+            if val[v << 1] == UNASSIGNED and -na == act[v]:
                 return v
         return 0
 
@@ -303,12 +357,16 @@ class CdclSolver:
             self.ensure_var(abs(a))
         if self._unsat0:
             return SolveOutcome("UNSAT", failed_assumptions=frozenset())
+        assumed = [_lit_idx(a) for a in assumptions]
+        val = self._val
+        trail = self._trail
+        trail_lim = self._trail_lim
         conflicts = 0
         restart_at = _RESTART_FIRST
         while True:
             confl = self._propagate()
             if confl >= 0:
-                if not self._trail_lim:
+                if not trail_lim:
                     self._unsat0 = True
                     return SolveOutcome("UNSAT", failed_assumptions=frozenset())
                 conflicts += 1
@@ -327,34 +385,34 @@ class CdclSolver:
                 else:
                     cid = len(self._clauses)
                     self._clauses.append(learnt)
-                    self._watches[_lit_idx(learnt[0])].append(cid)
-                    self._watches[_lit_idx(learnt[1])].append(cid)
+                    self._watches[learnt[0]].append(cid)
+                    self._watches[learnt[1]].append(cid)
                     self._enqueue(learnt[0], cid)
                 self._var_inc *= _ACT_DECAY
                 if conflicts >= restart_at:
                     restart_at = int(restart_at * _RESTART_FACTOR)
                     self._cancel_until(0)
                 continue
-            dl = len(self._trail_lim)
-            if dl < len(assumptions):
-                a = assumptions[dl]
-                v = self._value(a)
+            dl = len(trail_lim)
+            if dl < len(assumed):
+                a = assumed[dl]
+                v = val[a]
                 if v == TRUE:
-                    self._trail_lim.append(len(self._trail))
+                    trail_lim.append(len(trail))
                 elif v == FALSE:
                     failed = self._analyze_final(a)
                     self._cancel_until(0)
                     return SolveOutcome("UNSAT", failed_assumptions=failed)
                 else:
-                    self._trail_lim.append(len(self._trail))
+                    trail_lim.append(len(trail))
                     self._enqueue(a, -1)
             else:
                 v = self._pick_branch_var()
                 if v == 0:
-                    model = {u: 1 if self._value(u) == TRUE else 0
+                    model = {u: 1 if val[u << 1] == TRUE else 0
                              for u in range(1, self.num_vars + 1)}
                     self._cancel_until(0)
                     return SolveOutcome("SAT", model=model)
                 self.stats["decisions"] += 1
-                self._trail_lim.append(len(self._trail))
-                self._enqueue(-v, -1)  # default polarity: false first
+                trail_lim.append(len(trail))
+                self._enqueue((v << 1) | 1, -1)  # default polarity: false

@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import random
 from itertools import combinations
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
-
-import numpy as np
+from typing import (TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Optional,
+                    Sequence, Set, Tuple)
 
 from .model import (
     LCNF,
@@ -25,10 +24,12 @@ from .model import (
     LabelledClause,
     MaxSatSolution,
     WCNF,
-    add_weights,
     clause,
     induced_subformula,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 MAX_ORACLE_VARS = 20
 MAX_ENUM_SETS = 16
@@ -103,6 +104,8 @@ def truth_table_sat(clauses: Sequence[ClauseT], num_vars: int) -> Optional[Assig
 
 
 def _clause_sat_array(c: ClauseT, num_vars: int, idx: np.ndarray) -> np.ndarray:
+    import numpy as np  # only the brute-force oracle needs numpy
+
     sat = np.zeros(idx.shape, dtype=bool)
     for lit in c:
         bit = ((idx >> (num_vars - abs(lit))) & 1).astype(bool)
@@ -120,6 +123,8 @@ def brute_force_maxsat(f: WCNF, max_vars: int = MAX_ORACLE_VARS) -> Optional[Max
     Ties on cost go to the lexicographically least assignment over
     (tau(1), ..., tau(num_vars)).
     """
+    import numpy as np  # kept out of the import of ``labelmax.cli``
+
     n = f.num_vars
     if n > max_vars:
         raise ValueError(f"instance has {n} variables, oracle cap is {max_vars}")

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import labelmax
 from labelmax.cli import PREPS, PipelineError, main, run_pipeline
 from labelmax.dimacs import parse_wcnf
 from labelmax.model import WCNF, clause_satisfied
@@ -300,3 +304,14 @@ def test_oracle_rejects_oversized_instance(tmp_path, capsys):
 def test_fuzz_smoke(capsys):
     assert main(["fuzz", "--n", "3", "--seed", "7"]) == 0
     assert "0 mismatches" in capsys.readouterr().out
+
+
+def test_importing_the_cli_does_not_load_numpy():
+    """Only the brute-force oracle needs numpy; ``labelmax solve`` must
+    not pay for importing it."""
+    code = "import sys, labelmax.cli; print('numpy' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(labelmax.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env)
+    assert out.stdout.strip() == "False"

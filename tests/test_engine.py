@@ -1,6 +1,8 @@
 """CDCL engine: truth-table agreement, assumption cores, reuse, budget."""
 
 import itertools
+import random
+import zlib
 
 import pytest
 
@@ -162,3 +164,430 @@ def test_deterministic_for_fixed_history():
         return out.status, out.model, s.stats["conflicts"]
 
     assert run() == run()
+
+
+# ---------------------------------------------------------------------------
+# Search pinning: the engine's search is deterministic, and these tables
+# fix it.  Each row is one solve call: status, sorted failed assumptions,
+# the handle's cumulative conflicts/decisions/propagations, and a CRC of
+# the model (0 when UNSAT).  Any change to propagation order, clause
+# literal order, learning or branching shows up here.
+
+
+def _k_sat(seed, nvars, nclauses, k=3):
+    rng = random.Random(seed)
+    return [tuple(v if rng.random() < 0.5 else -v
+                  for v in rng.sample(range(1, nvars + 1), k))
+            for _ in range(nclauses)]
+
+
+def _row(out, s):
+    model = 0
+    if out.sat:
+        model = zlib.crc32(bytes(out.model[v] for v in sorted(out.model)))
+    return (out.status, tuple(sorted(out.failed_assumptions)),
+            s.stats["conflicts"], s.stats["decisions"],
+            s.stats["propagations"], model)
+
+
+def _random_assumptions(rng, nvars, k):
+    return [rng.choice((v, -v)) for v in rng.sample(range(1, nvars + 1), k)]
+
+
+def pinned_random_cnf_rows(seed):
+    """Three solves on one handle: none, four and six assumptions."""
+    clauses, nv = random_cnf(seed, nvars=10 + seed % 7,
+                             nclauses=12 + seed % 19)
+    rng = random.Random(seed)
+    s = CdclSolver()
+    for c in clauses:
+        s.add_clause(c)
+    rows = []
+    for a in ([], _random_assumptions(rng, nv, 4),
+              _random_assumptions(rng, nv, 6)):
+        rows.append(_row(s.solve(a), s))
+    return rows
+
+
+def pinned_k_sat_rows(seed):
+    """Random 3-SAT near the threshold: hundreds of conflicts, restarts."""
+    nv = 40 + 10 * seed
+    rng = random.Random(seed)
+    s = CdclSolver()
+    for c in _k_sat(seed, nv, int(nv * (4.26 if seed % 2 else 3.9))):
+        s.add_clause(c)
+    rows = []
+    for a in ([], _random_assumptions(rng, nv, 5),
+              _random_assumptions(rng, nv, 8)):
+        rows.append(_row(s.solve(a), s))
+    return rows
+
+
+def pinned_incremental_rows():
+    """Fu-Malik-style loop on one handle, as the ``inc`` driver runs it:
+    hard 3-SAT clauses plus soft clauses guarded by selector assumptions.
+    Each core retires its selectors with unit clauses and reloads its
+    clauses with a fresh relaxation variable and a new selector, plus an
+    exactly-one over the new relaxation variables."""
+    nv = 30
+    rng = random.Random(11)
+    s = CdclSolver()
+    for c in _k_sat(11, nv, 105):
+        s.add_clause(c)
+    soft = [[rng.choice((v, -v)) for v in rng.sample(range(1, nv + 1), 2)]
+            for _ in range(60)]
+    sel = {}
+    for i, c in enumerate(soft):
+        sel[i] = s.new_var()
+        s.add_clause(c + [-sel[i]])
+    rows = []
+    for _ in range(25):
+        out = s.solve([sel[i] for i in sorted(sel)])
+        rows.append(_row(out, s))
+        if out.sat or not out.failed_assumptions:
+            break
+        core = sorted(i for i in sel if sel[i] in out.failed_assumptions)
+        relax = []
+        for i in core:
+            s.add_clause([-sel[i]])
+            r = s.new_var()
+            relax.append(r)
+            soft[i] = soft[i] + [r]
+            sel[i] = s.new_var()
+            s.add_clause(soft[i] + [-sel[i]])
+        s.add_clause(relax)
+        for a, b in itertools.combinations(relax, 2):
+            s.add_clause([-a, -b])
+    return rows
+
+
+def test_activity_rescale_keeps_answers_and_cores():
+    """Start with the activity increment just under the rescale limit, so
+    conflict analysis rescales every activity and rebuilds the branching
+    heap mid-search.  Rescaling multiplies all activities by one factor,
+    so the search must match the unscaled run exactly."""
+    rescaled = 0
+    for seed in range(80):
+        rng = random.Random(seed)
+        nv = 8 + seed % 5
+        clauses = _k_sat(seed, nv, int(nv * (5.5 if seed % 2 else 3.5)))
+        histories = ([], _random_assumptions(rng, nv, 4))
+        runs = []
+        for var_inc in (1.0, 0.99e100):
+            s = CdclSolver()
+            s._var_inc = var_inc
+            for c in clauses:
+                s.add_clause(c)
+            outs = []
+            for a in histories:
+                out = s.solve(a)
+                outs.append((a, out, _row(out, s)))
+            runs.append(outs)
+        rescaled += s._var_inc < 1e90
+        assert [r[2] for r in runs[0]] == [r[2] for r in runs[1]], seed
+        for a, out, _ in runs[1]:
+            expect = truth_table_sat(clauses + [(l,) for l in a], nv)
+            assert out.sat == (expect is not None), (seed, a)
+            if out.sat:
+                assert all(any((l > 0) == bool(out.model[abs(l)]) for l in c)
+                           for c in clauses + [(l,) for l in a])
+            else:
+                assert out.failed_assumptions <= set(a)
+                core = sorted(out.failed_assumptions)
+                assert truth_table_sat(clauses + [(l,) for l in core],
+                                       nv) is None
+                assert s.solve(core).status == "UNSAT"
+    assert rescaled >= 40
+
+
+def test_branching_heap_stays_bounded():
+    """Backtracking pushes every unassigned variable onto the lazy heap;
+    it is rebuilt from its live entries before it outgrows the
+    variables."""
+    nv = 30
+    rng = random.Random(5)
+    s = CdclSolver()
+    for c in _k_sat(5, nv, 90):
+        s.add_clause(c)
+    sels = []
+    for _ in range(40):
+        sels.append(s.new_var())
+        s.add_clause([rng.choice((v, -v))
+                      for v in rng.sample(range(1, nv + 1), 2)] + [-sels[-1]])
+    for k in range(200):
+        s.solve(sels[k % 40:] + sels[:k % 7])
+        assert len(s._order) <= 4 * s.num_vars
+
+
+def test_search_pinned_on_random_cnf_with_assumptions():
+    for seed, rows in RANDOM_CNF_ROWS.items():
+        assert pinned_random_cnf_rows(seed) == rows, seed
+
+
+def test_search_pinned_on_random_3sat():
+    for seed, rows in K_SAT_ROWS.items():
+        assert pinned_k_sat_rows(seed) == rows, seed
+
+
+def test_search_pinned_on_incremental_selector_loop():
+    assert pinned_incremental_rows() == INCREMENTAL_ROWS
+
+
+# Recorded with the DIMACS-integer engine that the literal-index one
+# replaced; the search must not move.
+RANDOM_CNF_ROWS = {
+    0: [
+        ('UNSAT', (), 0, 0, 4, 0),
+        ('UNSAT', (), 0, 0, 4, 0),
+        ('UNSAT', (), 0, 0, 4, 0),
+    ],
+    1: [
+        ('SAT', (), 1, 8, 13, 1022999991),
+        ('UNSAT', (3,), 1, 8, 13, 0),
+        ('UNSAT', (-2,), 1, 8, 15, 0),
+    ],
+    2: [
+        ('SAT', (), 0, 6, 12, 1915753420),
+        ('UNSAT', (-2,), 0, 6, 13, 0),
+        ('SAT', (), 0, 9, 23, 3614491070),
+    ],
+    3: [
+        ('SAT', (), 0, 10, 13, 259278466),
+        ('UNSAT', (-10, 9), 0, 10, 16, 0),
+        ('UNSAT', (4,), 0, 10, 22, 0),
+    ],
+    4: [
+        ('UNSAT', (), 0, 0, 0, 0),
+        ('UNSAT', (), 0, 0, 0, 0),
+        ('UNSAT', (), 0, 0, 0, 0),
+    ],
+    5: [
+        ('SAT', (), 0, 7, 15, 2245996508),
+        ('UNSAT', (10,), 0, 7, 15, 0),
+        ('UNSAT', (-15,), 0, 7, 15, 0),
+    ],
+    6: [
+        ('SAT', (), 0, 8, 16, 3191680180),
+        ('UNSAT', (8,), 0, 8, 17, 0),
+        ('UNSAT', (-6,), 0, 8, 17, 0),
+    ],
+    7: [
+        ('UNSAT', (), 0, 0, 0, 0),
+        ('UNSAT', (), 0, 0, 0, 0),
+        ('UNSAT', (), 0, 0, 0, 0),
+    ],
+    8: [
+        ('SAT', (), 0, 2, 11, 3516647497),
+        ('UNSAT', (4,), 0, 2, 11, 0),
+        ('UNSAT', (-9,), 0, 2, 11, 0),
+    ],
+    9: [
+        ('UNSAT', (), 0, 0, 0, 0),
+        ('UNSAT', (), 0, 0, 0, 0),
+        ('UNSAT', (), 0, 0, 0, 0),
+    ],
+    10: [
+        ('SAT', (), 0, 6, 13, 891392712),
+        ('UNSAT', (-7,), 0, 6, 15, 0),
+        ('UNSAT', (-8,), 0, 6, 21, 0),
+    ],
+    11: [
+        ('UNSAT', (), 0, 0, 0, 0),
+        ('UNSAT', (), 0, 0, 0, 0),
+        ('UNSAT', (), 0, 0, 0, 0),
+    ],
+    12: [
+        ('UNSAT', (), 0, 0, 4, 0),
+        ('UNSAT', (), 0, 0, 4, 0),
+        ('UNSAT', (), 0, 0, 4, 0),
+    ],
+    13: [
+        ('SAT', (), 0, 8, 16, 2712796392),
+        ('UNSAT', (9,), 0, 8, 16, 0),
+        ('UNSAT', (9,), 0, 8, 17, 0),
+    ],
+    14: [
+        ('SAT', (), 0, 2, 10, 3466897535),
+        ('UNSAT', (-2,), 0, 2, 10, 0),
+        ('UNSAT', (-8, -7), 0, 2, 12, 0),
+    ],
+    15: [
+        ('UNSAT', (), 0, 0, 0, 0),
+        ('UNSAT', (), 0, 0, 0, 0),
+        ('UNSAT', (), 0, 0, 0, 0),
+    ],
+    16: [
+        ('UNSAT', (), 0, 0, 0, 0),
+        ('UNSAT', (), 0, 0, 0, 0),
+        ('UNSAT', (), 0, 0, 0, 0),
+    ],
+    17: [
+        ('UNSAT', (), 0, 0, 0, 0),
+        ('UNSAT', (), 0, 0, 0, 0),
+        ('UNSAT', (), 0, 0, 0, 0),
+    ],
+    18: [
+        ('SAT', (), 0, 1, 14, 268425710),
+        ('UNSAT', (11,), 0, 1, 14, 0),
+        ('UNSAT', (13,), 0, 1, 14, 0),
+    ],
+    19: [
+        ('UNSAT', (), 0, 0, 0, 0),
+        ('UNSAT', (), 0, 0, 0, 0),
+        ('UNSAT', (), 0, 0, 0, 0),
+    ],
+    20: [
+        ('SAT', (), 0, 13, 16, 3155499678),
+        ('SAT', (), 0, 21, 31, 4097170978),
+        ('SAT', (), 0, 29, 46, 246153360),
+    ],
+    21: [
+        ('SAT', (), 0, 4, 10, 820658383),
+        ('SAT', (), 0, 4, 15, 2831858445),
+        ('UNSAT', (4,), 0, 4, 16, 0),
+    ],
+    22: [
+        ('UNSAT', (), 0, 0, 0, 0),
+        ('UNSAT', (), 0, 0, 0, 0),
+        ('UNSAT', (), 0, 0, 0, 0),
+    ],
+    23: [
+        ('SAT', (), 0, 5, 12, 1740551294),
+        ('UNSAT', (-2,), 0, 5, 14, 0),
+        ('UNSAT', (-2,), 0, 5, 18, 0),
+    ],
+    24: [
+        ('SAT', (), 0, 6, 13, 2371804012),
+        ('SAT', (), 0, 9, 21, 2226851535),
+        ('SAT', (), 0, 11, 29, 2024946661),
+    ],
+    25: [
+        ('UNSAT', (), 0, 0, 0, 0),
+        ('UNSAT', (), 0, 0, 0, 0),
+        ('UNSAT', (), 0, 0, 0, 0),
+    ],
+    26: [
+        ('SAT', (), 0, 8, 15, 3460763849),
+        ('SAT', (), 0, 13, 23, 1440898214),
+        ('UNSAT', (-1,), 0, 13, 23, 0),
+    ],
+    27: [
+        ('SAT', (), 1, 8, 20, 2040127842),
+        ('SAT', (), 1, 13, 30, 1539798757),
+        ('UNSAT', (-5, 7), 1, 13, 34, 0),
+    ],
+    28: [
+        ('UNSAT', (), 0, 0, 0, 0),
+        ('UNSAT', (), 0, 0, 0, 0),
+        ('UNSAT', (), 0, 0, 0, 0),
+    ],
+    29: [
+        ('SAT', (), 0, 3, 11, 3701053884),
+        ('SAT', (), 0, 4, 15, 3701053884),
+        ('UNSAT', (11,), 0, 4, 15, 0),
+    ],
+    30: [
+        ('SAT', (), 0, 2, 12, 1919270653),
+        ('UNSAT', (-1, 10), 0, 2, 14, 0),
+        ('UNSAT', (7,), 0, 2, 14, 0),
+    ],
+    31: [
+        ('SAT', (), 0, 6, 13, 1345295997),
+        ('SAT', (), 0, 10, 19, 734938188),
+        ('UNSAT', (9,), 0, 10, 19, 0),
+    ],
+    32: [
+        ('UNSAT', (), 0, 0, 0, 0),
+        ('UNSAT', (), 0, 0, 0, 0),
+        ('UNSAT', (), 0, 0, 0, 0),
+    ],
+    33: [
+        ('UNSAT', (), 0, 0, 0, 0),
+        ('UNSAT', (), 0, 0, 0, 0),
+        ('UNSAT', (), 0, 0, 0, 0),
+    ],
+    34: [
+        ('UNSAT', (), 0, 0, 0, 0),
+        ('UNSAT', (), 0, 0, 0, 0),
+        ('UNSAT', (), 0, 0, 0, 0),
+    ],
+    35: [
+        ('UNSAT', (), 0, 0, 0, 0),
+        ('UNSAT', (), 0, 0, 0, 0),
+        ('UNSAT', (), 0, 0, 0, 0),
+    ],
+    36: [
+        ('UNSAT', (), 0, 0, 8, 0),
+        ('UNSAT', (), 0, 0, 8, 0),
+        ('UNSAT', (), 0, 0, 8, 0),
+    ],
+    37: [
+        ('UNSAT', (), 0, 0, 0, 0),
+        ('UNSAT', (), 0, 0, 0, 0),
+        ('UNSAT', (), 0, 0, 0, 0),
+    ],
+    38: [
+        ('UNSAT', (), 0, 0, 0, 0),
+        ('UNSAT', (), 0, 0, 0, 0),
+        ('UNSAT', (), 0, 0, 0, 0),
+    ],
+    39: [
+        ('SAT', (), 0, 7, 14, 3824143228),
+        ('SAT', (), 0, 11, 23, 1949443695),
+        ('UNSAT', (11,), 0, 11, 23, 0),
+    ],
+}
+
+K_SAT_ROWS = {
+    0: [
+        ('UNSAT', (), 36, 50, 454, 0),
+        ('UNSAT', (), 36, 50, 454, 0),
+        ('UNSAT', (), 36, 50, 454, 0),
+    ],
+    1: [
+        ('UNSAT', (), 62, 90, 890, 0),
+        ('UNSAT', (), 62, 90, 890, 0),
+        ('UNSAT', (), 62, 90, 890, 0),
+    ],
+    2: [
+        ('SAT', (), 45, 61, 807, 2176092416),
+        ('UNSAT', (-55, -4, 6, 24, 56), 59, 75, 981, 0),
+        ('UNSAT', (-44, -38, -26, -11, 41), 62, 76, 1046, 0),
+    ],
+    3: [
+        ('SAT', (), 67, 83, 1284, 1232480364),
+        ('UNSAT', (-48, -17, 31, 61, 70), 98, 123, 1891, 0),
+        ('UNSAT', (-56, -30, -25, 51, 61), 103, 129, 1989, 0),
+    ],
+    4: [
+        ('SAT', (), 37, 67, 786, 3880864893),
+        ('UNSAT', (-62, 14, 31, 39, 51), 55, 89, 1234, 0),
+        ('UNSAT', (-69, 36, 67), 55, 89, 1245, 0),
+    ],
+    5: [
+        ('UNSAT', (), 431, 534, 9320, 0),
+        ('UNSAT', (), 431, 534, 9320, 0),
+        ('UNSAT', (), 431, 534, 9320, 0),
+    ],
+}
+
+INCREMENTAL_ROWS = [
+    ('UNSAT', (31, 32, 35, 38, 39, 40, 42, 45, 46, 47, 48, 49, 54), 9, 1, 212,
+     0),
+    ('UNSAT', (56, 58, 64, 69, 74, 85), 12, 2, 320, 0),
+    ('UNSAT',
+     (44, 50, 51, 53, 57, 60, 63, 66, 67, 68, 70, 77, 92, 100, 104, 106, 110,
+      112, 114, 116),
+     19, 5, 497, 0),
+    ('UNSAT', (41, 43, 52, 55, 59, 62, 72, 79, 83, 89, 126, 128), 24, 11, 691,
+     0),
+    ('UNSAT',
+     (61, 71, 73, 75, 82, 87, 94, 96, 108, 118, 120, 136, 140, 144, 150, 156,
+      158, 164, 168, 172, 174, 180, 182, 188, 192),
+     38, 24, 1130, 0),
+    ('UNSAT',
+     (34, 37, 78, 80, 81, 84, 88, 170, 176, 178, 196, 198, 204, 210, 212, 214,
+      216, 220, 226),
+     63, 60, 1688, 0),
+    ('SAT', (), 78, 101, 2316, 2934511140),
+]
