@@ -12,7 +12,6 @@ from .model import (
     ClauseT,
     LabelledClause,
     MaxSatSolution,
-    TOP,
     WCNF,
     WeightOverflowError,
     clause,
@@ -45,7 +44,6 @@ __all__ = [
     "PipelineResult",
     "PrepConfig",
     "SolveReport",
-    "TOP",
     "WCNF",
     "WeightOverflowError",
     "bce_fixpoint",

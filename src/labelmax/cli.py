@@ -12,16 +12,18 @@ internal check failure), with a one-line message on stderr.
 """
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, NamedTuple, Optional
 
 from .bce import BceRecord, bce_fixpoint, bce_reconstruct, write_record_sidecar
 from .dimacs import (ParseError, ParsedInstance, parse_auto, write_solution,
                      write_wcnf)
 from .lcnf_prep import BveRecord, bve_reconstruct, dump_lcnf, preprocess_lcnf
-from .model import MaxSatSolution, WCNF, clause_satisfied, lcnf_from_wcnf
+from .model import (LCNF, MaxSatSolution, WCNF, clause_satisfied,
+                    lcnf_from_wcnf)
 from .oracle import MAX_ORACLE_VARS, brute_force_maxsat, random_wcnf
 from .reduction import lcnf_to_wcnf
 from .solver import ALGORITHMS, MODES, solve_lcnf
@@ -40,6 +42,38 @@ class PipelineResult:
     stats: Dict[str, int]
 
 
+class Preprocessed(NamedTuple):
+    wcnf: WCNF  # after BCE
+    bce_rec: BceRecord
+    lifted: LCNF  # labelled form of ``wcnf``
+    lcnf: LCNF  # after SUB/SSR/BVE
+    bve_rec: BveRecord
+
+
+def _preprocess(f: WCNF, prep: str, shuffle_seed: Optional[int] = None,
+                trace: Optional[Callable[[str], None]] = None
+                ) -> Preprocessed:
+    """The preprocessing sequence of ``solve`` and ``preprocess``: BCE
+    on the weighted formula, the lift to labelled form, then SUB/SSR/BVE;
+    ``prep`` names the steps that run."""
+    if prep not in PREPS:
+        raise ValueError(f"unknown prep {prep!r}")
+    steps = prep.split(",")
+    bce_rec: BceRecord = []
+    if "bce" in steps:
+        f, bce_rec = bce_fixpoint(f, shuffle_seed=shuffle_seed)
+        if trace:
+            trace(f"bce: removed {len(bce_rec)} clauses")
+    phi = phi_rs = lcnf_from_wcnf(f)
+    bve_rec: BveRecord = []
+    if "rs" in steps:
+        phi_rs, bve_rec = preprocess_lcnf(phi)
+        if trace:
+            trace(f"rs: {phi.size()} -> {phi_rs.size()} clauses, "
+                  f"{len(bve_rec)} variables eliminated")
+    return Preprocessed(f, bce_rec, phi, phi_rs, bve_rec)
+
+
 def run_pipeline(f: WCNF, prep: str = "bce,rs", mode: str = "noninc",
                  algorithm: str = "wmsu1",
                  conflict_budget: Optional[int] = None,
@@ -54,37 +88,20 @@ def run_pipeline(f: WCNF, prep: str = "bce,rs", mode: str = "noninc",
     ``verify`` is left on, has been re-evaluated against ``f`` itself:
     hard clauses satisfied, falsified soft weight equal to the cost.
     """
-    if prep not in PREPS:
-        raise ValueError(f"unknown prep {prep!r}")
-    steps = prep.split(",")
-
-    f_bce, bce_rec = f, []  # type: ignore[var-annotated]
-    if "bce" in steps:
-        f_bce, bce_rec = bce_fixpoint(f, shuffle_seed=shuffle_seed)
-        if trace:
-            trace(f"bce: removed {len(bce_rec)} clauses")
-
-    phi = lcnf_from_wcnf(f_bce)
-    phi_rs, bve_rec = phi, []  # type: ignore[var-annotated]
-    if "rs" in steps:
-        phi_rs, bve_rec = preprocess_lcnf(phi)
-        if trace:
-            trace(f"rs: {phi.size()} -> {phi_rs.size()} clauses, "
-                  f"{len(bve_rec)} variables eliminated")
-
-    report = solve_lcnf(phi_rs, algorithm=algorithm, mode=mode,
+    pre = _preprocess(f, prep, shuffle_seed, trace)
+    report = solve_lcnf(pre.lcnf, algorithm=algorithm, mode=mode,
                         conflict_budget=conflict_budget, trace=trace)
     stats = dict(report.stats)
-    stats["bce_removed"] = len(bce_rec)
-    stats["bve_eliminated"] = len(bve_rec)
+    stats["bce_removed"] = len(pre.bce_rec)
+    stats["bve_eliminated"] = len(pre.bve_rec)
     if report.status != "optimum":
         return PipelineResult(report.status, None, stats)
 
     inner = report.solution
     assert inner is not None
-    retained = phi.labels() - inner.falsified
-    tau = bve_reconstruct(bve_rec, dict(inner.model), retained=retained)
-    tau = bce_reconstruct(bce_rec, tau)
+    retained = pre.lifted.labels() - inner.falsified
+    tau = bve_reconstruct(pre.bve_rec, dict(inner.model), retained=retained)
+    tau = bce_reconstruct(pre.bce_rec, tau)
     model = {v: tau.get(v, 0) for v in range(1, f.num_vars + 1)}
 
     falsified = frozenset(
@@ -163,15 +180,8 @@ def _sidecar_payload(f: WCNF, bce_rec: BceRecord, bve_rec: BveRecord,
 
 def _cmd_preprocess(args: argparse.Namespace) -> int:
     parsed = _parse_reporting_warnings(args.file)
-    f = parsed.wcnf
-    steps = args.prep.split(",")
-    bce_rec: BceRecord = []
-    if "bce" in steps:
-        f, bce_rec = bce_fixpoint(f, shuffle_seed=args.seed)
-    phi = lcnf_from_wcnf(f)
-    bve_rec: BveRecord = []
-    if "rs" in steps:
-        phi, bve_rec = preprocess_lcnf(phi)
+    f, bce_rec, _, phi, bve_rec = _preprocess(parsed.wcnf, args.prep,
+                                              args.seed)
 
     if args.emit_wcnf:
         enc, selectors = lcnf_to_wcnf(phi)
@@ -249,6 +259,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     return 1 if bad else 0
 
 
+@functools.cache  # built once per process, on first use
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="labelmax",

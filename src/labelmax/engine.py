@@ -12,8 +12,10 @@ Internally a literal is an index, as in MiniSat: variable ``v`` is
 ``2v`` when positive and ``2v + 1`` when negative, so negation is
 ``^ 1`` and the variable is ``>> 1``.  Clauses, watch lists, the trail
 and learnt clauses hold indices; DIMACS integers appear only at the API
-edge (``add_clause``, ``solve``'s assumptions, the model and the failed
-assumptions).
+edge (``encode``/``add_clause``, ``solve``'s assumptions, the model and
+the failed assumptions).  ``encode`` canonicalizes a clause once;
+``load`` adds a batch of encoded clauses, so a caller that rebuilds
+solvers from the same clauses encodes each clause only once.
 
 Clauses are permanent once added; deactivation happens outside the
 engine by selector literals finalized with unit clauses.  A handle stays
@@ -65,6 +67,20 @@ def _idx_lit(i: int) -> int:
     return -(i >> 1) if i & 1 else i >> 1
 
 
+# a clause as ``encode`` returns it: sorted literal indices, or None
+Encoded = Optional[List[int]]
+
+
+def encode(lits: Iterable[int]) -> Encoded:
+    """A clause as sorted literal indices without duplicates, or None for
+    a tautology; the form :meth:`CdclSolver.load` takes."""
+    s = set(lits)
+    if not s.isdisjoint([-l for l in s]):
+        return None
+    # one literal per variable, so index order is variable order
+    return sorted(map(_lit_idx, s))
+
+
 class CdclSolver:
     """Reference engine; see module docstring for the feature set."""
 
@@ -104,45 +120,46 @@ class CdclSolver:
         self._level.extend([0] * n)
         self._reason.extend([-1] * n)
         self._activity.extend([0.0] * n)
-        self._watches.extend([] for _ in range(2 * n))
+        self._watches.extend([[] for _ in range(2 * n)])
         self._seen.extend(bytes(n))
         # no heap entry is smaller than (0.0, u) for a new, highest u, so
         # appending these is what pushing them one by one would do
-        self._order.extend((0.0, u) for u in range(first, v + 1))
+        self._order.extend([(0.0, u) for u in range(first, v + 1)])
 
     # -- clause database ---------------------------------------------------
 
     def add_clause(self, lits: Iterable[int]) -> None:
         """Root-level add; may only be called between solve calls."""
-        assert not self._trail_lim, "add_clause only at the root level"
-        self.stats["clauses_added"] += 1
-        s = set(lits)
-        if not s.isdisjoint([-l for l in s]):
-            return  # tautology: permanently satisfied, nothing to store
-        # one literal per variable, so index order is variable order
-        c = sorted(map(_lit_idx, s))
-        if c and c[-1] >> 1 > self.num_vars:
-            self.ensure_var(c[-1] >> 1)
-        # drop literals already false at the root, stop if satisfied
+        self.load([encode(lits)])
+
+    def load(self, encoded: Sequence[Encoded]) -> None:
+        """Root-level add of clauses made by :func:`encode`, in order;
+        the same as ``add_clause`` on each one.  The encodings are not
+        kept, so one batch can be loaded into many solvers."""
+        assert not self._trail_lim, "load only at the root level"
+        self.stats["clauses_added"] += len(encoded)
+        top = max([c[-1] for c in encoded if c], default=0) >> 1
+        if top > self.num_vars:
+            self.ensure_var(top)
         val = self._val
-        out = []
-        for i in c:
-            v = val[i]
-            if v == TRUE:
-                return
-            if v == UNASSIGNED:
-                out.append(i)
-        if not out:
-            self._unsat0 = True
-            return
-        if len(out) == 1:
-            if not self._enqueue(out[0], -1):
-                self._unsat0 = True
-            return
+        store = self._clauses.append
+        watches = self._watches
         cid = len(self._clauses)
-        self._clauses.append(out)
-        self._watches[out[0]].append(cid)
-        self._watches[out[1]].append(cid)
+        for c in encoded:
+            if c is None:
+                continue  # tautology: permanently satisfied
+            # drop literals already false at the root, skip if satisfied
+            out = [i for i in c if not val[i]]  # UNASSIGNED is 0
+            n = len(out)
+            if n < len(c) and TRUE in [val[i] for i in c]:
+                continue
+            if n > 1:
+                store(out)
+                watches[out[0]].append(cid)
+                watches[out[1]].append(cid)
+                cid += 1
+            elif not out or not self._enqueue(out[0], -1):
+                self._unsat0 = True
 
     # -- trail -------------------------------------------------------------
 
@@ -353,8 +370,8 @@ class CdclSolver:
         subset of ``assumptions``.  Raises BudgetExceededError when the
         conflict budget runs out (the handle stays reusable)."""
         self.stats["solves"] += 1
-        for a in assumptions:
-            self.ensure_var(abs(a))
+        if assumptions:
+            self.ensure_var(max(map(abs, assumptions)))
         if self._unsat0:
             return SolveOutcome("UNSAT", failed_assumptions=frozenset())
         assumed = [_lit_idx(a) for a in assumptions]

@@ -36,36 +36,6 @@ class WeightOverflowError(ArithmeticError):
     """A weight sum left the unsigned 64-bit range."""
 
 
-class _Top:
-    """Marker for the hard-clause weight in WCNF files.  Compares above
-    every finite weight and refuses arithmetic."""
-
-    _instance: Optional["_Top"] = None
-
-    def __new__(cls) -> "_Top":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "TOP"
-
-    def __gt__(self, other: object) -> bool:
-        return not isinstance(other, _Top)
-
-    def __lt__(self, other: object) -> bool:
-        return False
-
-    def __ge__(self, other: object) -> bool:
-        return True
-
-    def __le__(self, other: object) -> bool:
-        return isinstance(other, _Top)
-
-
-TOP = _Top()
-
-
 def add_weights(*weights: int) -> int:
     """Sum finite weights with an explicit overflow check."""
     total = 0

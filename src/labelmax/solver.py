@@ -13,7 +13,8 @@ Two SAT-driver modes:
 
 * ``noninc`` — a fresh solver per iteration; every labelled clause is
   loaded with one negated selector per label and the selectors are
-  assumed positively.
+  assumed positively.  Each clause is encoded once and reloaded from
+  that encoding in every later iteration.
 * ``inc`` — a single solver for the whole run.  Each label owns a
   growing sequence of selector versions; relaxing a label in place
   finalizes the old version with a unit clause (which deactivates every
@@ -28,10 +29,13 @@ its falsified clauses) and the two numbers must agree.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set
+from operator import itemgetter
+from typing import (Callable, Dict, FrozenSet, Iterable, List, Optional, Set,
+                    Tuple)
 
 from .cardinality import encode_equals1
-from .engine import BudgetExceededError, CdclSolver, SolveOutcome
+from .engine import (BudgetExceededError, CdclSolver, Encoded, SolveOutcome,
+                     encode)
 from .model import (LCNF, LabelledClause, MaxSatSolution, add_weights,
                     clause_satisfied, cost_of_labels)
 
@@ -107,12 +111,30 @@ def relax_label(phi: LCNF, l: int, r: int) -> LCNF:
 # SAT drivers
 
 
+def _encode_labelled(c: LabelledClause,
+                     states: Dict[int, LabelState]) -> Encoded:
+    """A clause with one negated selector per label, for ``load``."""
+    return encode(c.lits + tuple(-states[m].selector for m in c.labels))
+
+
+def _encode_sorted(clauses: Iterable[LabelledClause],
+                   states: Dict[int, LabelState]) -> List[Encoded]:
+    return [_encode_labelled(c, states)
+            for c in sorted(clauses, key=LabelledClause.sort_key)]
+
+
 class _NonIncDriver:
-    """Fresh solver per call; clause database reloaded every iteration."""
+    """Fresh solver per call; clause database reloaded every iteration.
+
+    A clause keeps its selectors while it stays in the working formula
+    (an in-place relaxation replaces every clause carrying the label),
+    so each clause is encoded once, when it first shows up."""
 
     def __init__(self, nv_orig: int, stats: Dict[str, int]) -> None:
         self.nv_orig = nv_orig
         self.stats = stats
+        # working clause -> (sort key, encoding)
+        self._cache: Dict[LabelledClause, Tuple[Tuple, Encoded]] = {}
 
     def _fresh(self) -> CdclSolver:
         eng = CdclSolver()
@@ -127,8 +149,7 @@ class _NonIncDriver:
 
     def check_hard(self, hard: List, budget: Optional[int]) -> bool:
         eng = self._fresh()
-        for lits in hard:
-            eng.add_clause(lits)
+        eng.load([encode(lits) for lits in hard])
         try:
             out = eng.solve((), budget)
         finally:
@@ -138,13 +159,17 @@ class _NonIncDriver:
     def solve_iteration(self, working: Set[LabelledClause],
                         states: Dict[int, LabelState],
                         budget: Optional[int]) -> SolveOutcome:
+        # rebuilt from ``working`` so that no retired clause stays cached
+        old = self._cache
+        cache = self._cache = {}
+        for c in working:
+            e = old.get(c)
+            if e is None:
+                e = (c.sort_key(), _encode_labelled(c, states))
+            cache[c] = e
         eng = self._fresh()
-        for c in sorted(working, key=LabelledClause.sort_key):
-            if c.hard:
-                eng.add_clause(c.lits)
-            else:
-                eng.add_clause(list(c.lits) +
-                               [-states[m].selector for m in sorted(c.labels)])
+        eng.load([enc for _, enc in sorted(cache.values(),
+                                           key=itemgetter(0))])
         try:
             return eng.solve([states[l].selector for l in sorted(states)],
                              budget)
@@ -172,21 +197,15 @@ class _IncDriver:
         self.stats["load_events"] += 1
         self._labelled_loaded = False
 
-    def _load(self, c: LabelledClause, states: Dict[int, LabelState]) -> None:
-        self.eng.add_clause(list(c.lits) +
-                            [-states[m].selector for m in sorted(c.labels)])
-
     def check_hard(self, hard: List, budget: Optional[int]) -> bool:
-        for lits in hard:
-            self.eng.add_clause(lits)
+        self.eng.load([encode(lits) for lits in hard])
         return self.eng.solve((), budget).sat
 
     def solve_iteration(self, working, states, budget) -> SolveOutcome:
         if not self._labelled_loaded:
             self._labelled_loaded = True
-            for c in sorted(working, key=LabelledClause.sort_key):
-                if not c.hard:
-                    self._load(c, states)
+            self.eng.load(_encode_sorted(
+                [c for c in working if not c.hard], states))
         return self.eng.solve([states[l].selector for l in sorted(states)],
                               budget)
 
@@ -194,17 +213,14 @@ class _IncDriver:
                    reloaded: Iterable[LabelledClause], states) -> None:
         # the unit clause satisfies (= retires) every copy loaded under
         # the old version; the relaxed clauses come back under the new one
-        self.eng.add_clause([-old_selector])
-        for c in sorted(reloaded, key=LabelledClause.sort_key):
-            self._load(c, states)
+        self.eng.load([encode([-old_selector])] +
+                      _encode_sorted(reloaded, states))
 
     def on_split(self, copies: Iterable[LabelledClause], states) -> None:
-        for c in sorted(copies, key=LabelledClause.sort_key):
-            self._load(c, states)
+        self.eng.load(_encode_sorted(copies, states))
 
     def on_hard_added(self, clauses) -> None:
-        for lits in sorted(clauses):
-            self.eng.add_clause(lits)
+        self.eng.load([encode(lits) for lits in sorted(clauses)])
 
     def flush(self) -> None:
         self.stats["clauses_loaded"] = self.eng.stats["clauses_added"]

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import labelmax
+from labelmax import cli
 from labelmax.cli import PREPS, PipelineError, main, run_pipeline
 from labelmax.dimacs import parse_wcnf
 from labelmax.model import WCNF, clause_satisfied
@@ -209,6 +210,31 @@ def test_solve_trace_lines_precede_solution(tmp_path, capsys):
     assert any(l.startswith("c iteration 1:") for l in lines)
     assert any(l.startswith("c stat load_events ") for l in lines)
     assert lines[-3] == "o 2"
+
+
+def test_second_main_call_starts_from_the_defaults(tmp_path, capsys,
+                                                   monkeypatch):
+    # the argument parser is built once per process and then reused
+    path = tmp_path / "ex1.wcnf"
+    path.write_text(EXAMPLE1)
+    modes = []
+
+    def spy(*args, **kw):
+        modes.append(kw["mode"])
+        return run_pipeline(*args, **kw)
+
+    monkeypatch.setattr(cli, "run_pipeline", spy)
+    cli._build_parser.cache_clear()
+    assert main(["solve", "--mode=inc", "--trace", str(path)]) == 0
+    first = capsys.readouterr().out.splitlines()
+    assert main(["solve", str(path)]) == 0
+    second = capsys.readouterr().out.splitlines()
+    assert cli._build_parser.cache_info().misses == 1
+    assert modes == ["inc", "noninc"]
+    assert any(l.startswith("c stat ") for l in first)
+    assert not any(l.startswith("c stat ") for l in second)
+    assert not any(l.startswith("c iteration ") for l in second)
+    assert first[-3:] == second[-3:]
 
 
 @pytest.mark.parametrize("header", ["p wcnf 1 2", f"p wcnf 1 2 {2**64 - 1}"])

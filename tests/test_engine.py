@@ -6,7 +6,7 @@ import zlib
 
 import pytest
 
-from labelmax.engine import BudgetExceededError, CdclSolver
+from labelmax.engine import BudgetExceededError, CdclSolver, encode
 from labelmax.oracle import random_cnf, truth_table_sat
 
 
@@ -164,6 +164,56 @@ def test_deterministic_for_fixed_history():
         return out.status, out.model, s.stats["conflicts"]
 
     assert run() == run()
+
+
+def _engine_state(s):
+    return (s.num_vars, s._val, s._clauses, s._watches, s._trail, s._order,
+            s._unsat0, s.stats)
+
+
+def test_load_matches_add_clause_one_by_one():
+    """A batch through ``load`` leaves the handle exactly as ``add_clause``
+    on each of its clauses in turn does, solve after solve."""
+    seen = dict.fromkeys(("tautology", "repeated", "unit", "empty",
+                          "root-assigned"), 0)
+    for seed in range(300):
+        rng = random.Random(seed)
+        nv = 3 + seed % 8
+        one, batched = CdclSolver(), CdclSolver()
+        fed = []
+        for _ in range(rng.randint(1, 4)):
+            batch = []
+            for _ in range(rng.randint(0, 14)):
+                k = 0 if rng.random() < 0.03 else rng.randint(1, 5)
+                c = [rng.choice((v, -v))
+                     for v in (rng.randint(1, nv) for _ in range(k))]
+                batch.append(c)
+                seen["empty"] += not c
+                seen["unit"] += len(set(c)) == 1
+                seen["repeated"] += len(set(c)) < len(c)
+                seen["tautology"] += any(-l in c for l in c)
+            fixed = {p >> 1 for p in one._trail}
+            seen["root-assigned"] += any(abs(l) in fixed
+                                         for c in batch for l in c)
+            for c in batch:
+                one.add_clause(c)
+            batched.load([encode(c) for c in batch])
+            fed += batch
+            assert _engine_state(one) == _engine_state(batched), seed
+            # tautologies count as added; an empty clause is final
+            assert batched.stats["clauses_added"] == len(fed)
+            if [] in fed:
+                assert batched._unsat0
+            a = _random_assumptions(rng, nv, rng.randint(0, nv))
+            assert _row(one.solve(a), one) == _row(batched.solve(a), batched)
+            assert _engine_state(one) == _engine_state(batched), seed
+    assert min(seen.values()) >= 20, seen
+
+
+def test_encode_dedups_sorts_and_drops_tautologies():
+    assert encode([3, -1, 3]) == [3, 6]  # -1 is index 3, 3 is index 6
+    assert encode([2, -2, 1]) is None
+    assert encode([]) == []
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from labelmax.model import (
     LCNF,
     MAX_WEIGHT_SUM,
-    TOP,
     WCNF,
     WeightOverflowError,
     add_weights,
@@ -49,13 +48,6 @@ def test_clause_satisfaction():
     assert not clause_satisfied((), tau)  # empty clause never satisfied
     assert not clause_satisfied((3,), tau)  # unassigned vars read as 0
     assert clause_satisfied((-3,), tau)
-
-
-def test_top_compares_above_every_weight():
-    assert TOP > 10**30
-    assert not (TOP < 5)
-    assert TOP >= TOP
-    assert not (TOP > TOP)
 
 
 def test_weight_addition_is_checked():

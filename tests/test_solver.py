@@ -2,9 +2,12 @@ import random
 
 import pytest
 
-from labelmax.engine import BudgetExceededError, SolveOutcome
-from labelmax.model import (LCNF, WCNF, cost_of_labels, induced_subformula,
-                            lclause, lcnf_from_wcnf, lcnf_satisfied)
+from labelmax import solver
+from labelmax.engine import (BudgetExceededError, CdclSolver, SolveOutcome,
+                             encode)
+from labelmax.model import (LCNF, WCNF, LabelledClause, cost_of_labels,
+                            induced_subformula, lclause, lcnf_from_wcnf,
+                            lcnf_satisfied)
 from labelmax.oracle import (brute_force_lcnf_maxsat, brute_force_maxsat,
                              minimal_hitting_sets, random_lcnf, random_wcnf)
 from labelmax.solver import (CoreLabels, _min_cost_hitting_set,
@@ -221,6 +224,52 @@ def test_incremental_mode_loads_clauses_once():
     # hard check, one rebuild per core, and the final satisfiable solve
     assert noninc.stats["load_events"] == noninc.stats["iterations"] + 2
     assert noninc.stats["load_events"] > inc.stats["load_events"]
+
+
+def test_noninc_loads_each_fresh_solver_with_fresh_encodings(monkeypatch):
+    """Each fresh ``noninc`` solver gets one ``load`` batch: the working
+    formula in ``sort_key`` order, each clause with one negated selector
+    per label, exactly as encoding it from scratch gives, on runs that
+    both split labels and relax them in place."""
+    loaded = []
+    relaxations = {"on_split": 0, "on_inplace": 0}
+    iterate = solver._NonIncDriver.solve_iteration
+    load = CdclSolver.load
+
+    def spy_load(eng, batch):
+        loaded.append(batch)
+        return load(eng, batch)
+
+    def spy_iteration(driver, working, states, budget):
+        want = [encode(list(c.lits) +
+                       [-states[m].selector for m in sorted(c.labels)])
+                for c in sorted(working, key=LabelledClause.sort_key)]
+        before = len(loaded)
+        out = iterate(driver, working, states, budget)
+        assert loaded[before:] == [want]
+        return out
+
+    def counting(hook):
+        def spy(*args):
+            relaxations[hook] += 1
+        return spy
+
+    monkeypatch.setattr(CdclSolver, "load", spy_load)
+    monkeypatch.setattr(solver._NonIncDriver, "solve_iteration",
+                        spy_iteration)
+    for hook in relaxations:
+        monkeypatch.setattr(solver._NonIncDriver, hook, counting(hook))
+    phis = ([lcnf_from_wcnf(random_wcnf(seed, max_weight=4))
+             for seed in range(40)] +
+            [random_lcnf(seed, nlabels=8) for seed in range(40)])
+    for phi in phis:
+        expect = brute_force_lcnf_maxsat(phi)
+        report = solve_lcnf(phi, mode="noninc")
+        if expect is None:
+            assert report.status == "unsat-hard"
+        else:
+            assert report.solution.cost == expect.cost
+    assert min(relaxations.values()) >= 20, relaxations
 
 
 def test_trace_reports_monotone_lower_bound():
