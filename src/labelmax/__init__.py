@@ -24,12 +24,7 @@ from .model import (
 from .bce import bce_fixpoint, bce_reconstruct
 from .lcnf_prep import PrepConfig, bve_reconstruct, preprocess_lcnf
 from .reduction import lcnf_to_wcnf, lift_reduction_solution
-from .solver import (
-    SolveReport,
-    solve_fu_malik_lcnf,
-    solve_lcnf,
-    solve_wmsu1_lcnf,
-)
+from .solver import SolveReport, solve_lcnf
 from .cli import PipelineError, PipelineResult, run_pipeline
 
 __version__ = "0.1.0"
@@ -59,8 +54,6 @@ __all__ = [
     "lift_reduction_solution",
     "preprocess_lcnf",
     "run_pipeline",
-    "solve_fu_malik_lcnf",
     "solve_lcnf",
-    "solve_wmsu1_lcnf",
     "__version__",
 ]

@@ -1,15 +1,13 @@
 """Exactly-one constraints over relaxation variables.
 
 The core-guided loop adds one of these per relaxed core.  The pairwise
-scheme is quadratic but core sizes here are small; fancier encodings can
-plug in through the same entry point (they would draw fresh variables
-from the allocator argument, which pairwise ignores).
+scheme is quadratic but core sizes here are small.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, FrozenSet, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import FrozenSet, List, Sequence
 
 from .model import ClauseT, clause
 
@@ -19,11 +17,9 @@ __all__ = ["Equals1Encoding", "encode_equals1"]
 @dataclass(frozen=True)
 class Equals1Encoding:
     clauses: FrozenSet[ClauseT]
-    aux_vars: FrozenSet[int] = field(default_factory=frozenset)
 
 
-def encode_equals1(variables: Sequence[int],
-                   fresh: Optional[Callable[[], int]] = None) -> Equals1Encoding:
+def encode_equals1(variables: Sequence[int]) -> Equals1Encoding:
     """Pairwise encoding: one at-least-one clause, all at-most-one pairs."""
     if not variables:
         raise ValueError("equals1 over no variables is unsatisfiable")

@@ -24,7 +24,7 @@ from .dimacs import (ParseError, ParsedInstance, parse_auto, write_solution,
 from .lcnf_prep import BveRecord, bve_reconstruct, dump_lcnf, preprocess_lcnf
 from .model import (LCNF, MaxSatSolution, WCNF, clause_satisfied,
                     lcnf_from_wcnf)
-from .oracle import MAX_ORACLE_VARS, brute_force_maxsat, random_wcnf
+from .oracle import brute_force_maxsat, random_wcnf
 from .reduction import lcnf_to_wcnf
 from .solver import ALGORITHMS, MODES, solve_lcnf
 
@@ -218,10 +218,7 @@ def _cmd_preprocess(args: argparse.Namespace) -> int:
 def _cmd_oracle(args: argparse.Namespace) -> int:
     parsed = parse_auto(_read_text(args.file))
     f = parsed.wcnf
-    if f.num_vars > MAX_ORACLE_VARS:
-        raise ValueError(
-            f"oracle cap is {MAX_ORACLE_VARS} variables, got {f.num_vars}")
-    sol = brute_force_maxsat(f)
+    sol = brute_force_maxsat(f)  # ValueError past the variable cap
     if sol is None:
         sys.stdout.write(write_solution(None, "unsat-hard"))
         return 20

@@ -2,8 +2,12 @@
 
 Everything here is deliberately independent of the CDCL engine and the
 core-guided solvers: satisfiability is decided by truth tables only, so
-these functions can act as ground truth in tests.  All entry points are
-capped to desk-scale inputs and raise when the cap is exceeded.
+these functions can act as ground truth in tests.  A truth table is a
+Python int with one bit per assignment (``_TruthTables``); the weighted
+oracle keeps each assignment's falsified weight as bit planes over the
+same tables, so its costs are exact for any weight.  Truth tables are
+capped at ``MAX_ORACLE_VARS`` variables and subset enumeration at
+``MAX_ENUM_SETS`` elements; both raise ValueError past the cap.
 
 Subset enumeration convention: a family of minimal sets is returned as a
 ``set`` of ``frozenset``s.  Clause-level functions index clauses 1-based
@@ -14,8 +18,8 @@ from __future__ import annotations
 
 import random
 from itertools import combinations
-from typing import (TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Optional,
-                    Sequence, Set, Tuple)
+from typing import (Dict, FrozenSet, Iterable, List, Optional, Sequence, Set,
+                    Tuple)
 
 from .model import (
     LCNF,
@@ -27,9 +31,6 @@ from .model import (
     clause,
     induced_subformula,
 )
-
-if TYPE_CHECKING:
-    import numpy as np
 
 MAX_ORACLE_VARS = 20
 MAX_ENUM_SETS = 16
@@ -49,13 +50,15 @@ def _index_assignment(a: int, num_vars: int) -> Assignment:
 
 
 def _var_mask(num_vars: int, v: int) -> int:
-    # bits a with (a >> (num_vars - v)) & 1 == 1, built from the classic
-    # alternating block pattern
-    s = num_vars - v
-    block = (1 << (1 << s)) - 1
-    period = 1 << (s + 1)
-    reps = ((1 << (1 << num_vars)) - 1) // ((1 << period) - 1)
-    return (block << (1 << s)) * reps
+    # bits a with (a >> (num_vars - v)) & 1 == 1: one period of the
+    # alternating block pattern, doubled until it covers 2^num_vars bits
+    width = 1 << (num_vars - v)
+    m = ((1 << width) - 1) << width
+    period = 2 * width
+    while period < 1 << num_vars:
+        m |= m << period
+        period *= 2
+    return m
 
 
 class _TruthTables:
@@ -63,7 +66,8 @@ class _TruthTables:
 
     def __init__(self, num_vars: int):
         if num_vars > MAX_ORACLE_VARS:
-            raise ValueError(f"truth tables capped at {MAX_ORACLE_VARS} variables")
+            raise ValueError(f"instance has {num_vars} variables, truth "
+                             f"tables are capped at {MAX_ORACLE_VARS}")
         self.n = num_vars
         self.full = (1 << (1 << num_vars)) - 1
         self._vars: Dict[int, int] = {}
@@ -103,54 +107,49 @@ def truth_table_sat(clauses: Sequence[ClauseT], num_vars: int) -> Optional[Assig
     return _index_assignment(a, num_vars)
 
 
-def _clause_sat_array(c: ClauseT, num_vars: int, idx: np.ndarray) -> np.ndarray:
-    import numpy as np  # only the brute-force oracle needs numpy
-
-    sat = np.zeros(idx.shape, dtype=bool)
-    for lit in c:
-        bit = ((idx >> (num_vars - abs(lit))) & 1).astype(bool)
-        sat |= bit if lit > 0 else ~bit
-    return sat
-
-
 # ---------------------------------------------------------------------------
 # brute-force MaxSAT
 
 
-def brute_force_maxsat(f: WCNF, max_vars: int = MAX_ORACLE_VARS) -> Optional[MaxSatSolution]:
-    """Scan all assignments; None when the hard part is unsatisfiable.
+def brute_force_maxsat(f: WCNF) -> Optional[MaxSatSolution]:
+    """Bit-parallel scan of all assignments; None when the hard part is
+    unsatisfiable.
 
     Ties on cost go to the lexicographically least assignment over
     (tau(1), ..., tau(num_vars)).
     """
-    import numpy as np  # kept out of the import of ``labelmax.cli``
-
     n = f.num_vars
-    if n > max_vars:
-        raise ValueError(f"instance has {n} variables, oracle cap is {max_vars}")
-    idx = np.arange(1 << n, dtype=np.uint32)
-    hard_ok = np.ones(idx.shape, dtype=bool)
-    for c in f.hard:
-        hard_ok &= _clause_sat_array(c, n, idx)
-    if not hard_ok.any():
+    tt = _TruthTables(n)
+    best = tt.sat_mask(f.hard)
+    if not best:
         return None
-    # int64 while every partial sum fits, exact Python ints past that
-    wide = sum(w for _, w in f.soft) > np.iinfo(np.int64).max
-    cost = np.zeros(idx.shape, dtype=object if wide else np.int64)
+    # planes[k] holds bit k of every assignment's falsified weight; each
+    # soft clause adds its falsified mask once per set bit of its weight
+    # (no cost exceeds the weight sum, so no carry leaves the planes)
+    planes = [0] * sum(w for _, w in f.soft).bit_length()
     for c, w in f.soft:
-        cost += (~_clause_sat_array(c, n, idx)).astype(cost.dtype) * w
-    feasible = np.flatnonzero(hard_ok)
-    a = int(feasible[np.argmin(cost[feasible])])  # first minimum = lex-least
-    tau = _index_assignment(a, n)
-    falsified = frozenset(
-        i for i, (c, _) in enumerate(f.soft, start=1)
-        if not _clause_sat_array(c, n, np.array([a], dtype=np.uint32))[0]
-    )
-    return MaxSatSolution(model=tau, cost=int(cost[a]), falsified=falsified)
+        unsat = tt.full & ~tt.clause(c)
+        for k in range(w.bit_length()):
+            if not w >> k & 1:
+                continue
+            carry, j = unsat, k
+            while carry:  # ripple carry
+                planes[j], carry = planes[j] ^ carry, planes[j] & carry
+                j += 1
+    # from the top plane down, keep the assignments with a zero bit there
+    # whenever some remain: what is left has the least cost
+    for p in reversed(planes):
+        if best & ~p:
+            best &= ~p
+    a = (best & -best).bit_length() - 1  # least index = lex-least
+    cost = sum(1 << k for k, p in enumerate(planes) if p >> a & 1)
+    falsified = frozenset(i for i, (c, _) in enumerate(f.soft, start=1)
+                          if not tt.clause(c) >> a & 1)
+    return MaxSatSolution(model=_index_assignment(a, n), cost=cost,
+                          falsified=falsified)
 
 
-def brute_force_lcnf_maxsat(phi: LCNF, max_vars: int = MAX_ORACLE_VARS,
-                            max_labels: int = MAX_ENUM_SETS) -> Optional[MaxSatSolution]:
+def brute_force_lcnf_maxsat(phi: LCNF) -> Optional[MaxSatSolution]:
     """Cheapest label removal whose induced subformula is satisfiable.
 
     Removal sets are scanned in (cost, sorted labels) order, so the
@@ -158,11 +157,8 @@ def brute_force_lcnf_maxsat(phi: LCNF, max_vars: int = MAX_ORACLE_VARS,
     labels leaves the empty-labelled part unsatisfiable.
     """
     labels = sorted(phi.labels())
-    if len(labels) > max_labels:
-        raise ValueError(f"oracle capped at {max_labels} labels")
+    _check_enum_cap(len(labels))
     nv = max(phi.max_var(), 1)
-    if nv > max_vars:
-        raise ValueError(f"oracle capped at {max_vars} variables")
     tt = _TruthTables(nv)
     if not tt.sat_mask([c.lits for c in phi.clauses if c.hard]):
         return None

@@ -15,11 +15,10 @@ Two SAT-driver modes:
   loaded with one negated selector per label and the selectors are
   assumed positively.  Each clause is encoded once and reloaded from
   that encoding in every later iteration.
-* ``inc`` — a single solver for the whole run.  Each label owns a
-  growing sequence of selector versions; relaxing a label in place
-  finalizes the old version with a unit clause (which deactivates every
-  loaded copy carrying it) and loads fresh copies under the new version.
-  Nothing is ever reloaded.
+* ``inc`` — a single solver for the whole run.  Relaxing a label in
+  place gives it a new selector: a unit clause finalizes the old one
+  (which deactivates every loaded copy carrying it) and fresh copies are
+  loaded under the new one.  Nothing is ever reloaded.
 
 The returned cost is the accumulated lower bound; before reporting, the
 final model is charged independently (cheapest label removal covering
@@ -28,7 +27,8 @@ its falsified clauses) and the two numbers must agree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import count
 from operator import itemgetter
 from typing import (Callable, Dict, FrozenSet, Iterable, List, Optional, Set,
                     Tuple)
@@ -41,8 +41,7 @@ from .model import (LCNF, LabelledClause, MaxSatSolution, add_weights,
 
 __all__ = [
     "LabelState", "CoreLabels", "SolveReport", "extract_core_labels",
-    "relax_label", "solve_lcnf", "solve_fu_malik_lcnf", "solve_wmsu1_lcnf",
-    "BudgetExceededError",
+    "solve_lcnf", "BudgetExceededError",
 ]
 
 MODES = ("noninc", "inc")
@@ -53,13 +52,8 @@ ALGORITHMS = ("fumalik", "wmsu1")
 class LabelState:
     """Book-keeping for one live label."""
 
-    label: int
     weight: int
-    selector_versions: List[int] = field(default_factory=list)
-
-    @property
-    def selector(self) -> int:
-        return self.selector_versions[-1]
+    selector: int
 
 
 @dataclass(frozen=True)
@@ -72,15 +66,6 @@ class SolveReport:
     status: str  # optimum | unsat-hard | unknown
     solution: Optional[MaxSatSolution]
     stats: Dict[str, int]
-
-
-class _Counter:
-    def __init__(self, start: int) -> None:
-        self._next = start
-
-    def fresh(self) -> int:
-        self._next += 1
-        return self._next
 
 
 def extract_core_labels(outcome: SolveOutcome,
@@ -98,13 +83,6 @@ def extract_core_labels(outcome: SolveOutcome,
         raise RuntimeError(
             "empty core although the hard part was satisfiable")
     return CoreLabels(labels)
-
-
-def relax_label(phi: LCNF, l: int, r: int) -> LCNF:
-    """Add ``r`` to every clause whose label set contains ``l``."""
-    out = [LabelledClause.make((r,) + c.lits, c.labels) if l in c.labels else c
-           for c in phi.clauses]
-    return LCNF(frozenset(out), dict(phi.label_weights))
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +155,7 @@ class _NonIncDriver:
             self._done(eng)
 
     # relaxation is reflected only in the working formula
-    def on_inplace(self, state, old_selector, reloaded, states) -> None:
+    def on_inplace(self, old_selector, reloaded, states) -> None:
         pass
 
     def on_split(self, copies, states) -> None:
@@ -209,10 +187,10 @@ class _IncDriver:
         return self.eng.solve([states[l].selector for l in sorted(states)],
                               budget)
 
-    def on_inplace(self, state: LabelState, old_selector: int,
+    def on_inplace(self, old_selector: int,
                    reloaded: Iterable[LabelledClause], states) -> None:
         # the unit clause satisfies (= retires) every copy loaded under
-        # the old version; the relaxed clauses come back under the new one
+        # the old selector; the relaxed clauses come back under the new one
         self.eng.load([encode([-old_selector])] +
                       _encode_sorted(reloaded, states))
 
@@ -330,8 +308,8 @@ def solve_lcnf(phi: LCNF, algorithm: str = "wmsu1", mode: str = "noninc",
     stats = {"iterations": 0, "load_events": 0, "clauses_loaded": 0,
              "solves": 0, "conflicts": 0}
     nv_orig = phi.max_var()
-    variables = _Counter(nv_orig)
-    label_ids = _Counter(max(phi.label_weights, default=0))
+    variables = count(nv_orig + 1)
+    label_ids = count(max(phi.label_weights, default=0) + 1)
     driver = (_IncDriver if mode == "inc" else _NonIncDriver)(nv_orig, stats)
 
     def finish(status: str, solution=None) -> SolveReport:
@@ -347,7 +325,7 @@ def solve_lcnf(phi: LCNF, algorithm: str = "wmsu1", mode: str = "noninc",
         return finish("unknown")
 
     working: Set[LabelledClause] = set(phi.clauses)
-    states = {l: LabelState(l, phi.label_weights[l], [variables.fresh()])
+    states = {l: LabelState(phi.label_weights[l], next(variables))
               for l in sorted(used)}
     lb = 0
     total = add_weights(*(phi.label_weights[l] for l in used))
@@ -375,15 +353,15 @@ def solve_lcnf(phi: LCNF, algorithm: str = "wmsu1", mode: str = "noninc",
         relaxed_this_iteration: List[int] = []
         for l in sorted(core.labels):
             st = states[l]
-            r = variables.fresh()
+            r = next(variables)
             relaxed_this_iteration.append(r)
             carrying = [c for c in working if l in c.labels]
             if st.weight > w_min:
                 # split: the label keeps its clauses at reduced weight; a
                 # twin label worth w_min owns the relaxed copies
-                nl = label_ids.fresh()
+                nl = next(label_ids)
                 st.weight -= w_min
-                states[nl] = LabelState(nl, w_min, [variables.fresh()])
+                states[nl] = LabelState(w_min, next(variables))
                 copies = [LabelledClause.make((r,) + c.lits,
                                               (c.labels - {l}) | {nl})
                           for c in carrying]
@@ -395,30 +373,9 @@ def solve_lcnf(phi: LCNF, algorithm: str = "wmsu1", mode: str = "noninc",
                 working.difference_update(carrying)
                 working.update(relaxed)
                 old = st.selector
-                st.selector_versions.append(variables.fresh())
-                driver.on_inplace(st, old, relaxed, states)
+                st.selector = next(variables)
+                driver.on_inplace(old, relaxed, states)
 
         enc = encode_equals1(relaxed_this_iteration)
         working.update(LabelledClause(c, frozenset()) for c in enc.clauses)
         driver.on_hard_added(enc.clauses)
-
-
-def solve_fu_malik_lcnf(phi: LCNF, mode: str = "noninc",
-                        conflict_budget: Optional[int] = None,
-                        trace=None) -> Optional[MaxSatSolution]:
-    """Unweighted loop (unit weights required).  None means the hard
-    part is unsatisfiable; a budget overrun raises."""
-    report = solve_lcnf(phi, "fumalik", mode, conflict_budget, trace)
-    if report.status == "unknown":
-        raise BudgetExceededError("conflict budget exhausted")
-    return report.solution
-
-
-def solve_wmsu1_lcnf(phi: LCNF, mode: str = "noninc",
-                     conflict_budget: Optional[int] = None,
-                     trace=None) -> Optional[MaxSatSolution]:
-    """Weighted loop; same return convention as the unweighted one."""
-    report = solve_lcnf(phi, "wmsu1", mode, conflict_budget, trace)
-    if report.status == "unknown":
-        raise BudgetExceededError("conflict budget exhausted")
-    return report.solution

@@ -9,7 +9,6 @@ from labelmax.model import clause_satisfied
 def test_single_variable():
     enc = encode_equals1([7])
     assert enc.clauses == frozenset([(7,)])
-    assert enc.aux_vars == frozenset()
 
 
 def test_two_variables():

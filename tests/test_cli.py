@@ -117,6 +117,19 @@ def test_pipeline_cost_independent_of_flags_on_random_instances():
                 assert f.cost_of(res.solution.model) == expect.cost
 
 
+def test_pipeline_cost_independent_of_flags_with_large_weights():
+    # weights up to 2^59 keep the weight sum of 18 clauses under the
+    # 2^64 - 1 cap while optima reach far past 2^32
+    for seed in range(150):
+        f = random_wcnf(seed, max_weight=2**59)
+        expect = brute_force_maxsat(f)
+        for prep in PREPS:
+            for mode in ("noninc", "inc"):
+                res = run_pipeline(f, prep=prep, mode=mode)
+                assert res.status == "optimum"
+                assert res.solution.cost == expect.cost, (seed, prep, mode)
+
+
 def test_pipeline_verification_catches_a_lying_cost(monkeypatch):
     import labelmax.cli as cli_mod
     from labelmax.solver import SolveReport, solve_lcnf as real_solve
@@ -333,8 +346,8 @@ def test_fuzz_smoke(capsys):
 
 
 def test_importing_the_cli_does_not_load_numpy():
-    """Only the brute-force oracle needs numpy; ``labelmax solve`` must
-    not pay for importing it."""
+    """labelmax has no runtime dependency; ``labelmax solve`` must not
+    load numpy, which only the benchmark's references use."""
     code = "import sys, labelmax.cli; print('numpy' in sys.modules)"
     src = os.path.dirname(os.path.dirname(labelmax.__file__))
     env = dict(os.environ, PYTHONPATH=src)

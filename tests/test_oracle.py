@@ -1,8 +1,14 @@
 """Brute-force oracle: truth tables, MUS/MCS enumeration, duality, generators."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
-from labelmax.model import LCNF, WCNF, lclause
+import labelmax
+from labelmax.model import (LCNF, MAX_WEIGHT_SUM, WCNF, clause_satisfied,
+                            lclause)
 from labelmax.oracle import (
     brute_force_lcnf_maxsat,
     brute_force_maxsat,
@@ -93,6 +99,75 @@ def test_brute_force_maxsat_var_cap():
     f.add_soft([21], 1)
     with pytest.raises(ValueError):
         brute_force_maxsat(f)
+
+
+def scan_maxsat(f):
+    """Per-assignment reference: every assignment in index order (variable
+    1 most significant), first minimum wins.  Costs are exact sums, as
+    ``WCNF.cost_of`` raises past the 2^64 - 1 cap that 2^62 weights pass."""
+    n = f.num_vars
+    best = None
+    for a in range(1 << n):
+        tau = {v: (a >> (n - v)) & 1 for v in range(1, n + 1)}
+        if not all(clause_satisfied(c, tau) for c in f.hard):
+            continue
+        cost = sum(w for c, w in f.soft if not clause_satisfied(c, tau))
+        if best is None or cost < best[1]:
+            best = (tau, cost)
+    if best is None:
+        return None
+    tau, cost = best
+    falsified = frozenset(i for i, (c, _) in enumerate(f.soft, start=1)
+                          if not clause_satisfied(c, tau))
+    return tau, cost, falsified
+
+
+def differential_instances():
+    """Random formulas with weights 1-5 or up to 2^62; every other pair of
+    seeds adds unpatched random hard clauses, so many hard parts have no
+    model.  Plus the variable-free corner cases."""
+    for seed in range(320):
+        nvars = 1 + seed % 9
+        f = random_wcnf(seed, nvars=nvars, nclauses=seed % 20,
+                        max_weight=2**62 if seed % 2 else 5)
+        if seed % 4 >= 2:
+            for c in random_cnf(seed, nvars, 2 * nvars)[0]:
+                f.add_hard(c)
+        yield f
+    yield WCNF()
+    empty_soft = WCNF()
+    empty_soft.add_soft([], 3)
+    yield empty_soft
+
+
+def test_brute_force_maxsat_matches_the_per_assignment_scan():
+    found = unsat = big = 0
+    for i, f in enumerate(differential_instances()):
+        sol = brute_force_maxsat(f)
+        expect = scan_maxsat(f)
+        if expect is None:
+            assert sol is None, i
+            unsat += 1
+            continue
+        assert (sol.model, sol.cost, sol.falsified) == expect, i
+        if sol.cost <= MAX_WEIGHT_SUM:  # within the cap cost_of agrees
+            assert f.cost_of(sol.model) == sol.cost, i
+        found += 1
+        big += sol.cost >= 2**62
+    assert found >= 200 and unsat >= 80 and big >= 20, (found, unsat, big)
+
+
+def test_brute_force_maxsat_needs_no_numpy():
+    code = ("import sys; sys.modules['numpy'] = None\n"
+            "from labelmax.oracle import brute_force_maxsat, random_wcnf\n"
+            "print(brute_force_maxsat(random_wcnf(3, max_weight=2**62)).cost)")
+    src = os.path.dirname(os.path.dirname(labelmax.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == \
+        str(brute_force_maxsat(random_wcnf(3, max_weight=2**62)).cost)
 
 
 def test_enumerate_mus_basic():

@@ -3,16 +3,14 @@ import random
 import pytest
 
 from labelmax import solver
-from labelmax.engine import (BudgetExceededError, CdclSolver, SolveOutcome,
-                             encode)
+from labelmax.engine import CdclSolver, SolveOutcome, encode
 from labelmax.model import (LCNF, WCNF, LabelledClause, cost_of_labels,
                             induced_subformula, lclause, lcnf_from_wcnf,
                             lcnf_satisfied)
 from labelmax.oracle import (brute_force_lcnf_maxsat, brute_force_maxsat,
                              minimal_hitting_sets, random_lcnf, random_wcnf)
 from labelmax.solver import (CoreLabels, _min_cost_hitting_set,
-                             extract_core_labels, relax_label,
-                             solve_fu_malik_lcnf, solve_lcnf, solve_wmsu1_lcnf)
+                             extract_core_labels, solve_lcnf)
 
 
 def unit_soft_formula():
@@ -30,6 +28,12 @@ def labelled_example():
     ]), {1: 1, 2: 1, 3: 1})
 
 
+def optimum(phi, algorithm, mode):
+    report = solve_lcnf(phi, algorithm, mode)
+    assert report.status == "optimum"
+    return report.solution
+
+
 def assert_valid(phi, sol):
     """The solution contract: model fits the retained part, cost matches."""
     keep = phi.labels() - sol.falsified
@@ -38,7 +42,7 @@ def assert_valid(phi, sol):
 
 
 # ---------------------------------------------------------------------------
-# core extraction and relaxation primitives
+# core extraction
 
 
 def test_extract_core_maps_selectors_to_labels():
@@ -56,24 +60,6 @@ def test_extract_core_rejects_sat_and_empty():
         extract_core_labels(SolveOutcome("UNSAT"), {11: 1})
 
 
-def test_relax_label_adds_variable_per_core_label():
-    phi = LCNF(frozenset([lclause([1, -2], [1, 2]), lclause([1, 2], [1]),
-                          lclause([-3], [3])]), {1: 1, 2: 1, 3: 1})
-    # a clause tagged with both core labels collects both variables
-    phi = relax_label(phi, 1, 4)
-    phi = relax_label(phi, 2, 5)
-    assert phi.clauses == frozenset([
-        lclause([1, -2, 4, 5], [1, 2]),
-        lclause([1, 2, 4], [1]),
-        lclause([-3], [3]),
-    ])
-
-
-def test_relax_label_ignores_other_labels():
-    phi = LCNF(frozenset([lclause([-3], [3])]), {3: 1})
-    assert relax_label(phi, 1, 9).clauses == phi.clauses
-
-
 # ---------------------------------------------------------------------------
 # pinned end-to-end optima
 
@@ -83,14 +69,14 @@ def test_one_of_two_contradicting_units_falls(mode):
     f = WCNF()
     f.add_soft([1], 1)
     f.add_soft([-1], 1)
-    sol = solve_fu_malik_lcnf(lcnf_from_wcnf(f), mode)
+    sol = optimum(lcnf_from_wcnf(f), "fumalik", mode)
     assert sol.cost == 1
 
 
 @pytest.mark.parametrize("mode", ["noninc", "inc"])
 def test_unit_soft_formula_costs_two(mode):
     phi = lcnf_from_wcnf(unit_soft_formula())
-    sol = solve_fu_malik_lcnf(phi, mode)
+    sol = optimum(phi, "fumalik", mode)
     assert sol.cost == 2
     assert_valid(phi, sol)
 
@@ -98,7 +84,7 @@ def test_unit_soft_formula_costs_two(mode):
 @pytest.mark.parametrize("mode", ["noninc", "inc"])
 def test_labelled_example_costs_two(mode):
     phi = labelled_example()
-    sol = solve_fu_malik_lcnf(phi, mode)
+    sol = optimum(phi, "fumalik", mode)
     assert sol.cost == 2
     assert sol.falsified == frozenset([2, 3])  # the unique cheapest removal
     assert_valid(phi, sol)
@@ -109,7 +95,7 @@ def test_weighted_picks_cheaper_unit(mode):
     f = WCNF()
     f.add_soft([1], 2)
     f.add_soft([-1], 3)
-    sol = solve_wmsu1_lcnf(lcnf_from_wcnf(f), mode)
+    sol = optimum(lcnf_from_wcnf(f), "wmsu1", mode)
     assert sol.cost == 2
 
 
@@ -118,7 +104,7 @@ def test_two_disjoint_contradictions(mode):
     f = WCNF()
     for lits in [(1,), (-1,), (3,), (-3,)]:
         f.add_soft(lits, 1)
-    sol = solve_wmsu1_lcnf(lcnf_from_wcnf(f), mode)
+    sol = optimum(lcnf_from_wcnf(f), "wmsu1", mode)
     assert sol.cost == 2
 
 
@@ -127,7 +113,7 @@ def test_hard_clause_forces_expensive_loss(mode):
     f = WCNF()
     f.add_hard([-1])
     f.add_soft([1], 5)
-    sol = solve_wmsu1_lcnf(lcnf_from_wcnf(f), mode)
+    sol = optimum(lcnf_from_wcnf(f), "wmsu1", mode)
     assert sol.cost == 5
     assert sol.model[1] == 0
 
@@ -138,9 +124,9 @@ def test_hard_unsat_reported_before_any_core(mode):
     f.add_hard([1])
     f.add_hard([-1])
     f.add_soft([2], 1)
-    assert solve_wmsu1_lcnf(lcnf_from_wcnf(f), mode) is None
     report = solve_lcnf(lcnf_from_wcnf(f), "wmsu1", mode)
     assert report.status == "unsat-hard"
+    assert report.solution is None
     assert report.stats["iterations"] == 0
 
 
@@ -154,7 +140,7 @@ def test_weighted_split_shares_clause_between_labels():
     expect = brute_force_lcnf_maxsat(phi)
     assert expect.cost == 3  # removing {1, 3} beats removing {2}
     for mode in ("noninc", "inc"):
-        sol = solve_wmsu1_lcnf(phi, mode)
+        sol = optimum(phi, "wmsu1", mode)
         assert sol.cost == 3
         assert_valid(phi, sol)
 
@@ -163,7 +149,7 @@ def test_fumalik_rejects_weighted_input():
     f = WCNF()
     f.add_soft([1], 2)
     with pytest.raises(ValueError):
-        solve_fu_malik_lcnf(lcnf_from_wcnf(f))
+        solve_lcnf(lcnf_from_wcnf(f), "fumalik")
 
 
 def test_unknown_mode_and_algorithm_rejected():
@@ -185,7 +171,7 @@ def test_random_wcnf_agreement(mode):
         phi = lcnf_from_wcnf(f)
         expect = brute_force_maxsat(f)
         assert expect is not None  # generator plants a hard-part model
-        sol = solve_wmsu1_lcnf(phi, mode)
+        sol = optimum(phi, "wmsu1", mode)
         assert sol.cost == expect.cost, seed
         assert_valid(phi, sol)
         assert f.cost_of(sol.model) == sol.cost, seed
@@ -196,7 +182,7 @@ def test_random_lcnf_agreement(mode):
     for seed in range(80):
         phi = random_lcnf(seed)
         expect = brute_force_lcnf_maxsat(phi)
-        sol = solve_wmsu1_lcnf(phi, mode)
+        sol = optimum(phi, "wmsu1", mode)
         assert sol.cost == expect.cost, seed
         assert_valid(phi, sol)
 
@@ -205,8 +191,8 @@ def test_unit_weight_instances_agree_across_algorithms():
     for seed in range(40):
         f = random_wcnf(seed, max_weight=1)
         phi = lcnf_from_wcnf(f)
-        costs = {solve_fu_malik_lcnf(phi, m).cost for m in ("noninc", "inc")}
-        costs |= {solve_wmsu1_lcnf(phi, m).cost for m in ("noninc", "inc")}
+        costs = {optimum(phi, "fumalik", m).cost for m in ("noninc", "inc")}
+        costs |= {optimum(phi, "wmsu1", m).cost for m in ("noninc", "inc")}
         assert len(costs) == 1, seed
         assert costs.pop() == brute_force_maxsat(f).cost, seed
 
@@ -294,14 +280,12 @@ def test_budget_exhaustion_reports_unknown():
     report = solve_lcnf(phi, "wmsu1", "noninc", conflict_budget=0)
     assert report.status == "unknown"
     assert report.solution is None
-    with pytest.raises(BudgetExceededError):
-        solve_wmsu1_lcnf(phi, "noninc", conflict_budget=0)
 
 
 def test_all_hard_satisfiable_costs_zero():
     phi = LCNF(frozenset([lclause([1, 2]), lclause([-1])]), {})
     for mode in ("noninc", "inc"):
-        sol = solve_wmsu1_lcnf(phi, mode)
+        sol = optimum(phi, "wmsu1", mode)
         assert sol.cost == 0
         assert sol.falsified == frozenset()
         assert lcnf_satisfied(phi, sol.model)
