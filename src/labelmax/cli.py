@@ -24,7 +24,6 @@ from .dimacs import (ParseError, ParsedInstance, parse_auto, write_solution,
 from .lcnf_prep import BveRecord, bve_reconstruct, dump_lcnf, preprocess_lcnf
 from .model import (LCNF, MaxSatSolution, WCNF, clause_satisfied,
                     lcnf_from_wcnf)
-from .oracle import brute_force_maxsat, random_wcnf
 from .reduction import lcnf_to_wcnf
 from .solver import ALGORITHMS, MODES, solve_lcnf
 
@@ -216,6 +215,9 @@ def _cmd_preprocess(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
+    # imported by the subcommands that use it, so ``solve`` never loads it
+    from .oracle import brute_force_maxsat
+
     parsed = parse_auto(_read_text(args.file))
     f = parsed.wcnf
     sol = brute_force_maxsat(f)  # ValueError past the variable cap
@@ -231,6 +233,8 @@ _FUZZ_CONFIGS = [(p, m) for p in PREPS for m in MODES]
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
+    from .oracle import brute_force_maxsat, random_wcnf
+
     bad = 0
     for i in range(args.n):
         seed = args.seed + i

@@ -142,10 +142,24 @@ class WCNF:
 # LCNF
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class LabelledClause:
     lits: ClauseT
     labels: FrozenSet[int]
+    # hash((lits, labels)), computed once: working sets and occurrence
+    # lists hash the same clause many times
+    _hash: int = field(repr=False, compare=False)
+
+    def __init__(self, lits: ClauseT, labels: FrozenSet[int]) -> None:
+        # frozen: fill the instance dict directly, which is also faster
+        # than the generated ``object.__setattr__`` calls
+        d = self.__dict__
+        d["lits"] = lits
+        d["labels"] = labels
+        d["_hash"] = hash((lits, labels))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @staticmethod
     def make(lits: Iterable[int], labels: Iterable[int] = ()) -> "LabelledClause":

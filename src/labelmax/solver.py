@@ -9,20 +9,29 @@ the minimum-weight split, where a label costing more than the core's
 minimum keeps its original clauses and sprouts a cheaper twin label that
 carries the relaxed copies.
 
-Two SAT-driver modes:
+The loop runs in rounds; each round yields the cores that are then
+relaxed one after another, in the order found.  Two SAT-driver modes:
 
-* ``noninc`` — a fresh solver per iteration; every labelled clause is
-  loaded with one negated selector per label and the selectors are
-  assumed positively.  Each clause is encoded once and reloaded from
-  that encoding in every later iteration.
-* ``inc`` — a single solver for the whole run.  Relaxing a label in
-  place gives it a new selector: a unit clause finalizes the old one
-  (which deactivates every loaded copy carrying it) and fresh copies are
-  loaded under the new one.  Nothing is ever reloaded.
+* ``noninc`` — a fresh solver per round; every labelled clause is loaded
+  with one negated selector per label and the selectors are assumed
+  positively.  After each unsatisfiable call the core's selectors are
+  dropped from the assumptions and the same solver is asked again, until
+  it answers SAT or no selector is left, so the cores of one round are
+  label-disjoint (Davies & Bacchus, CP 2011).  A core refutes only the
+  clauses whose labels it contains, so relaxing an earlier core of the
+  round leaves a later one a core: the round does what one iteration per
+  core would.  Each clause is encoded once and reloaded from that
+  encoding in every later round.
+* ``inc`` — a single solver for the whole run and one core per round.
+  Relaxing a label in place gives it a new selector: a unit clause
+  finalizes the old one (which deactivates every loaded copy carrying
+  it) and fresh copies are loaded under the new one.  Nothing is ever
+  reloaded.
 
-The returned cost is the accumulated lower bound; before reporting, the
-final model is charged independently (cheapest label removal covering
-its falsified clauses) and the two numbers must agree.
+Only the answer of a round's first call can be final: when it is SAT,
+the accumulated lower bound is the cost.  Before reporting, the final
+model is charged independently (cheapest label removal covering its
+falsified clauses) and the two numbers must agree.
 """
 
 from __future__ import annotations
@@ -36,29 +45,26 @@ from typing import (Callable, Dict, FrozenSet, Iterable, List, Optional, Set,
 from .cardinality import encode_equals1
 from .engine import (BudgetExceededError, CdclSolver, Encoded, SolveOutcome,
                      encode)
-from .model import (LCNF, LabelledClause, MaxSatSolution, add_weights,
-                    clause_satisfied, cost_of_labels)
+from .model import (LCNF, Assignment, LabelledClause, MaxSatSolution,
+                    add_weights, clause_satisfied, cost_of_labels)
 
 __all__ = [
-    "LabelState", "CoreLabels", "SolveReport", "extract_core_labels",
-    "solve_lcnf", "BudgetExceededError",
+    "CoreLabels", "SolveReport", "extract_core_labels", "solve_lcnf",
+    "BudgetExceededError",
 ]
 
 MODES = ("noninc", "inc")
 ALGORITHMS = ("fumalik", "wmsu1")
 
 
-@dataclass
-class LabelState:
-    """Book-keeping for one live label."""
-
-    weight: int
-    selector: int
-
-
 @dataclass(frozen=True)
 class CoreLabels:
     labels: FrozenSet[int]
+
+
+# what a round yields: its cores in the order found, and the model when
+# its first call was already satisfiable (then there are no cores)
+Round = Tuple[List[CoreLabels], Optional[Assignment]]
 
 
 @dataclass
@@ -87,22 +93,26 @@ def extract_core_labels(outcome: SolveOutcome,
 
 # ---------------------------------------------------------------------------
 # SAT drivers
+#
+# Both drivers see the live labels as two maps kept by the main loop:
+# ``selectors`` (label -> selector variable, in ascending label order, which
+# is the assumption order) and ``label_of`` (selector -> label).
 
 
 def _encode_labelled(c: LabelledClause,
-                     states: Dict[int, LabelState]) -> Encoded:
+                     selectors: Dict[int, int]) -> Encoded:
     """A clause with one negated selector per label, for ``load``."""
-    return encode(c.lits + tuple(-states[m].selector for m in c.labels))
+    return encode(c.lits + tuple(-selectors[m] for m in c.labels))
 
 
 def _encode_sorted(clauses: Iterable[LabelledClause],
-                   states: Dict[int, LabelState]) -> List[Encoded]:
-    return [_encode_labelled(c, states)
+                   selectors: Dict[int, int]) -> List[Encoded]:
+    return [_encode_labelled(c, selectors)
             for c in sorted(clauses, key=LabelledClause.sort_key)]
 
 
 class _NonIncDriver:
-    """Fresh solver per call; clause database reloaded every iteration.
+    """Fresh solver per round; clause database reloaded every round.
 
     A clause keeps its selectors while it stays in the working formula
     (an in-place relaxation replaces every clause carrying the label),
@@ -134,31 +144,40 @@ class _NonIncDriver:
             self._done(eng)
         return out.sat
 
-    def solve_iteration(self, working: Set[LabelledClause],
-                        states: Dict[int, LabelState],
-                        budget: Optional[int]) -> SolveOutcome:
+    def solve_round(self, working: Set[LabelledClause],
+                    selectors: Dict[int, int], label_of: Dict[int, int],
+                    budget: Optional[int]) -> Round:
         # rebuilt from ``working`` so that no retired clause stays cached
         old = self._cache
         cache = self._cache = {}
         for c in working:
             e = old.get(c)
             if e is None:
-                e = (c.sort_key(), _encode_labelled(c, states))
+                e = (c.sort_key(), _encode_labelled(c, selectors))
             cache[c] = e
         eng = self._fresh()
         eng.load([enc for _, enc in sorted(cache.values(),
                                            key=itemgetter(0))])
+        cores: List[CoreLabels] = []
+        assumptions = list(selectors.values())
         try:
-            return eng.solve([states[l].selector for l in sorted(states)],
-                             budget)
+            while True:
+                out = eng.solve(assumptions, budget)
+                if out.sat:
+                    return cores, None if cores else out.model
+                cores.append(extract_core_labels(out, label_of))
+                failed = out.failed_assumptions
+                assumptions = [a for a in assumptions if a not in failed]
+                if not assumptions:
+                    return cores, None
         finally:
             self._done(eng)
 
     # relaxation is reflected only in the working formula
-    def on_inplace(self, old_selector, reloaded, states) -> None:
+    def on_inplace(self, old_selector, reloaded, selectors) -> None:
         pass
 
-    def on_split(self, copies, states) -> None:
+    def on_split(self, copies, selectors) -> None:
         pass
 
     def on_hard_added(self, clauses) -> None:
@@ -179,23 +198,29 @@ class _IncDriver:
         self.eng.load([encode(lits) for lits in hard])
         return self.eng.solve((), budget).sat
 
-    def solve_iteration(self, working, states, budget) -> SolveOutcome:
+    def solve_round(self, working: Set[LabelledClause],
+                    selectors: Dict[int, int], label_of: Dict[int, int],
+                    budget: Optional[int]) -> Round:
         if not self._labelled_loaded:
             self._labelled_loaded = True
             self.eng.load(_encode_sorted(
-                [c for c in working if not c.hard], states))
-        return self.eng.solve([states[l].selector for l in sorted(states)],
-                              budget)
+                [c for c in working if not c.hard], selectors))
+        out = self.eng.solve(list(selectors.values()), budget)
+        if out.sat:
+            return [], out.model
+        return [extract_core_labels(out, label_of)], None
 
     def on_inplace(self, old_selector: int,
-                   reloaded: Iterable[LabelledClause], states) -> None:
+                   reloaded: Iterable[LabelledClause],
+                   selectors: Dict[int, int]) -> None:
         # the unit clause satisfies (= retires) every copy loaded under
         # the old selector; the relaxed clauses come back under the new one
         self.eng.load([encode([-old_selector])] +
-                      _encode_sorted(reloaded, states))
+                      _encode_sorted(reloaded, selectors))
 
-    def on_split(self, copies: Iterable[LabelledClause], states) -> None:
-        self.eng.load(_encode_sorted(copies, states))
+    def on_split(self, copies: Iterable[LabelledClause],
+                 selectors: Dict[int, int]) -> None:
+        self.eng.load(_encode_sorted(copies, selectors))
 
     def on_hard_added(self, clauses) -> None:
         self.eng.load([encode(lits) for lits in sorted(clauses)])
@@ -288,6 +313,13 @@ def _certify(orig: LCNF, tau: Dict[int, int], lb: int) -> MaxSatSolution:
     return MaxSatSolution(model=tau, cost=lb, falsified=removed)
 
 
+def _index(carrying: Dict[int, Set[LabelledClause]],
+           clauses: Iterable[LabelledClause]) -> None:
+    for c in clauses:
+        for m in c.labels:
+            carrying[m].add(c)
+
+
 def solve_lcnf(phi: LCNF, algorithm: str = "wmsu1", mode: str = "noninc",
                conflict_budget: Optional[int] = None,
                trace: Optional[Callable[[str], None]] = None) -> SolveReport:
@@ -305,8 +337,8 @@ def solve_lcnf(phi: LCNF, algorithm: str = "wmsu1", mode: str = "noninc",
     if algorithm == "fumalik" and any(phi.label_weights[l] != 1 for l in used):
         raise ValueError("fumalik requires all label weights equal to 1")
 
-    stats = {"iterations": 0, "load_events": 0, "clauses_loaded": 0,
-             "solves": 0, "conflicts": 0}
+    stats = {"iterations": 0, "rounds": 0, "load_events": 0,
+             "clauses_loaded": 0, "solves": 0, "conflicts": 0}
     nv_orig = phi.max_var()
     variables = count(nv_orig + 1)
     label_ids = count(max(phi.label_weights, default=0) + 1)
@@ -325,57 +357,80 @@ def solve_lcnf(phi: LCNF, algorithm: str = "wmsu1", mode: str = "noninc",
         return finish("unknown")
 
     working: Set[LabelledClause] = set(phi.clauses)
-    states = {l: LabelState(phi.label_weights[l], next(variables))
-              for l in sorted(used)}
+    weight = {l: phi.label_weights[l] for l in sorted(used)}
+    # label -> selector and back; a new label is numbered above every live
+    # one, so insertion order stays ascending label order
+    selectors = {l: next(variables) for l in weight}
+    label_of = {s: l for l, s in selectors.items()}
+    # label -> the working clauses that carry it
+    carrying: Dict[int, Set[LabelledClause]] = {l: set() for l in weight}
+    _index(carrying, working)
     lb = 0
     total = add_weights(*(phi.label_weights[l] for l in used))
 
     while True:
+        stats["rounds"] += 1
         try:
-            outcome = driver.solve_iteration(working, states, conflict_budget)
+            cores, model = driver.solve_round(working, selectors, label_of,
+                                              conflict_budget)
         except BudgetExceededError:
             return finish("unknown")
-        if outcome.sat:
-            tau = _restrict_model(outcome.model, nv_orig)
-            return finish("optimum", _certify(phi, tau, lb))
 
-        stats["iterations"] += 1
-        selector_map = {states[l].selector: l for l in states}
-        core = extract_core_labels(outcome, selector_map)
-        w_min = min(states[l].weight for l in core.labels)
-        lb = add_weights(lb, w_min)
-        if lb > total:
-            raise RuntimeError("internal error: bound exceeded total weight")
+        for core in cores:
+            stats["iterations"] += 1
+            w_min = min(weight[l] for l in core.labels)
+            lb = add_weights(lb, w_min)
+            if lb > total:
+                raise RuntimeError(
+                    "internal error: bound exceeded total weight")
+            if trace is not None:
+                trace(f"iteration {stats['iterations']}: core "
+                      f"{len(core.labels)}, min weight {w_min}, "
+                      f"lower bound {lb}")
+
+            relaxation_vars: List[int] = []
+            for l in sorted(core.labels):
+                r = next(variables)
+                relaxation_vars.append(r)
+                carried = carrying[l]
+                if weight[l] > w_min:
+                    # split: the label keeps its clauses at reduced weight;
+                    # a twin label worth w_min owns the relaxed copies
+                    nl = next(label_ids)
+                    weight[l] -= w_min
+                    weight[nl] = w_min
+                    s = selectors[nl] = next(variables)
+                    label_of[s] = nl
+                    copies = [LabelledClause.make((r,) + c.lits,
+                                                  (c.labels - {l}) | {nl})
+                              for c in carried]
+                    carrying[nl] = set()
+                    _index(carrying, copies)
+                    working.update(copies)
+                    driver.on_split(copies, selectors)
+                else:
+                    relaxed = [LabelledClause.make((r,) + c.lits, c.labels)
+                               for c in carried]
+                    carrying[l] = set()
+                    for c in carried:
+                        for m in c.labels:
+                            carrying[m].discard(c)
+                    _index(carrying, relaxed)
+                    working.difference_update(carried)
+                    working.update(relaxed)
+                    retired = selectors[l]
+                    del label_of[retired]
+                    s = selectors[l] = next(variables)
+                    label_of[s] = l
+                    driver.on_inplace(retired, relaxed, selectors)
+
+            enc = encode_equals1(relaxation_vars)
+            working.update(LabelledClause(c, frozenset()) for c in enc.clauses)
+            driver.on_hard_added(enc.clauses)
+
         if trace is not None:
-            trace(f"iteration {stats['iterations']}: core {len(core.labels)}, "
-                  f"min weight {w_min}, lower bound {lb}")
-
-        relaxed_this_iteration: List[int] = []
-        for l in sorted(core.labels):
-            st = states[l]
-            r = next(variables)
-            relaxed_this_iteration.append(r)
-            carrying = [c for c in working if l in c.labels]
-            if st.weight > w_min:
-                # split: the label keeps its clauses at reduced weight; a
-                # twin label worth w_min owns the relaxed copies
-                nl = next(label_ids)
-                st.weight -= w_min
-                states[nl] = LabelState(w_min, next(variables))
-                copies = [LabelledClause.make((r,) + c.lits,
-                                              (c.labels - {l}) | {nl})
-                          for c in carrying]
-                working.update(copies)
-                driver.on_split(copies, states)
-            else:
-                relaxed = [LabelledClause.make((r,) + c.lits, c.labels)
-                           for c in carrying]
-                working.difference_update(carrying)
-                working.update(relaxed)
-                old = st.selector
-                st.selector = next(variables)
-                driver.on_inplace(old, relaxed, states)
-
-        enc = encode_equals1(relaxed_this_iteration)
-        working.update(LabelledClause(c, frozenset()) for c in enc.clauses)
-        driver.on_hard_added(enc.clauses)
+            trace(f"round {stats['rounds']}: {len(cores)} cores, "
+                  f"lower bound {lb}")
+        if model is not None:
+            tau = _restrict_model(model, nv_orig)
+            return finish("optimum", _certify(phi, tau, lb))

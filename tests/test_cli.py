@@ -96,7 +96,7 @@ def test_pipeline_rejects_unknown_prep():
 
 def test_pipeline_stats_carry_prep_counts():
     res = run_pipeline(example1_wcnf(), prep="bce,rs")
-    assert {"iterations", "load_events", "bce_removed",
+    assert {"iterations", "rounds", "load_events", "bce_removed",
             "bve_eliminated"} <= set(res.stats)
 
 
@@ -221,7 +221,9 @@ def test_solve_trace_lines_precede_solution(tmp_path, capsys):
     assert main(["solve", "--trace", "--prep=none", str(path)]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert any(l.startswith("c iteration 1:") for l in lines)
+    assert any(l.startswith("c round 1: ") for l in lines)
     assert any(l.startswith("c stat load_events ") for l in lines)
+    assert any(l.startswith("c stat rounds ") for l in lines)
     assert lines[-3] == "o 2"
 
 
@@ -349,6 +351,18 @@ def test_importing_the_cli_does_not_load_numpy():
     """labelmax has no runtime dependency; ``labelmax solve`` must not
     load numpy, which only the benchmark's references use."""
     code = "import sys, labelmax.cli; print('numpy' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(labelmax.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env)
+    assert out.stdout.strip() == "False"
+
+
+def test_importing_the_cli_does_not_load_the_oracle():
+    """Only ``oracle`` and ``fuzz`` use the brute-force oracle; ``solve``
+    should not pay for compiling or loading it in a fresh interpreter."""
+    code = ("import sys, labelmax.cli; "
+            "print('labelmax.oracle' in sys.modules)")
     src = os.path.dirname(os.path.dirname(labelmax.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,

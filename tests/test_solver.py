@@ -1,4 +1,6 @@
 import random
+import re
+import zlib
 
 import pytest
 
@@ -207,8 +209,8 @@ def test_incremental_mode_loads_clauses_once():
     inc = solve_lcnf(phi, "wmsu1", "inc")
     assert noninc.solution.cost == inc.solution.cost
     assert inc.stats["load_events"] == 1
-    # hard check, one rebuild per core, and the final satisfiable solve
-    assert noninc.stats["load_events"] == noninc.stats["iterations"] + 2
+    # hard check, then one fresh solver per round, the final one included
+    assert noninc.stats["load_events"] == 1 + noninc.stats["rounds"]
     assert noninc.stats["load_events"] > inc.stats["load_events"]
 
 
@@ -219,19 +221,19 @@ def test_noninc_loads_each_fresh_solver_with_fresh_encodings(monkeypatch):
     both split labels and relax them in place."""
     loaded = []
     relaxations = {"on_split": 0, "on_inplace": 0}
-    iterate = solver._NonIncDriver.solve_iteration
+    solve_round = solver._NonIncDriver.solve_round
     load = CdclSolver.load
 
     def spy_load(eng, batch):
         loaded.append(batch)
         return load(eng, batch)
 
-    def spy_iteration(driver, working, states, budget):
+    def spy_round(driver, working, selectors, label_of, budget):
         want = [encode(list(c.lits) +
-                       [-states[m].selector for m in sorted(c.labels)])
+                       [-selectors[m] for m in sorted(c.labels)])
                 for c in sorted(working, key=LabelledClause.sort_key)]
         before = len(loaded)
-        out = iterate(driver, working, states, budget)
+        out = solve_round(driver, working, selectors, label_of, budget)
         assert loaded[before:] == [want]
         return out
 
@@ -241,8 +243,7 @@ def test_noninc_loads_each_fresh_solver_with_fresh_encodings(monkeypatch):
         return spy
 
     monkeypatch.setattr(CdclSolver, "load", spy_load)
-    monkeypatch.setattr(solver._NonIncDriver, "solve_iteration",
-                        spy_iteration)
+    monkeypatch.setattr(solver._NonIncDriver, "solve_round", spy_round)
     for hook in relaxations:
         monkeypatch.setattr(solver._NonIncDriver, hook, counting(hook))
     phis = ([lcnf_from_wcnf(random_wcnf(seed, max_weight=4))
@@ -258,14 +259,166 @@ def test_noninc_loads_each_fresh_solver_with_fresh_encodings(monkeypatch):
     assert min(relaxations.values()) >= 20, relaxations
 
 
+def _refuted(clauses):
+    eng = CdclSolver()
+    eng.load([encode(c.lits) for c in clauses])
+    return not eng.solve().sat
+
+
+def test_noninc_round_cores_are_disjoint_and_stay_cores(monkeypatch):
+    """Each ``noninc`` round yields pairwise label-disjoint cores drawn
+    from the live labels, and relaxing the earlier cores of a round
+    leaves each later one a core: the hard clauses plus the working
+    clauses labelled within it stay unsatisfiable.  Costs equal the
+    oracle's on weighted instances that split labels."""
+    solve_round = solver._NonIncDriver.solve_round
+    equals1 = solver.encode_equals1
+    pending = []  # (working formula, labels) of cores not yet relaxed
+    seen = {"multi": 0, "splits": 0}
+    on_split = solver._NonIncDriver.on_split
+
+    def spy_round(driver, working, selectors, label_of, budget):
+        live = set(selectors)
+        assert list(selectors) == sorted(selectors)
+        assert label_of == {s: l for l, s in selectors.items()}
+        cores, model = solve_round(driver, working, selectors, label_of,
+                                   budget)
+        assert (model is None) == bool(cores)
+        for i, core in enumerate(cores):
+            assert core.labels <= live
+            assert all(not core.labels & c.labels for c in cores[:i])
+        seen["multi"] += len(cores) > 1
+        pending[:] = [(working, core.labels) for core in cores]
+        return cores, model
+
+    def spy_equals1(variables):
+        pending.pop(0)  # the core just relaxed
+        if pending:
+            working, labels = pending[0]
+            assert _refuted(c for c in working if c.labels <= labels)
+        return equals1(variables)
+
+    def spy_split(driver, copies, selectors):
+        seen["splits"] += 1
+        return on_split(driver, copies, selectors)
+
+    monkeypatch.setattr(solver._NonIncDriver, "solve_round", spy_round)
+    monkeypatch.setattr(solver, "encode_equals1", spy_equals1)
+    monkeypatch.setattr(solver._NonIncDriver, "on_split", spy_split)
+    for seed in range(30):
+        f = random_wcnf(seed, nvars=8, nclauses=30, max_weight=4,
+                        hard_fraction=0.1)
+        sol = optimum(lcnf_from_wcnf(f), "wmsu1", "noninc")
+        assert sol.cost == brute_force_maxsat(f).cost, seed
+        phi = random_lcnf(seed, nvars=6, nclauses=30, nlabels=12,
+                          hard_fraction=0.1)
+        sol = optimum(phi, "wmsu1", "noninc")
+        assert sol.cost == brute_force_lcnf_maxsat(phi).cost, seed
+        assert not pending
+    assert seen["multi"] >= 20 and seen["splits"] >= 20, seen
+
+
+def _soft_pigeons(p, h):
+    """Pigeon i sits in a hole (soft, weight 1 + i % 3); no two pigeons
+    share a hole (hard)."""
+    f = WCNF()
+    v = lambda i, j: i * h + j + 1  # noqa: E731
+    for i in range(p):
+        f.add_soft([v(i, j) for j in range(h)], 1 + i % 3)
+    for j in range(h):
+        for a in range(p):
+            for b in range(a + 1, p):
+                f.add_hard([-v(a, j), -v(b, j)])
+    return f
+
+
+# (kind, seed, cost, iterations, conflicts, solves, clauses loaded, CRC of
+# the model), recorded with the one-core-per-call loop that preceded
+# rounds; ``inc`` must keep that search exactly
+INC_PINS = [
+    ("wcnf", 0, 9, 7, 1, 9, 109, 1796908317),
+    ("wcnf", 1, 8, 5, 3, 7, 138, 1796908317),
+    ("wcnf", 2, 8, 8, 2, 10, 313, 2699443385),
+    ("wcnf", 3, 10, 7, 2, 9, 92, 2641720432),
+    ("wcnf", 4, 1, 1, 0, 3, 58, 2428972196),
+    ("wcnf", 5, 12, 4, 0, 6, 71, 2861857501),
+    ("lcnf", 0, 5, 4, 1, 6, 433, 1617169556),
+    ("lcnf", 1, 5, 3, 0, 5, 82, 1211730713),
+    ("lcnf", 2, 5, 2, 0, 4, 55, 2254829286),
+    ("lcnf", 3, 4, 3, 0, 5, 218, 1053362120),
+    ("lcnf", 4, 1, 1, 0, 3, 53, 20624874),
+    ("lcnf", 5, 2, 2, 3, 4, 81, 2275908817),
+    ("pigeon", 4, 2, 2, 5, 4, 38, 468213067),
+    ("pigeon", 5, 2, 2, 17, 4, 80, 2605828263),
+    ("pigeon", 6, 2, 2, 63, 4, 133, 3256629391),
+    ("pigeon", 7, 2, 2, 446, 4, 187, 2797483663),
+]
+
+
+@pytest.mark.parametrize("pin", INC_PINS, ids=lambda p: f"{p[0]}{p[1]}")
+def test_inc_search_is_pinned(pin):
+    kind, seed = pin[:2]
+    if kind == "wcnf":
+        phi = lcnf_from_wcnf(random_wcnf(seed, nvars=8, nclauses=40,
+                                         max_weight=4, hard_fraction=0.1))
+    elif kind == "lcnf":
+        phi = random_lcnf(seed, nvars=6, nclauses=30, nlabels=10,
+                          hard_fraction=0.1)
+    else:
+        phi = lcnf_from_wcnf(_soft_pigeons(seed, seed - 2))
+    report = solve_lcnf(phi, "wmsu1", "inc")
+    st = report.stats
+    crc = zlib.crc32(repr(sorted(report.solution.model.items())).encode())
+    assert (kind, seed, report.solution.cost, st["iterations"],
+            st["conflicts"], st["solves"], st["clauses_loaded"], crc) == pin
+    assert st["load_events"] == 1
+    assert st["rounds"] == st["iterations"] + 1
+
+
+def test_budget_tripping_inside_a_round_reports_unknown():
+    """Two contradicting units come first in label order, so the round's
+    first call fails on them by propagation alone; the follow-up call
+    must refute a soft pigeonhole, which needs conflicts."""
+    f = WCNF()
+    f.add_soft([7], 1)
+    f.add_soft([-7], 1)
+    for lits in [(1, 2), (3, 4), (5, 6),
+                 (-1, -3), (-1, -5), (-3, -5),
+                 (-2, -4), (-2, -6), (-4, -6)]:
+        f.add_soft(lits, 1)
+    phi = lcnf_from_wcnf(f)
+    assert optimum(phi, "wmsu1", "noninc").cost == 2
+    report = solve_lcnf(phi, "wmsu1", "noninc", conflict_budget=0)
+    assert report.status == "unknown" and report.solution is None
+    st = report.stats
+    # the hard check and one round: both loads counted, nothing relaxed
+    assert (st["rounds"], st["load_events"], st["iterations"]) == (1, 2, 0)
+    assert st["solves"] == 3
+    assert st["clauses_loaded"] == phi.size()
+
+
 def test_trace_reports_monotone_lower_bound():
-    lines = []
-    report = solve_lcnf(labelled_example(), "wmsu1", "noninc",
-                        trace=lines.append)
-    assert len(lines) == report.stats["iterations"] >= 2
-    bounds = [int(line.rsplit(" ", 1)[1]) for line in lines]
-    assert bounds == sorted(bounds) and len(set(bounds)) == len(bounds)
-    assert bounds[-1] == report.solution.cost
+    for mode in ("noninc", "inc"):
+        lines = []
+        report = solve_lcnf(labelled_example(), "wmsu1", mode,
+                            trace=lines.append)
+        cores = [l for l in lines if l.startswith("iteration ")]
+        assert len(cores) == report.stats["iterations"] >= 2
+        bounds = [int(line.rsplit(" ", 1)[1]) for line in cores]
+        assert bounds == sorted(bounds) and len(set(bounds)) == len(bounds)
+        assert bounds[-1] == report.solution.cost
+        # one line per round, right after its cores: count and bound
+        rounds = [(i, *map(int, m.groups())) for i, m in enumerate(
+            re.fullmatch(r"round (\d+): (\d+) cores, lower bound (\d+)", l)
+            for l in lines) if m]
+        assert len(rounds) == report.stats["rounds"]
+        assert len(rounds) + len(cores) == len(lines)
+        seen = 0
+        for k, (i, number, n, b) in enumerate(rounds, start=1):
+            seen += n
+            assert number == k and i == seen + k - 1
+            assert b == (bounds[seen - 1] if seen else 0)
+        assert seen == len(cores) and rounds[-1][2] == 0
 
 
 def test_budget_exhaustion_reports_unknown():
