@@ -25,7 +25,8 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (Container, Dict, FrozenSet, Iterable, List, Optional,
+                    Sequence, Set, Tuple)
 
 from .model import Assignment, ClauseT, WCNF, clause_satisfied, is_tautology
 
@@ -60,6 +61,28 @@ def is_blocked(f: Iterable[ClauseT], c: ClauseT, l: int) -> bool:
         raise ValueError(f"literal {l} not in clause {c}")
     for other in f:
         if -l in other and not _resolvent_tautological(c, l, other):
+            return False
+    return True
+
+
+def _blocked_in(c: ClauseT, l: int, others: Iterable[ClauseT],
+                tautologies: Container[ClauseT]) -> bool:
+    """``is_blocked(others, c, l)`` for a non-tautological ``c`` whose
+    ``others`` all contain -l.
+
+    A resolvent with a non-tautological clause can only pair a literal
+    of c other than l with its complement, so it is tautological iff
+    that clause meets the complements of c minus l.
+    """
+    neg = None
+    for other in others:
+        if other in tautologies:
+            if not _resolvent_tautological(c, l, other):
+                return False
+            continue
+        if neg is None:
+            neg = {-q for q in c if q != l}
+        if neg.isdisjoint(other):
             return False
     return True
 
@@ -112,9 +135,13 @@ def bce_fixpoint(f: WCNF, soft_only: bool = False,
     if shuffle_seed is not None:
         random.Random(shuffle_seed).shuffle(order)
 
-    for c in order:
-        if is_tautology(c) and removable(c):
+    tautologies = [c for c in order if is_tautology(c)]
+    for c in tautologies:
+        if removable(c):
             remove(c, _blocking_lit_of_tautology(c))
+    # the tautologies the sweep may not remove stay to the end; while
+    # there are none, () spares a hash per lookup
+    kept = {c for c in tautologies if c in present} or ()
 
     queue = deque(c for c in order if c in present)
     queued: Set[ClauseT] = set(queue)
@@ -123,9 +150,9 @@ def bce_fixpoint(f: WCNF, soft_only: bool = False,
         queued.discard(c)
         if c not in present or not removable(c):
             continue
+        # c is no tautology here: the sweep removed every removable one
         for l in c:
-            if all(_resolvent_tautological(c, l, other)
-                   for other in by_lit.get(-l, ())):
+            if _blocked_in(c, l, by_lit.get(-l, ()), kept):
                 remove(c, l)
                 # only clauses sharing a variable can become blocked now
                 neighbours = set()

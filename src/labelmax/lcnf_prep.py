@@ -15,7 +15,8 @@ from __future__ import annotations
 import heapq
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import (Callable, Dict, FrozenSet, Iterable, List, Optional,
+                    Set, Tuple)
 
 from .model import (Assignment, LCNF, LabelledClause, clause_satisfied,
                     is_tautology)
@@ -153,6 +154,13 @@ def l_ssr(phi: LCNF, c1: LabelledClause, c2: LabelledClause) -> LCNF:
 # record, of applying the rules above one at a time in the order given in
 # its docstring; the tests check this against such a rule-by-rule
 # schedule built from l_sub, l_ssr and l_ve.
+#
+# The per-pair tests use built-in set operations instead of building
+# clauses or sets per pair, and each is tested against its spec:
+# ``_ssr_partner`` decides a pair as ``_ssr_pivot`` does, and
+# ``_new_resolvents`` returns the clauses ``l_ve`` adds.  The store
+# tracks its tautologies, which resolve to nothing in BVE and fall back
+# to ``_ssr_pivot`` in SSR.
 
 
 class _ClauseStore:
@@ -161,6 +169,9 @@ class _ClauseStore:
     def __init__(self, clauses: Iterable[LabelledClause]) -> None:
         self.clauses: Set[LabelledClause] = set()
         self.occ: Dict[int, Set[LabelledClause]] = defaultdict(set)
+        # the tautological members, so the passes test membership
+        # instead of scanning a clause's literals again
+        self.tautologies: Set[LabelledClause] = set()
         self.edits = 0
         for c in clauses:
             self.add(c)
@@ -172,6 +183,9 @@ class _ClauseStore:
         self.clauses.add(c)
         for l in c.lits:
             self.occ[l].add(c)
+        # is_tautology on literals that are already duplicate-free
+        if len(set(map(abs, c.lits))) < len(c.lits):
+            self.tautologies.add(c)
         self.edits += 1
         return True
 
@@ -179,6 +193,8 @@ class _ClauseStore:
         self.clauses.remove(c)
         for l in c.lits:
             self.occ[l].discard(c)
+        if self.tautologies:
+            self.tautologies.discard(c)
         self.edits += 1
 
     def mentioning(self, x: int) -> Set[LabelledClause]:
@@ -202,10 +218,13 @@ def _sub_fixpoint(store: _ClauseStore) -> None:
         else:
             candidates = list(store.clauses)
         n1 = len(c1.lits)
+        s1 = None
         for c2 in candidates:
-            if (len(c2.lits) > n1 and c1.labels <= c2.labels
-                    and set(c1.lits).issubset(c2.lits)):
-                store.remove(c2)
+            if len(c2.lits) > n1 and c1.labels <= c2.labels:
+                if s1 is None:
+                    s1 = set(c1.lits)
+                if s1.issubset(c2.lits):
+                    store.remove(c2)
 
 
 def _ssr_pivot(c1: LabelledClause, c2: LabelledClause) -> Optional[int]:
@@ -217,6 +236,45 @@ def _ssr_pivot(c1: LabelledClause, c2: LabelledClause) -> Optional[int]:
         if -l in s2 and s1 - {l} < s2 - {-l}:
             return l
     return None
+
+
+def _ssr_partner(store: _ClauseStore, c1: LabelledClause,
+                 key: Callable[[LabelledClause], Tuple]
+                 ) -> Optional[LabelledClause]:
+    """The first clause in ``key`` order that c1 strengthens, or None.
+
+    Decides each candidate c2 as ``_ssr_pivot(c1, c2) is not None``
+    does.  When neither clause is a tautology, the literal l whose
+    complement put c2 on the scan is the only possible pivot: any other
+    pivot would leave both l and -l in c2.  c1 minus l, which then
+    holds no -l, inside c2 is the whole test; c2 is longer than c1, so
+    the inclusion is strict.
+    """
+    # while the store has no tautology, () spares a hash per lookup
+    tautologies = store.tautologies or ()
+    taut1 = c1 in tautologies
+    n1 = len(c1.lits)
+    labels1 = c1.labels
+    c2 = None
+    k2: Optional[Tuple] = None
+    for l in c1.lits:
+        rest = None
+        for c in store.occ.get(-l, ()):
+            if len(c.lits) <= n1 or not labels1 <= c.labels:
+                continue
+            if taut1 or c in tautologies:
+                if _ssr_pivot(c1, c) is None:
+                    continue
+            else:
+                if rest is None:
+                    rest = set(c1.lits)
+                    rest.discard(l)
+                if not rest.issubset(c.lits):
+                    continue
+            k = key(c)
+            if k2 is None or k < k2:
+                c2, k2 = c, k
+    return c2
 
 
 def _ssr_fixpoint(store: _ClauseStore) -> None:
@@ -253,16 +311,13 @@ def _ssr_fixpoint(store: _ClauseStore) -> None:
         queued.discard(c1)
         if c1 not in store.clauses:
             continue
-        c2 = None
-        for l in c1.lits:
-            for c in store.occ.get(-l, ()):
-                if ((c2 is None or key(c) < key(c2))
-                        and _ssr_pivot(c1, c) is not None):
-                    c2 = c
+        c2 = _ssr_partner(store, c1, key)
         if c2 is None:
             continue
         l = _ssr_pivot(c1, c2)
-        repl = LabelledClause.make(set(c2.lits) - {-l}, c2.labels)
+        # dropping one literal keeps the canonical order
+        repl = LabelledClause(tuple(q for q in c2.lits if q != -l),
+                              c2.labels)
         store.remove(c2)
         push(c1)
         if store.add(repl):
@@ -274,17 +329,25 @@ def _new_resolvents(store: _ClauseStore, x: int, limit: int,
     """The non-tautological resolvents on ``x`` that the store lacks, or
     None once ``limit`` of them turn up or one carries more than
     ``max_labelset`` labels."""
-    # each side minus its pivot literal; a tautology resolves to nothing
+    # each side minus its pivot literal, and the negative side's
+    # complements; a tautology resolves to nothing
+    tautologies = store.tautologies or ()
     pos = [(set(c.lits) - {x}, c.labels) for c in store.occ[x]
-           if not is_tautology(c.lits)]
-    neg = [(set(c.lits) - {-x}, c.labels) for c in store.occ[-x]
-           if not is_tautology(c.lits)]
+           if c not in tautologies]
+    neg = []
+    for c in store.occ[-x]:
+        if c not in tautologies:
+            b = set(c.lits) - {-x}
+            neg.append((b, {-m for m in b}, c.labels))
     new: Set[LabelledClause] = set()
     for a, a_labels in pos:
-        for b, b_labels in neg:
-            if any(-m in b for m in a):
+        for b, neg_b, b_labels in neg:
+            if not a.isdisjoint(neg_b):
                 continue
-            r = LabelledClause.make(a | b, a_labels | b_labels)
+            # no complementary pair: one literal per variable, so the
+            # order by variable alone is the canonical one
+            r = LabelledClause(tuple(sorted(a | b, key=abs)),
+                               a_labels | b_labels)
             if r in store.clauses or r in new:
                 continue
             if len(new) + 1 >= limit or len(r.labels) > max_labelset:

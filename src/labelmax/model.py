@@ -67,12 +67,14 @@ def clause(lits: Iterable[int]) -> ClauseT:
     seen = set(lits)
     if 0 in seen:
         raise ValueError("0 is not a literal")
-    return tuple(sorted(seen, key=lambda l: (abs(l), l)))
+    # sorting is stable: -v, ahead of v in plain order, stays ahead
+    return tuple(sorted(sorted(seen), key=abs))
 
 
 def is_tautology(c: Sequence[int]) -> bool:
+    # a complementary pair is two literals of one variable
     s = set(c)
-    return any(-l in s for l in s)
+    return len(set(map(abs, s))) < len(s)
 
 
 def clause_vars(c: Sequence[int]) -> FrozenSet[int]:

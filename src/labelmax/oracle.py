@@ -16,6 +16,7 @@ by position in the given list; label-level functions work on label ids.
 
 from __future__ import annotations
 
+import heapq
 import random
 from itertools import combinations
 from typing import (Dict, FrozenSet, Iterable, List, Optional, Sequence, Set,
@@ -155,6 +156,11 @@ def brute_force_lcnf_maxsat(phi: LCNF) -> Optional[MaxSatSolution]:
     Removal sets are scanned in (cost, sorted labels) order, so the
     reported removed set is deterministic.  None when even removing all
     labels leaves the empty-labelled part unsatisfiable.
+
+    The scan is lazy: removal sets form a tree in which a set's parent
+    is the set minus its largest label.  Every label weighs at least 1,
+    so a child's (cost, labels) key is above its parent's, and pushing a
+    set's children when it pops yields every set in key order.
     """
     labels = sorted(phi.labels())
     _check_enum_cap(len(labels))
@@ -162,19 +168,22 @@ def brute_force_lcnf_maxsat(phi: LCNF) -> Optional[MaxSatSolution]:
     tt = _TruthTables(nv)
     if not tt.sat_mask([c.lits for c in phi.clauses if c.hard]):
         return None
-    candidates = []
-    for size in range(len(labels) + 1):
-        for rem in combinations(labels, size):
-            candidates.append((sum(phi.label_weights[l] for l in rem), rem))
-    candidates.sort()
-    for cost, rem in candidates:
-        keep = set(labels) - set(rem)
-        sub = induced_subformula(phi, keep)
-        m = tt.sat_mask([c.lits for c in sub.clauses])
+    weights = [phi.label_weights[l] for l in labels]
+    # (cost, removed labels, position after the largest removed label);
+    # the removed tuples are distinct, so positions are never compared
+    heap: List[Tuple[int, Tuple[int, ...], int]] = [(0, (), 0)]
+    while heap:
+        cost, rem, nxt = heapq.heappop(heap)
+        removed = set(rem)
+        m = tt.sat_mask([c.lits for c in phi.clauses
+                         if removed.isdisjoint(c.labels)])
         if m:
             a = (m & -m).bit_length() - 1
             return MaxSatSolution(model=_index_assignment(a, nv), cost=cost,
                                   falsified=frozenset(rem))
+        for i in range(nxt, len(labels)):
+            heapq.heappush(heap, (cost + weights[i], rem + (labels[i],),
+                                  i + 1))
     return None
 
 

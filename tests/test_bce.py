@@ -1,13 +1,16 @@
 """Blocked clause elimination: blockedness, fixpoint, reconstruction."""
 
+from hypothesis import given, settings, strategies as st
+
 from labelmax.bce import (
     BceEntry,
+    _blocked_in,
     bce_fixpoint,
     bce_reconstruct,
     is_blocked,
     write_record_sidecar,
 )
-from labelmax.model import WCNF, clause, clause_satisfied
+from labelmax.model import WCNF, clause, clause_satisfied, is_tautology
 from labelmax.oracle import (
     brute_force_maxsat,
     enumerate_mus,
@@ -181,3 +184,22 @@ def test_cost_preservation_and_lift():
         for c in f.hard:
             assert clause_satisfied(c, lifted)
         assert f.cost_of(lifted) == base.cost, seed
+
+
+CLAUSES = st.lists(st.sets(st.integers(-5, 5).filter(bool), max_size=4),
+                   max_size=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(CLAUSES, CLAUSES)
+def test_fast_blocked_test_matches_is_blocked(hard, soft):
+    # tautological hard clauses stay in the formula under soft_only, so
+    # they are among the clauses a candidate resolves with
+    f = wcnf_of([sorted(c) for c in soft], [sorted(c) for c in hard])
+    formula = set(f.all_clauses())
+    tautologies = {c for c in formula if is_tautology(c)}
+    for c in formula - tautologies:
+        for l in c:
+            others = [o for o in formula if -l in o]
+            assert (_blocked_in(c, l, others, tautologies)
+                    == is_blocked(formula, c, l)), (c, l)

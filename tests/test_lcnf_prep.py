@@ -1,3 +1,4 @@
+import hashlib
 import random
 from collections import Counter
 
@@ -6,11 +7,12 @@ from hypothesis import given, settings, strategies as st
 
 from labelmax.bce import bce_fixpoint
 from labelmax.lcnf_prep import (BveEntry, BveRecord, PrepConfig,
-                                bve_reconstruct, dump_lcnf, l_bve, l_resolve,
-                                l_ssr, l_sub, l_ve, preprocess_lcnf)
-from labelmax.model import (LCNF, WCNF, clause_vars, induced_subformula,
-                            is_tautology, lclause, lcnf_from_wcnf,
-                            lcnf_satisfied)
+                                _ClauseStore, _new_resolvents, _ssr_partner,
+                                _ssr_pivot, bve_reconstruct, dump_lcnf, l_bve,
+                                l_resolve, l_ssr, l_sub, l_ve, preprocess_lcnf)
+from labelmax.model import (LCNF, WCNF, LabelledClause, clause_vars,
+                            induced_subformula, is_tautology, lclause,
+                            lcnf_from_wcnf, lcnf_satisfied)
 from labelmax.oracle import (brute_force_lcnf_maxsat, enumerate_mcs_labels,
                              random_lcnf, random_wcnf)
 
@@ -478,3 +480,88 @@ def test_passes_match_reference_property(rows, config):
     phi = LCNF(frozenset(lclause(lits, labels) for lits, labels in rows),
                {l: l for l in range(1, 5)})
     assert_matches_reference(phi, config)
+
+
+# ---------------------------------------------------------------------------
+# the fast paths of the passes against the single-step rules
+
+ROWS = st.lists(st.tuples(st.sets(st.integers(-5, 5).filter(bool),
+                                  max_size=4),
+                          st.sets(st.integers(1, 4), max_size=3)),
+                max_size=14)
+
+
+def lcnf_of(rows):
+    return LCNF(frozenset(lclause(lits, labels) for lits, labels in rows),
+                {l: l for l in range(1, 5)})
+
+
+@settings(max_examples=150, deadline=None)
+@given(ROWS)
+def test_ssr_partner_decides_each_pair_as_the_pivot_rule(rows):
+    # tautologies, empty clauses and repeated literal sets under
+    # different labels all included
+    clauses = lcnf_of(rows).sorted_clauses()
+    key = LabelledClause.sort_key
+    for c1 in clauses:
+        for c in clauses:
+            if c != c1:
+                want = c if _ssr_pivot(c1, c) is not None else None
+                assert _ssr_partner(_ClauseStore([c1, c]), c1, key) == want
+        want = min((c for c in clauses if _ssr_pivot(c1, c) is not None),
+                   key=key, default=None)
+        assert _ssr_partner(_ClauseStore(clauses), c1, key) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(ROWS, st.sampled_from([1, 2, 32]))
+def test_new_resolvents_are_the_new_clauses_of_ve(rows, max_labelset):
+    phi = lcnf_of(rows)
+    store = _ClauseStore(phi.clauses)
+    for x in range(1, 6):
+        want = l_ve(phi, x).clauses - phi.clauses
+        assert _new_resolvents(store, x, len(want) + 1, 32) == want
+        limit = len(store.mentioning(x))
+        if not limit:
+            continue  # the sweep skips a variable without clauses
+        fits = (len(want) < limit
+                and all(len(r.labels) <= max_labelset for r in want))
+        got = _new_resolvents(store, x, limit, max_labelset)
+        assert got == (want if fits else None)
+
+
+def prep_digest(f):
+    """SHA-256 over the BCE records (both modes), and the sorted clauses
+    and BVE record of preprocess_lcnf before and after BCE."""
+    h = hashlib.sha256()
+    for soft_only in (False, True):
+        h.update(repr(bce_fixpoint(f, soft_only=soft_only)[1]).encode())
+    for phi in (lcnf_from_wcnf(f), lcnf_from_wcnf(bce_fixpoint(f)[0])):
+        out, rec = preprocess_lcnf(phi)
+        h.update(repr(out.sorted_clauses()).encode())
+        h.update(repr([(e.var, sorted(e.group, key=LabelledClause.sort_key))
+                       for e in rec]).encode())
+    return h.hexdigest()[:16]
+
+
+# recorded with the passes before their fast paths
+PINNED_DIGESTS = [
+    (lambda: tseitin_wcnf(0), "130c6d4ee70a6748"),
+    (lambda: tseitin_wcnf(1), "704a4e1e3772c08c"),
+    (lambda: tseitin_wcnf(2), "2c49643ad6a56b00"),
+    (lambda: tseitin_wcnf(3), "fc245bb8794472ea"),
+    (lambda: tseitin_wcnf(4), "a3bd3f57de0f4c3d"),
+    (lambda: tseitin_wcnf(5), "ebc84a2ba21771a4"),
+    (lambda: tseitin_wcnf(0, 8, 30), "fc0d2dd8bea70953"),
+    (lambda: tseitin_wcnf(1, 8, 30), "554dbafc69b7d0ed"),
+    (lambda: tseitin_wcnf(2, 8, 30), "f8d02515c60729dd"),
+    (lambda: pigeon_wcnf(0, 3, 1), "6ef2b1bbaf4f7348"),
+    (lambda: pigeon_wcnf(1, 3, 2), "1955a28c9dce8e83"),
+    (lambda: pigeon_wcnf(2, 4, 1), "4b5461269148c2e3"),
+]
+
+
+@pytest.mark.parametrize("make,digest", PINNED_DIGESTS)
+def test_preprocessing_output_is_pinned(make, digest):
+    # the BCE record order matters to reconstruction, so it is pinned too
+    assert prep_digest(make()) == digest

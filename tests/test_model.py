@@ -34,6 +34,19 @@ def test_tautology_detection():
 
 
 @given(st.lists(st.integers(min_value=-9, max_value=9).filter(lambda x: x != 0)))
+def test_tautology_test_matches_complement_scan(lits):
+    # any sequence of literals, duplicates and unsorted orders included
+    s = set(lits)
+    assert is_tautology(lits) == any(-l in s for l in s)
+    assert is_tautology(tuple(lits)) == is_tautology(lits)
+
+
+@given(st.lists(st.integers(min_value=-9, max_value=9).filter(lambda x: x != 0)))
+def test_clause_order_is_variable_then_sign(lits):
+    assert clause(lits) == tuple(sorted(set(lits), key=lambda l: (abs(l), l)))
+
+
+@given(st.lists(st.integers(min_value=-9, max_value=9).filter(lambda x: x != 0)))
 def test_clause_canonicalization_idempotent(lits):
     c = clause(lits)
     assert clause(c) == c

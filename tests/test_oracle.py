@@ -3,12 +3,13 @@
 import os
 import subprocess
 import sys
+from itertools import combinations
 
 import pytest
 
 import labelmax
-from labelmax.model import (LCNF, MAX_WEIGHT_SUM, WCNF, clause_satisfied,
-                            lclause)
+from labelmax.model import (LCNF, MAX_WEIGHT_SUM, WCNF, MaxSatSolution,
+                            clause_satisfied, induced_subformula, lclause)
 from labelmax.oracle import (
     brute_force_lcnf_maxsat,
     brute_force_maxsat,
@@ -222,6 +223,40 @@ def test_brute_force_lcnf_weighted_prefers_cheap_removal():
     sol = brute_force_lcnf_maxsat(phi)
     assert sol.cost == 3
     assert sol.falsified == frozenset([2])
+
+
+def eager_lcnf_maxsat(phi):
+    """Every removal set, sorted by (cost, sorted labels), then the first
+    whose induced subformula has a model: the lazy scan's spec."""
+    labels = sorted(phi.labels())
+    nv = max(phi.max_var(), 1)
+    if truth_table_sat([c.lits for c in phi.clauses if c.hard], nv) is None:
+        return None
+    candidates = sorted(
+        (sum(phi.label_weights[l] for l in rem), rem)
+        for size in range(len(labels) + 1)
+        for rem in combinations(labels, size))
+    for cost, rem in candidates:
+        sub = induced_subformula(phi, set(labels) - set(rem))
+        tau = truth_table_sat([c.lits for c in sub.clauses], nv)
+        if tau is not None:
+            return MaxSatSolution(tau, cost, frozenset(rem))
+    return None
+
+
+@pytest.mark.parametrize("nlabels,count", [(3, 40), (6, 40), (10, 15),
+                                           (16, 3)])
+def test_lazy_lcnf_scan_matches_eager_scan(nlabels, count):
+    # weights 1-2 tie many removal sets on cost, so the label order
+    # decides which one is reported
+    for seed in range(count):
+        phi = random_lcnf(seed, nvars=8, nclauses=3 * nlabels,
+                          nlabels=nlabels, max_weight=2,
+                          hard_fraction=0.2)
+        assert brute_force_lcnf_maxsat(phi) == eager_lcnf_maxsat(phi), seed
+    unsat = LCNF(frozenset([lclause([1]), lclause([-1]),
+                            lclause([2], [1])]), {1: 1})
+    assert brute_force_lcnf_maxsat(unsat) is None
 
 
 def test_minimal_hitting_sets():
