@@ -139,9 +139,8 @@ def bce_fixpoint(f: WCNF, soft_only: bool = False,
     for c in tautologies:
         if removable(c):
             remove(c, _blocking_lit_of_tautology(c))
-    # the tautologies the sweep may not remove stay to the end; while
-    # there are none, () spares a hash per lookup
-    kept = {c for c in tautologies if c in present} or ()
+    # the tautologies the sweep may not remove stay to the end
+    kept = {c for c in tautologies if c in present}
 
     queue = deque(c for c in order if c in present)
     queued: Set[ClauseT] = set(queue)

@@ -159,8 +159,7 @@ def l_ssr(phi: LCNF, c1: LabelledClause, c2: LabelledClause) -> LCNF:
 # clauses or sets per pair, and each is tested against its spec:
 # ``_ssr_partner`` decides a pair as ``_ssr_pivot`` does, and
 # ``_new_resolvents`` returns the clauses ``l_ve`` adds.  The store
-# tracks its tautologies, which resolve to nothing in BVE and fall back
-# to ``_ssr_pivot`` in SSR.
+# tracks its tautologies, which resolve to nothing in BVE.
 
 
 class _ClauseStore:
@@ -183,8 +182,7 @@ class _ClauseStore:
         self.clauses.add(c)
         for l in c.lits:
             self.occ[l].add(c)
-        # is_tautology on literals that are already duplicate-free
-        if len(set(map(abs, c.lits))) < len(c.lits):
+        if is_tautology(c.lits):
             self.tautologies.add(c)
         self.edits += 1
         return True
@@ -193,8 +191,7 @@ class _ClauseStore:
         self.clauses.remove(c)
         for l in c.lits:
             self.occ[l].discard(c)
-        if self.tautologies:
-            self.tautologies.discard(c)
+        self.tautologies.discard(c)
         self.edits += 1
 
     def mentioning(self, x: int) -> Set[LabelledClause]:
@@ -240,41 +237,38 @@ def _ssr_pivot(c1: LabelledClause, c2: LabelledClause) -> Optional[int]:
 
 def _ssr_partner(store: _ClauseStore, c1: LabelledClause,
                  key: Callable[[LabelledClause], Tuple]
-                 ) -> Optional[LabelledClause]:
-    """The first clause in ``key`` order that c1 strengthens, or None.
+                 ) -> Optional[Tuple[LabelledClause, int]]:
+    """The first clause in ``key`` order that c1 strengthens, and the
+    pivot ``_ssr_pivot`` gives for it; None if there is no such clause.
 
     Decides each candidate c2 as ``_ssr_pivot(c1, c2) is not None``
-    does.  When neither clause is a tautology, the literal l whose
-    complement put c2 on the scan is the only possible pivot: any other
-    pivot would leave both l and -l in c2.  c1 minus l, which then
-    holds no -l, inside c2 is the whole test; c2 is longer than c1, so
-    the inclusion is strict.
+    does.  c2 came up on the scan of l because it holds -l; then c1
+    minus l lies in c2 minus -l iff -l is not in c1 and c1 minus l lies
+    in c2.  c2 is longer than c1, so the inclusion is strict.  The
+    literals of c1 are scanned in order, so the first l that accepts
+    c2 is its pivot.
     """
-    # while the store has no tautology, () spares a hash per lookup
-    tautologies = store.tautologies or ()
-    taut1 = c1 in tautologies
-    n1 = len(c1.lits)
+    lits1 = c1.lits
+    n1 = len(lits1)
     labels1 = c1.labels
-    c2 = None
+    best = None
     k2: Optional[Tuple] = None
-    for l in c1.lits:
+    for l in lits1:
+        if -l in lits1:
+            continue
         rest = None
         for c in store.occ.get(-l, ()):
             if len(c.lits) <= n1 or not labels1 <= c.labels:
                 continue
-            if taut1 or c in tautologies:
-                if _ssr_pivot(c1, c) is None:
-                    continue
-            else:
-                if rest is None:
-                    rest = set(c1.lits)
-                    rest.discard(l)
-                if not rest.issubset(c.lits):
-                    continue
+            if rest is None:
+                rest = set(lits1)
+                rest.discard(l)
+            if not rest.issubset(c.lits):
+                continue
             k = key(c)
             if k2 is None or k < k2:
-                c2, k2 = c, k
-    return c2
+                best, k2 = (c, l), k
+    return best
 
 
 def _ssr_fixpoint(store: _ClauseStore) -> None:
@@ -311,10 +305,10 @@ def _ssr_fixpoint(store: _ClauseStore) -> None:
         queued.discard(c1)
         if c1 not in store.clauses:
             continue
-        c2 = _ssr_partner(store, c1, key)
-        if c2 is None:
+        found = _ssr_partner(store, c1, key)
+        if found is None:
             continue
-        l = _ssr_pivot(c1, c2)
+        c2, l = found
         # dropping one literal keeps the canonical order
         repl = LabelledClause(tuple(q for q in c2.lits if q != -l),
                               c2.labels)
@@ -331,12 +325,11 @@ def _new_resolvents(store: _ClauseStore, x: int, limit: int,
     ``max_labelset`` labels."""
     # each side minus its pivot literal, and the negative side's
     # complements; a tautology resolves to nothing
-    tautologies = store.tautologies or ()
     pos = [(set(c.lits) - {x}, c.labels) for c in store.occ[x]
-           if c not in tautologies]
+           if c not in store.tautologies]
     neg = []
     for c in store.occ[-x]:
-        if c not in tautologies:
+        if c not in store.tautologies:
             b = set(c.lits) - {-x}
             neg.append((b, {-m for m in b}, c.labels))
     new: Set[LabelledClause] = set()

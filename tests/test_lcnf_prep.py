@@ -506,10 +506,12 @@ def test_ssr_partner_decides_each_pair_as_the_pivot_rule(rows):
     for c1 in clauses:
         for c in clauses:
             if c != c1:
-                want = c if _ssr_pivot(c1, c) is not None else None
+                l = _ssr_pivot(c1, c)
+                want = None if l is None else (c, l)
                 assert _ssr_partner(_ClauseStore([c1, c]), c1, key) == want
-        want = min((c for c in clauses if _ssr_pivot(c1, c) is not None),
-                   key=key, default=None)
+        c2 = min((c for c in clauses if _ssr_pivot(c1, c) is not None),
+                 key=key, default=None)
+        want = None if c2 is None else (c2, _ssr_pivot(c1, c2))
         assert _ssr_partner(_ClauseStore(clauses), c1, key) == want
 
 
