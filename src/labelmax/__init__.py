@@ -25,7 +25,7 @@ from .bce import bce_fixpoint, bce_reconstruct
 from .lcnf_prep import PrepConfig, bve_reconstruct, preprocess_lcnf
 from .reduction import lcnf_to_wcnf, lift_reduction_solution
 from .solver import SolveReport, solve_lcnf
-from .cli import PipelineError, PipelineResult, run_pipeline
+from .cli import PipelineError, run_pipeline
 
 __version__ = "0.1.0"
 
@@ -36,7 +36,6 @@ __all__ = [
     "LabelledClause",
     "MaxSatSolution",
     "PipelineError",
-    "PipelineResult",
     "PrepConfig",
     "SolveReport",
     "WCNF",

@@ -25,8 +25,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import (Container, Dict, FrozenSet, Iterable, List, Optional,
-                    Sequence, Set, Tuple)
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from .model import Assignment, ClauseT, WCNF, clause_satisfied, is_tautology
 
@@ -65,10 +64,9 @@ def is_blocked(f: Iterable[ClauseT], c: ClauseT, l: int) -> bool:
     return True
 
 
-def _blocked_in(c: ClauseT, l: int, others: Iterable[ClauseT],
-                tautologies: Container[ClauseT]) -> bool:
-    """``is_blocked(others, c, l)`` for a non-tautological ``c`` whose
-    ``others`` all contain -l.
+def _blocked_in(c: ClauseT, l: int, others: Iterable[ClauseT]) -> bool:
+    """``is_blocked(others, c, l)`` for non-tautological clauses ``c``
+    and ``others``, where every one of ``others`` contains -l.
 
     A resolvent with a non-tautological clause can only pair a literal
     of c other than l with its complement, so it is tautological iff
@@ -76,10 +74,6 @@ def _blocked_in(c: ClauseT, l: int, others: Iterable[ClauseT],
     """
     neg = None
     for other in others:
-        if other in tautologies:
-            if not _resolvent_tautological(c, l, other):
-                return False
-            continue
         if neg is None:
             neg = {-q for q in c if q != l}
         if neg.isdisjoint(other):
@@ -93,15 +87,13 @@ def _blocking_lit_of_tautology(c: ClauseT) -> int:
     return min(l for l in s if l > 0 and -l in s)
 
 
-def bce_fixpoint(f: WCNF, soft_only: bool = False,
-                 shuffle_seed: Optional[int] = None) -> Tuple[WCNF, BceRecord]:
+def bce_fixpoint(f: WCNF, shuffle_seed: Optional[int] = None
+                 ) -> Tuple[WCNF, BceRecord]:
     """Remove tautologies, then blocked clauses to fixpoint.
 
     Returns the reduced formula and the elimination record.  The result
     is order-independent (confluence); ``shuffle_seed`` permutes the
-    worklist to let tests exercise that.  ``soft_only`` keeps clauses
-    with a hard occurrence off the removal candidates (blockedness is
-    still judged against the full clause set).
+    worklist to let tests exercise that.
     """
     # distinct clause -> weighted occurrences, preserving input order
     occurrences: Dict[ClauseT, List[Tuple[str, Optional[int], Optional[int]]]] = {}
@@ -120,9 +112,6 @@ def bce_fixpoint(f: WCNF, soft_only: bool = False,
 
     record: BceRecord = []
 
-    def removable(c: ClauseT) -> bool:
-        return not (soft_only and any(k == "hard" for k, _, _ in occurrences[c]))
-
     def remove(c: ClauseT, lit: int) -> None:
         present.discard(c)
         for l in c:
@@ -135,30 +124,27 @@ def bce_fixpoint(f: WCNF, soft_only: bool = False,
     if shuffle_seed is not None:
         random.Random(shuffle_seed).shuffle(order)
 
-    tautologies = [c for c in order if is_tautology(c)]
-    for c in tautologies:
-        if removable(c):
+    for c in order:
+        if is_tautology(c):
             remove(c, _blocking_lit_of_tautology(c))
-    # the tautologies the sweep may not remove stay to the end
-    kept = {c for c in tautologies if c in present}
 
     queue = deque(c for c in order if c in present)
     queued: Set[ClauseT] = set(queue)
     while queue:
         c = queue.popleft()
         queued.discard(c)
-        if c not in present or not removable(c):
+        if c not in present:
             continue
-        # c is no tautology here: the sweep removed every removable one
+        # the sweep removed every tautology
         for l in c:
-            if _blocked_in(c, l, by_lit.get(-l, ()), kept):
+            if _blocked_in(c, l, by_lit.get(-l, ())):
                 remove(c, l)
                 # only clauses sharing a variable can become blocked now
                 neighbours = set()
                 for q in c:
                     neighbours |= by_var.get(abs(q), set())
                 for n in sorted(neighbours):
-                    if n not in queued and removable(n):
+                    if n not in queued:
                         queue.append(n)
                         queued.add(n)
                 break

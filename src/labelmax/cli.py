@@ -15,7 +15,6 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import dataclass
 from typing import Callable, Dict, List, NamedTuple, Optional
 
 from .bce import BceRecord, bce_fixpoint, bce_reconstruct, write_record_sidecar
@@ -25,20 +24,13 @@ from .lcnf_prep import BveRecord, bve_reconstruct, dump_lcnf, preprocess_lcnf
 from .model import (LCNF, MaxSatSolution, WCNF, clause_satisfied,
                     lcnf_from_wcnf)
 from .reduction import lcnf_to_wcnf
-from .solver import ALGORITHMS, MODES, solve_lcnf
+from .solver import ALGORITHMS, MODES, SolveReport, solve_lcnf
 
 PREPS = ("none", "bce", "rs", "bce,rs")
 
 
 class PipelineError(RuntimeError):
     """The reconstructed model failed verification against the input."""
-
-
-@dataclass
-class PipelineResult:
-    status: str  # optimum | unsat-hard | unknown
-    solution: Optional[MaxSatSolution]  # over the original formula
-    stats: Dict[str, int]
 
 
 class Preprocessed(NamedTuple):
@@ -78,7 +70,7 @@ def run_pipeline(f: WCNF, prep: str = "bce,rs", mode: str = "noninc",
                  conflict_budget: Optional[int] = None,
                  trace: Optional[Callable[[str], None]] = None,
                  shuffle_seed: Optional[int] = None,
-                 verify: bool = True) -> PipelineResult:
+                 verify: bool = True) -> SolveReport:
     """Solve a weighted formula end to end.
 
     Preprocessing is sound but not free: the answer must not depend on
@@ -94,7 +86,7 @@ def run_pipeline(f: WCNF, prep: str = "bce,rs", mode: str = "noninc",
     stats["bce_removed"] = len(pre.bce_rec)
     stats["bve_eliminated"] = len(pre.bve_rec)
     if report.status != "optimum":
-        return PipelineResult(report.status, None, stats)
+        return SolveReport(report.status, None, stats)
 
     inner = report.solution
     assert inner is not None
@@ -116,7 +108,7 @@ def run_pipeline(f: WCNF, prep: str = "bce,rs", mode: str = "noninc",
             raise PipelineError(
                 f"cost mismatch: solver reported {inner.cost}, "
                 f"model costs {recomputed}")
-    return PipelineResult(
+    return SolveReport(
         "optimum", MaxSatSolution(model, inner.cost, falsified), stats)
 
 

@@ -61,14 +61,11 @@ def _split_clause_tokens(nums: List[int], line_no: int) -> Tuple[int, ...]:
     return tuple(lits)
 
 
-def _check_vars(lits: Tuple[int, ...], nv: int, strict: bool,
-                line_no: int, f: WCNF) -> None:
+def _check_vars(lits: Tuple[int, ...], nv: int, line_no: int) -> None:
     for l in lits:
         if abs(l) > nv:
-            if strict:
-                raise ParseError(
-                    line_no, f"variable {abs(l)} beyond declared maximum {nv}")
-            f.num_vars = max(f.num_vars, abs(l))
+            raise ParseError(
+                line_no, f"variable {abs(l)} beyond declared maximum {nv}")
 
 
 def _content_lines(text: str):
@@ -79,7 +76,7 @@ def _content_lines(text: str):
         yield i, line
 
 
-def parse_wcnf(text: str, strict: bool = True) -> ParsedInstance:
+def parse_wcnf(text: str) -> ParsedInstance:
     header = None
     nv = nc = 0
     top: Optional[int] = None
@@ -115,7 +112,7 @@ def parse_wcnf(text: str, strict: bool = True) -> ParsedInstance:
             raise ParseError(line_no, f"negative clause weight {w}")
         if top is not None and w > top:
             raise ParseError(line_no, f"clause weight {w} exceeds top {top}")
-        _check_vars(lits, nv, strict, line_no, inst.wcnf)
+        _check_vars(lits, nv, line_no)
         if top is not None and w == top:
             inst.wcnf.add_hard(lits)
         else:
@@ -130,11 +127,10 @@ def parse_wcnf(text: str, strict: bool = True) -> ParsedInstance:
         inst.warnings.append(
             f"top {top} does not exceed the soft weight sum "
             f"{inst.wcnf.soft_weight_sum()}")
-    inst.wcnf.num_vars = max(inst.wcnf.num_vars, nv)
     return inst
 
 
-def parse_cnf(text: str, strict: bool = True) -> ParsedInstance:
+def parse_cnf(text: str) -> ParsedInstance:
     header = None
     nv = nc = 0
     inst = None
@@ -158,7 +154,7 @@ def parse_cnf(text: str, strict: bool = True) -> ParsedInstance:
         # line was fed to the cnf parser; reject rather than guess
         if len(lits) != len(set(lits)):
             raise ParseError(line_no, "repeated literal token in cnf clause line")
-        _check_vars(lits, nv, strict, line_no, inst.wcnf)
+        _check_vars(lits, nv, line_no)
         inst.wcnf.add_soft(lits, 1)
         clause_lines += 1
     if header is None:
@@ -166,17 +162,16 @@ def parse_cnf(text: str, strict: bool = True) -> ParsedInstance:
     if clause_lines != nc:
         inst.warnings.append(
             f"header declares {nc} clauses, file contains {clause_lines}")
-    inst.wcnf.num_vars = max(inst.wcnf.num_vars, nv)
     return inst
 
 
-def parse_auto(text: str, strict: bool = True) -> ParsedInstance:
+def parse_auto(text: str) -> ParsedInstance:
     """Dispatch on the first 'p' header found."""
     for _, line in _content_lines(text):
         if line.startswith("p cnf"):
-            return parse_cnf(text, strict)
+            return parse_cnf(text)
         break
-    return parse_wcnf(text, strict)
+    return parse_wcnf(text)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,8 @@ Two formula representations live here:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (Dict, FrozenSet, Iterable, Iterator, List, NamedTuple,
+                    Optional, Sequence, Tuple)
 
 Lit = int
 ClauseT = Tuple[int, ...]
@@ -144,24 +145,12 @@ class WCNF:
 # LCNF
 
 
-@dataclass(frozen=True, init=False)
-class LabelledClause:
+class LabelledClause(NamedTuple):
+    """A clause tagged with a label set; the empty set makes it hard.
+    Sort by ``sort_key``: tuple order compares label sets by inclusion."""
+
     lits: ClauseT
     labels: FrozenSet[int]
-    # hash((lits, labels)), computed once: working sets and occurrence
-    # lists hash the same clause many times
-    _hash: int = field(repr=False, compare=False)
-
-    def __init__(self, lits: ClauseT, labels: FrozenSet[int]) -> None:
-        # frozen: fill the instance dict directly, which is also faster
-        # than the generated ``object.__setattr__`` calls
-        d = self.__dict__
-        d["lits"] = lits
-        d["labels"] = labels
-        d["_hash"] = hash((lits, labels))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     @staticmethod
     def make(lits: Iterable[int], labels: Iterable[int] = ()) -> "LabelledClause":

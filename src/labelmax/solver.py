@@ -20,13 +20,19 @@ relaxed one after another, in the order found.  Two SAT-driver modes:
   label-disjoint (Davies & Bacchus, CP 2011).  A core refutes only the
   clauses whose labels it contains, so relaxing an earlier core of the
   round leaves a later one a core: the round does what one iteration per
-  core would.  Each clause is encoded once and reloaded from that
-  encoding in every later round.
+  core would.
 * ``inc`` — a single solver for the whole run and one core per round.
   Relaxing a label in place gives it a new selector: a unit clause
   finalizes the old one (which deactivates every loaded copy carrying
   it) and fresh copies are loaded under the new one.  Nothing is ever
   reloaded.
+
+The loop keeps each working clause with its encoding, made once when
+the clause enters: a clause keeps its selectors while it stays, since
+relaxing a label in place replaces every clause that carries it.  The
+new clauses of each relaxed core go to the driver as one batch, which
+``inc`` loads and ``noninc`` ignores: its next round loads the working
+formula whole.
 
 Only the answer of a round's first call can be final: when it is SAT,
 the accumulated lower bound is the cost.  Before reporting, the final
@@ -66,6 +72,9 @@ class CoreLabels:
 # its first call was already satisfiable (then there are no cores)
 Round = Tuple[List[CoreLabels], Optional[Assignment]]
 
+# the working formula: clause -> (sort key, encoding with selectors)
+Working = Dict[LabelledClause, Tuple[Tuple, Encoded]]
+
 
 @dataclass
 class SolveReport:
@@ -94,9 +103,13 @@ def extract_core_labels(outcome: SolveOutcome,
 # ---------------------------------------------------------------------------
 # SAT drivers
 #
-# Both drivers see the live labels as two maps kept by the main loop:
-# ``selectors`` (label -> selector variable, in ascending label order, which
-# is the assumption order) and ``label_of`` (selector -> label).
+# Both drivers see the working formula and the live labels as the main
+# loop keeps them: ``working`` (clause -> (sort key, encoding)),
+# ``selectors`` (label -> selector variable, in ascending label order,
+# which is the assumption order) and ``label_of`` (selector -> label).
+# A driver answers ``check_hard`` and ``solve_round``, takes each relaxed
+# core's new clauses as one ``add`` batch, and adds its solvers' counters
+# to the run's stats by ``close``.
 
 
 def _encode_labelled(c: LabelledClause,
@@ -105,58 +118,39 @@ def _encode_labelled(c: LabelledClause,
     return encode(c.lits + tuple(-selectors[m] for m in c.labels))
 
 
-def _encode_sorted(clauses: Iterable[LabelledClause],
-                   selectors: Dict[int, int]) -> List[Encoded]:
-    return [_encode_labelled(c, selectors)
-            for c in sorted(clauses, key=LabelledClause.sort_key)]
+def _new_solver(nv_orig: int, stats: Dict[str, int]) -> CdclSolver:
+    eng = CdclSolver()
+    eng.ensure_var(nv_orig)
+    stats["load_events"] += 1
+    return eng
+
+
+def _count(stats: Dict[str, int], eng: CdclSolver) -> None:
+    stats["clauses_loaded"] += eng.stats["clauses_added"]
+    stats["conflicts"] += eng.stats["conflicts"]
+    stats["solves"] += eng.stats["solves"]
 
 
 class _NonIncDriver:
-    """Fresh solver per round; clause database reloaded every round.
-
-    A clause keeps its selectors while it stays in the working formula
-    (an in-place relaxation replaces every clause carrying the label),
-    so each clause is encoded once, when it first shows up."""
+    """A fresh solver per call, loaded with the whole working formula;
+    relaxation shows only in the working formula."""
 
     def __init__(self, nv_orig: int, stats: Dict[str, int]) -> None:
         self.nv_orig = nv_orig
         self.stats = stats
-        # working clause -> (sort key, encoding)
-        self._cache: Dict[LabelledClause, Tuple[Tuple, Encoded]] = {}
 
-    def _fresh(self) -> CdclSolver:
-        eng = CdclSolver()
-        eng.ensure_var(self.nv_orig)
-        self.stats["load_events"] += 1
-        return eng
-
-    def _done(self, eng: CdclSolver) -> None:
-        self.stats["clauses_loaded"] += eng.stats["clauses_added"]
-        self.stats["conflicts"] += eng.stats["conflicts"]
-        self.stats["solves"] += eng.stats["solves"]
-
-    def check_hard(self, hard: List, budget: Optional[int]) -> bool:
-        eng = self._fresh()
-        eng.load([encode(lits) for lits in hard])
+    def check_hard(self, hard: List[Encoded], budget: Optional[int]) -> bool:
+        eng = _new_solver(self.nv_orig, self.stats)
+        eng.load(hard)
         try:
-            out = eng.solve((), budget)
+            return eng.solve((), budget).sat
         finally:
-            self._done(eng)
-        return out.sat
+            _count(self.stats, eng)
 
-    def solve_round(self, working: Set[LabelledClause],
-                    selectors: Dict[int, int], label_of: Dict[int, int],
-                    budget: Optional[int]) -> Round:
-        # rebuilt from ``working`` so that no retired clause stays cached
-        old = self._cache
-        cache = self._cache = {}
-        for c in working:
-            e = old.get(c)
-            if e is None:
-                e = (c.sort_key(), _encode_labelled(c, selectors))
-            cache[c] = e
-        eng = self._fresh()
-        eng.load([enc for _, enc in sorted(cache.values(),
+    def solve_round(self, working: Working, selectors: Dict[int, int],
+                    label_of: Dict[int, int], budget: Optional[int]) -> Round:
+        eng = _new_solver(self.nv_orig, self.stats)
+        eng.load([enc for _, enc in sorted(working.values(),
                                            key=itemgetter(0))])
         cores: List[CoreLabels] = []
         assumptions = list(selectors.values())
@@ -171,64 +165,40 @@ class _NonIncDriver:
                 if not assumptions:
                     return cores, None
         finally:
-            self._done(eng)
+            _count(self.stats, eng)
 
-    # relaxation is reflected only in the working formula
-    def on_inplace(self, old_selector, reloaded, selectors) -> None:
+    def add(self, batch: List[Encoded]) -> None:
         pass
 
-    def on_split(self, copies, selectors) -> None:
-        pass
-
-    def on_hard_added(self, clauses) -> None:
+    def close(self) -> None:
         pass
 
 
 class _IncDriver:
-    """One persistent solver; relaxation applied as clause additions."""
+    """One persistent solver; relaxation applied as clause additions.  An
+    in-place relaxation's batch holds a unit clause that finalizes the
+    old selector, which retires every copy loaded under it."""
 
     def __init__(self, nv_orig: int, stats: Dict[str, int]) -> None:
         self.stats = stats
-        self.eng = CdclSolver()
-        self.eng.ensure_var(nv_orig)
-        self.stats["load_events"] += 1
-        self._labelled_loaded = False
+        self.eng = _new_solver(nv_orig, stats)
 
-    def check_hard(self, hard: List, budget: Optional[int]) -> bool:
-        self.eng.load([encode(lits) for lits in hard])
+    def check_hard(self, hard: List[Encoded], budget: Optional[int]) -> bool:
+        self.eng.load(hard)
         return self.eng.solve((), budget).sat
 
-    def solve_round(self, working: Set[LabelledClause],
-                    selectors: Dict[int, int], label_of: Dict[int, int],
-                    budget: Optional[int]) -> Round:
-        if not self._labelled_loaded:
-            self._labelled_loaded = True
-            self.eng.load(_encode_sorted(
-                [c for c in working if not c.hard], selectors))
+    def solve_round(self, working: Working, selectors: Dict[int, int],
+                    label_of: Dict[int, int], budget: Optional[int]) -> Round:
         out = self.eng.solve(list(selectors.values()), budget)
         if out.sat:
             return [], out.model
         return [extract_core_labels(out, label_of)], None
 
-    def on_inplace(self, old_selector: int,
-                   reloaded: Iterable[LabelledClause],
-                   selectors: Dict[int, int]) -> None:
-        # the unit clause satisfies (= retires) every copy loaded under
-        # the old selector; the relaxed clauses come back under the new one
-        self.eng.load([encode([-old_selector])] +
-                      _encode_sorted(reloaded, selectors))
+    def add(self, batch: List[Encoded]) -> None:
+        self.eng.load(batch)
 
-    def on_split(self, copies: Iterable[LabelledClause],
-                 selectors: Dict[int, int]) -> None:
-        self.eng.load(_encode_sorted(copies, selectors))
-
-    def on_hard_added(self, clauses) -> None:
-        self.eng.load([encode(lits) for lits in sorted(clauses)])
-
-    def flush(self) -> None:
-        self.stats["clauses_loaded"] = self.eng.stats["clauses_added"]
-        self.stats["conflicts"] = self.eng.stats["conflicts"]
-        self.stats["solves"] = self.eng.stats["solves"]
+    def close(self) -> None:
+        _count(self.stats, self.eng)
 
 
 # ---------------------------------------------------------------------------
@@ -320,6 +290,18 @@ def _index(carrying: Dict[int, Set[LabelledClause]],
             carrying[m].add(c)
 
 
+def _enter(working: Working, clauses: Iterable[LabelledClause],
+           selectors: Dict[int, int]) -> List[Encoded]:
+    """Put clauses into the working formula, each encoded under the live
+    selectors, and return their encodings in sort-key order."""
+    entries = []
+    for c in clauses:
+        e = working[c] = (c.sort_key(), _encode_labelled(c, selectors))
+        entries.append(e)
+    entries.sort(key=itemgetter(0))
+    return [enc for _, enc in entries]
+
+
 def solve_lcnf(phi: LCNF, algorithm: str = "wmsu1", mode: str = "noninc",
                conflict_budget: Optional[int] = None,
                trace: Optional[Callable[[str], None]] = None) -> SolveReport:
@@ -345,23 +327,25 @@ def solve_lcnf(phi: LCNF, algorithm: str = "wmsu1", mode: str = "noninc",
     driver = (_IncDriver if mode == "inc" else _NonIncDriver)(nv_orig, stats)
 
     def finish(status: str, solution=None) -> SolveReport:
-        if isinstance(driver, _IncDriver):
-            driver.flush()
+        driver.close()
         return SolveReport(status, solution, stats)
 
-    try:
-        if not driver.check_hard([c.lits for c in phi.sorted_clauses()
-                                  if c.hard], conflict_budget):
-            return finish("unsat-hard")
-    except BudgetExceededError:
-        return finish("unknown")
-
-    working: Set[LabelledClause] = set(phi.clauses)
     weight = {l: phi.label_weights[l] for l in sorted(used)}
     # label -> selector and back; a new label is numbered above every live
     # one, so insertion order stays ascending label order
     selectors = {l: next(variables) for l in weight}
     label_of = {s: l for l, s in selectors.items()}
+    working: Working = {}
+    try:
+        if not driver.check_hard(
+                _enter(working, [c for c in phi.clauses if c.hard],
+                       selectors), conflict_budget):
+            return finish("unsat-hard")
+    except BudgetExceededError:
+        return finish("unknown")
+    driver.add(_enter(working, [c for c in phi.clauses if not c.hard],
+                      selectors))
+
     # label -> the working clauses that carry it
     carrying: Dict[int, Set[LabelledClause]] = {l: set() for l in weight}
     _index(carrying, working)
@@ -389,6 +373,7 @@ def solve_lcnf(phi: LCNF, algorithm: str = "wmsu1", mode: str = "noninc",
                       f"lower bound {lb}")
 
             relaxation_vars: List[int] = []
+            batch: List[Encoded] = []
             for l in sorted(core.labels):
                 r = next(variables)
                 relaxation_vars.append(r)
@@ -406,27 +391,28 @@ def solve_lcnf(phi: LCNF, algorithm: str = "wmsu1", mode: str = "noninc",
                               for c in carried]
                     carrying[nl] = set()
                     _index(carrying, copies)
-                    working.update(copies)
-                    driver.on_split(copies, selectors)
+                    batch += _enter(working, copies, selectors)
                 else:
                     relaxed = [LabelledClause.make((r,) + c.lits, c.labels)
                                for c in carried]
                     carrying[l] = set()
                     for c in carried:
+                        del working[c]
                         for m in c.labels:
                             carrying[m].discard(c)
                     _index(carrying, relaxed)
-                    working.difference_update(carried)
-                    working.update(relaxed)
                     retired = selectors[l]
                     del label_of[retired]
                     s = selectors[l] = next(variables)
                     label_of[s] = l
-                    driver.on_inplace(retired, relaxed, selectors)
+                    # the unit finalizes the old selector
+                    batch.append(encode([-retired]))
+                    batch += _enter(working, relaxed, selectors)
 
             enc = encode_equals1(relaxation_vars)
-            working.update(LabelledClause(c, frozenset()) for c in enc.clauses)
-            driver.on_hard_added(enc.clauses)
+            batch += _enter(working, [LabelledClause(c, frozenset())
+                                      for c in enc.clauses], selectors)
+            driver.add(batch)
 
         if trace is not None:
             trace(f"round {stats['rounds']}: {len(cores)} cores, "

@@ -89,9 +89,6 @@ def test_fixpoint_hard_clauses_eligible_by_default():
     out, record = bce_fixpoint(f)
     assert out.hard == []
     assert record == [BceEntry((1, 2), 1, "hard", None, None)]
-    out2, record2 = bce_fixpoint(f, soft_only=True)
-    assert out2.hard == [(1, 2)]
-    assert record2 == []
 
 
 def test_duplicate_soft_occurrences_removed_together():
@@ -193,13 +190,11 @@ CLAUSES = st.lists(st.sets(st.integers(-5, 5).filter(bool), max_size=4),
 @settings(max_examples=200, deadline=None)
 @given(CLAUSES, CLAUSES)
 def test_fast_blocked_test_matches_is_blocked(hard, soft):
-    # tautological hard clauses stay in the formula under soft_only, so
-    # they are among the clauses a candidate resolves with
+    # blockedness is asked after the tautology sweep
     f = wcnf_of([sorted(c) for c in soft], [sorted(c) for c in hard])
-    formula = set(f.all_clauses())
-    tautologies = {c for c in formula if is_tautology(c)}
-    for c in formula - tautologies:
+    formula = {c for c in f.all_clauses() if not is_tautology(c)}
+    for c in formula:
         for l in c:
             others = [o for o in formula if -l in o]
-            assert (_blocked_in(c, l, others, tautologies)
+            assert (_blocked_in(c, l, others)
                     == is_blocked(formula, c, l)), (c, l)

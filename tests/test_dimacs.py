@@ -123,13 +123,6 @@ def test_duplicate_literals_dedup_in_wcnf():
     assert inst.wcnf.soft == [((1, 2), 5)]
 
 
-def test_lenient_mode_extends_universe():
-    text = (GOLDEN / "err-var-range.wcnf").read_text()
-    inst = parse_wcnf(text, strict=False)
-    assert inst.wcnf.num_vars == 2
-    assert inst.wcnf.soft == [((2,), 1)]
-
-
 def test_clause_count_mismatch_is_a_warning():
     inst = parse_wcnf("p wcnf 1 5 9\n1 1 0\n")
     assert any("declares 5 clauses" in w for w in inst.warnings)

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from labelmax.model import (
     LCNF,
     MAX_WEIGHT_SUM,
+    LabelledClause,
     WCNF,
     WeightOverflowError,
     add_weights,
@@ -110,6 +111,12 @@ def test_lcnf_set_semantics_on_clause_and_labels():
     cs = [lclause([1, 2], [1]), lclause([1, 2], [2]), lclause([1, 2], [1])]
     phi = LCNF(frozenset(cs), {1: 1, 2: 1})
     assert phi.size() == 2
+
+
+def test_labelled_clause_hashes_as_its_fields():
+    # set iteration orders, and so every output, rest on this hash
+    for lits, labels in [((), frozenset()), ((-2, 1), frozenset([3, 1]))]:
+        assert hash(LabelledClause(lits, labels)) == hash((lits, labels))
 
 
 def example_two():

@@ -214,13 +214,30 @@ def test_incremental_mode_loads_clauses_once():
     assert noninc.stats["load_events"] > inc.stats["load_events"]
 
 
+class _RelaxationCounter:
+    """Counts, between the rounds of one run, the splits (labels new to
+    ``selectors``) and the in-place relaxations (labels whose selector
+    changed)."""
+
+    def __init__(self):
+        self.splits = self.inplace = 0
+        self._live = self._seen = None
+
+    def round(self, selectors):
+        if selectors is self._live:
+            self.splits += len(selectors.keys() - self._seen.keys())
+            self.inplace += sum(selectors[l] != s
+                                for l, s in self._seen.items())
+        self._live, self._seen = selectors, dict(selectors)
+
+
 def test_noninc_loads_each_fresh_solver_with_fresh_encodings(monkeypatch):
     """Each fresh ``noninc`` solver gets one ``load`` batch: the working
     formula in ``sort_key`` order, each clause with one negated selector
     per label, exactly as encoding it from scratch gives, on runs that
     both split labels and relax them in place."""
     loaded = []
-    relaxations = {"on_split": 0, "on_inplace": 0}
+    relaxations = _RelaxationCounter()
     solve_round = solver._NonIncDriver.solve_round
     load = CdclSolver.load
 
@@ -229,6 +246,7 @@ def test_noninc_loads_each_fresh_solver_with_fresh_encodings(monkeypatch):
         return load(eng, batch)
 
     def spy_round(driver, working, selectors, label_of, budget):
+        relaxations.round(selectors)
         want = [encode(list(c.lits) +
                        [-selectors[m] for m in sorted(c.labels)])
                 for c in sorted(working, key=LabelledClause.sort_key)]
@@ -237,15 +255,8 @@ def test_noninc_loads_each_fresh_solver_with_fresh_encodings(monkeypatch):
         assert loaded[before:] == [want]
         return out
 
-    def counting(hook):
-        def spy(*args):
-            relaxations[hook] += 1
-        return spy
-
     monkeypatch.setattr(CdclSolver, "load", spy_load)
     monkeypatch.setattr(solver._NonIncDriver, "solve_round", spy_round)
-    for hook in relaxations:
-        monkeypatch.setattr(solver._NonIncDriver, hook, counting(hook))
     phis = ([lcnf_from_wcnf(random_wcnf(seed, max_weight=4))
              for seed in range(40)] +
             [random_lcnf(seed, nlabels=8) for seed in range(40)])
@@ -256,7 +267,8 @@ def test_noninc_loads_each_fresh_solver_with_fresh_encodings(monkeypatch):
             assert report.status == "unsat-hard"
         else:
             assert report.solution.cost == expect.cost
-    assert min(relaxations.values()) >= 20, relaxations
+    assert min(relaxations.splits, relaxations.inplace) >= 20, \
+        vars(relaxations)
 
 
 def _refuted(clauses):
@@ -274,10 +286,11 @@ def test_noninc_round_cores_are_disjoint_and_stay_cores(monkeypatch):
     solve_round = solver._NonIncDriver.solve_round
     equals1 = solver.encode_equals1
     pending = []  # (working formula, labels) of cores not yet relaxed
-    seen = {"multi": 0, "splits": 0}
-    on_split = solver._NonIncDriver.on_split
+    seen = {"multi": 0}
+    relaxations = _RelaxationCounter()
 
     def spy_round(driver, working, selectors, label_of, budget):
+        relaxations.round(selectors)
         live = set(selectors)
         assert list(selectors) == sorted(selectors)
         assert label_of == {s: l for l, s in selectors.items()}
@@ -298,13 +311,8 @@ def test_noninc_round_cores_are_disjoint_and_stay_cores(monkeypatch):
             assert _refuted(c for c in working if c.labels <= labels)
         return equals1(variables)
 
-    def spy_split(driver, copies, selectors):
-        seen["splits"] += 1
-        return on_split(driver, copies, selectors)
-
     monkeypatch.setattr(solver._NonIncDriver, "solve_round", spy_round)
     monkeypatch.setattr(solver, "encode_equals1", spy_equals1)
-    monkeypatch.setattr(solver._NonIncDriver, "on_split", spy_split)
     for seed in range(30):
         f = random_wcnf(seed, nvars=8, nclauses=30, max_weight=4,
                         hard_fraction=0.1)
@@ -315,7 +323,8 @@ def test_noninc_round_cores_are_disjoint_and_stay_cores(monkeypatch):
         sol = optimum(phi, "wmsu1", "noninc")
         assert sol.cost == brute_force_lcnf_maxsat(phi).cost, seed
         assert not pending
-    assert seen["multi"] >= 20 and seen["splits"] >= 20, seen
+    assert seen["multi"] >= 20 and relaxations.splits >= 20, \
+        (seen, relaxations.splits)
 
 
 def _soft_pigeons(p, h):
@@ -355,9 +364,30 @@ INC_PINS = [
 ]
 
 
-@pytest.mark.parametrize("pin", INC_PINS, ids=lambda p: f"{p[0]}{p[1]}")
-def test_inc_search_is_pinned(pin):
-    kind, seed = pin[:2]
+# (kind, seed, cost, iterations, rounds, conflicts, solves, clauses
+# loaded, load events, CRC of the model) of the same instances in
+# ``noninc``, recorded before the working formula kept its encodings
+NONINC_PINS = [
+    ("wcnf", 0, 9, 7, 4, 2, 12, 323, 5, 1796908317),
+    ("wcnf", 1, 8, 5, 4, 4, 10, 300, 5, 1796908317),
+    ("wcnf", 2, 8, 6, 5, 3, 12, 585, 6, 2699443385),
+    ("wcnf", 3, 10, 7, 4, 2, 12, 261, 5, 2641720432),
+    ("wcnf", 4, 1, 1, 2, 0, 4, 96, 3, 2428972196),
+    ("wcnf", 5, 12, 4, 2, 1, 7, 103, 3, 2861857501),
+    ("lcnf", 0, 5, 4, 5, 5, 10, 658, 6, 1617169556),
+    ("lcnf", 1, 5, 3, 3, 0, 7, 139, 4, 1211730713),
+    ("lcnf", 2, 5, 2, 2, 0, 5, 71, 3, 2254829286),
+    ("lcnf", 3, 4, 3, 4, 0, 8, 371, 5, 1053362120),
+    ("lcnf", 4, 1, 1, 2, 0, 4, 70, 3, 20624874),
+    ("lcnf", 5, 2, 2, 2, 4, 5, 86, 3, 2275908817),
+    ("pigeon", 4, 2, 2, 3, 6, 6, 79, 4, 468213067),
+    ("pigeon", 5, 2, 2, 3, 22, 5, 175, 4, 2605828263),
+    ("pigeon", 6, 2, 2, 3, 76, 5, 316, 4, 403979004),
+    ("pigeon", 7, 2, 2, 3, 556, 5, 517, 4, 3990477161),
+]
+
+
+def _pinned_run(kind, seed, mode):
     if kind == "wcnf":
         phi = lcnf_from_wcnf(random_wcnf(seed, nvars=8, nclauses=40,
                                          max_weight=4, hard_fraction=0.1))
@@ -366,13 +396,28 @@ def test_inc_search_is_pinned(pin):
                           hard_fraction=0.1)
     else:
         phi = lcnf_from_wcnf(_soft_pigeons(seed, seed - 2))
-    report = solve_lcnf(phi, "wmsu1", "inc")
-    st = report.stats
+    report = solve_lcnf(phi, "wmsu1", mode)
     crc = zlib.crc32(repr(sorted(report.solution.model.items())).encode())
-    assert (kind, seed, report.solution.cost, st["iterations"],
-            st["conflicts"], st["solves"], st["clauses_loaded"], crc) == pin
+    return report.solution.cost, report.stats, crc
+
+
+@pytest.mark.parametrize("pin", INC_PINS, ids=lambda p: f"{p[0]}{p[1]}")
+def test_inc_search_is_pinned(pin):
+    kind, seed = pin[:2]
+    cost, st, crc = _pinned_run(kind, seed, "inc")
+    assert (kind, seed, cost, st["iterations"], st["conflicts"],
+            st["solves"], st["clauses_loaded"], crc) == pin
     assert st["load_events"] == 1
     assert st["rounds"] == st["iterations"] + 1
+
+
+@pytest.mark.parametrize("pin", NONINC_PINS, ids=lambda p: f"{p[0]}{p[1]}")
+def test_noninc_search_is_pinned(pin):
+    kind, seed = pin[:2]
+    cost, st, crc = _pinned_run(kind, seed, "noninc")
+    assert (kind, seed, cost, st["iterations"], st["rounds"],
+            st["conflicts"], st["solves"], st["clauses_loaded"],
+            st["load_events"], crc) == pin
 
 
 def test_budget_tripping_inside_a_round_reports_unknown():
