@@ -1,8 +1,9 @@
 """Assumption-based incremental CDCL SAT solver.
 
-Design: two-watched-literal propagation, first-UIP conflict learning,
-activity-driven branching with deterministic lowest-index tie-breaking,
-geometric restarts, no learned-clause deletion.  Assumptions are placed
+Design: two-watched-literal propagation with blocker literals, first-UIP
+conflict learning with local minimization, activity-driven branching
+with deterministic lowest-index tie-breaking and phase saving, Luby
+restarts, no learned-clause deletion.  Assumptions are placed
 as forced decisions on the first decision levels (one per level), and an
 unsatisfiable answer under assumptions carries a failed-assumption
 subset read off the final conflict analysis, so the engine can serve as
@@ -16,6 +17,19 @@ edge (``encode``/``add_clause``, ``solve``'s assumptions, the model and
 the failed assumptions).  ``encode`` canonicalizes a clause once;
 ``load`` adds a batch of encoded clauses, so a caller that rebuilds
 solvers from the same clauses encodes each clause only once.
+
+Each watch list holds ``(clause id, blocker)`` pairs stored flat: a
+watcher whose blocker literal is true is kept without reading its
+clause.  A clause that is some variable's reason keeps that implied
+literal at ``c[0]`` (conflict analysis reads the rest as its
+antecedents).  Learnt-clause minimization drops a literal whose reason's
+other literals are all in the learnt clause or false at the root
+(Sörensson & Biere, SAT 2009); assumption decisions have no reason and
+always stay.  Backtracking saves each unassigned variable's sign and a
+decision reuses it (Pipatsrisawat & Darwiche, SAT 2007); a new variable
+starts false.  Restarts follow the Luby sequence in units of
+``_RESTART_UNIT`` conflicts, counted over the handle's whole life, since
+one ``inc`` solver answers many short calls.
 
 Clauses are permanent once added; deactivation happens outside the
 engine by selector literals finalized with unit clauses.  A handle stays
@@ -37,8 +51,7 @@ UNASSIGNED, TRUE, FALSE = 0, 1, 2
 
 _RESCALE_LIMIT = 1e100
 _ACT_DECAY = 1.0 / 0.95
-_RESTART_FIRST = 100
-_RESTART_FACTOR = 1.5
+_RESTART_UNIT = 64
 # the lazy branching heap is rebuilt from its live entries once it holds
 # this many entries per variable
 _ORDER_SLACK = 4
@@ -57,6 +70,19 @@ class SolveOutcome:
     @property
     def sat(self) -> bool:
         return self.status == "SAT"
+
+
+def _luby(i: int) -> int:
+    """Term ``i`` (from 0) of the Luby sequence 1, 1, 2, 1, 1, 2, 4, ..."""
+    size, seq = 1, 0
+    while size < i + 1:
+        seq += 1
+        size = 2 * size + 1
+    while size - 1 != i:
+        size = (size - 1) >> 1
+        seq -= 1
+        i %= size
+    return 1 << seq
 
 
 def _lit_idx(lit: int) -> int:
@@ -90,6 +116,8 @@ class CdclSolver:
         self._level: List[int] = [0]
         self._reason: List[int] = [-1]  # clause id or -1, per variable
         self._activity: List[float] = [0.0]
+        self._phase = bytearray(1)  # saved sign per variable: 1 is false
+        # per literal index: clause id, blocker, clause id, blocker, ...
         self._watches: List[List[int]] = [[], []]
         self._clauses: List[List[int]] = []
         self._trail: List[int] = []
@@ -99,9 +127,11 @@ class CdclSolver:
         self._var_inc = 1.0
         self._unsat0 = False
         self._seen = bytearray(1)
+        self._next_restart = _RESTART_UNIT * _luby(0)
         self.stats: Dict[str, int] = {
             "conflicts": 0, "decisions": 0, "propagations": 0,
-            "clauses_added": 0, "solves": 0,
+            "clauses_added": 0, "solves": 0, "restarts": 0,
+            "minimized_literals": 0,
         }
 
     # -- variables ---------------------------------------------------------
@@ -121,6 +151,7 @@ class CdclSolver:
         self._reason.extend([-1] * n)
         self._activity.extend([0.0] * n)
         self._watches.extend([[] for _ in range(2 * n)])
+        self._phase.extend(b"\x01" * n)
         self._seen.extend(bytes(n))
         # no heap entry is smaller than (0.0, u) for a new, highest u, so
         # appending these is what pushing them one by one would do
@@ -155,8 +186,13 @@ class CdclSolver:
                 continue
             if n > 1:
                 store(out)
-                watches[out[0]].append(cid)
-                watches[out[1]].append(cid)
+                a, b = out[0], out[1]
+                wl = watches[a]
+                wl.append(cid)
+                wl.append(b)
+                wl = watches[b]
+                wl.append(cid)
+                wl.append(a)
                 cid += 1
             elif not out or not self._enqueue(out[0], -1):
                 self._unsat0 = True
@@ -182,6 +218,7 @@ class CdclSolver:
         trail = self._trail
         val = self._val
         reason = self._reason
+        phase = self._phase
         act = self._activity
         order = self._order
         bound = trail_lim[level]
@@ -191,6 +228,7 @@ class CdclSolver:
             val[p ^ 1] = UNASSIGNED
             v = p >> 1
             reason[v] = -1
+            phase[v] = p & 1
             heappush(order, (-act[v], v))
         del trail[bound:]
         del trail_lim[level:]
@@ -230,7 +268,13 @@ class CdclSolver:
             i = j = 0
             while i < n:
                 cid = ws[i]
-                i += 1
+                blk = ws[i + 1]
+                i += 2
+                if val[blk] == TRUE:
+                    ws[j] = cid
+                    ws[j + 1] = blk
+                    j += 2
+                    continue
                 c = clauses[cid]
                 first = c[0]
                 if first == fl:
@@ -238,24 +282,24 @@ class CdclSolver:
                     c[1] = fl
                 if val[first] == TRUE:
                     ws[j] = cid
-                    j += 1
+                    ws[j + 1] = first
+                    j += 2
                     continue
                 for k in range(2, len(c)):
                     lk = c[k]
                     if val[lk] != FALSE:
                         c[1] = lk
                         c[k] = fl
-                        watches[lk].append(cid)
+                        wl = watches[lk]
+                        wl.append(cid)
+                        wl.append(first)
                         break
                 else:
                     ws[j] = cid
-                    j += 1
+                    ws[j + 1] = first
+                    j += 2
                     if val[first] == FALSE:
                         confl = cid
-                        while i < n:  # keep the remaining watchers
-                            ws[j] = ws[i]
-                            j += 1
-                            i += 1
                         break
                     val[first] = TRUE
                     val[first ^ 1] = FALSE
@@ -263,7 +307,7 @@ class CdclSolver:
                     level[v] = dl
                     reason[v] = cid
                     trail.append(first)
-            del ws[j:]
+            del ws[j:i]  # after a conflict the unvisited watchers stay
             if confl >= 0:
                 break
         self.stats["propagations"] += qhead - start
@@ -280,7 +324,8 @@ class CdclSolver:
         self._rebuild_order()
 
     def _analyze(self, confl: int) -> Tuple[List[int], int]:
-        """First-UIP learned clause and its backjump level."""
+        """First-UIP learned clause, locally minimized, and its backjump
+        level."""
         seen = self._seen
         level = self._level
         trail = self._trail
@@ -317,6 +362,24 @@ class CdclSolver:
                 break
             confl = reason[p >> 1]
         learnt[0] = p ^ 1
+        # seen now marks exactly the variables of learnt[1:]; a literal
+        # implied by other marked or root-false literals is redundant
+        # (marks of dropped literals stay: each is implied by earlier ones)
+        n = len(learnt)
+        j = 1
+        for k in range(1, n):
+            q = learnt[k]
+            r = reason[q >> 1]
+            if r >= 0:
+                for x in clauses[r][1:]:
+                    if not seen[x >> 1] and level[x >> 1] > 0:
+                        break
+                else:
+                    continue
+            learnt[j] = q
+            j += 1
+        del learnt[j:]
+        self.stats["minimized_literals"] += n - j
         for v in cleanup:
             seen[v] = 0
         if len(learnt) == 1:
@@ -378,8 +441,9 @@ class CdclSolver:
         val = self._val
         trail = self._trail
         trail_lim = self._trail_lim
+        phase = self._phase
+        stats = self.stats
         conflicts = 0
-        restart_at = _RESTART_FIRST
         while True:
             confl = self._propagate()
             if confl >= 0:
@@ -387,7 +451,7 @@ class CdclSolver:
                     self._unsat0 = True
                     return SolveOutcome("UNSAT", failed_assumptions=frozenset())
                 conflicts += 1
-                self.stats["conflicts"] += 1
+                stats["conflicts"] += 1
                 if conflict_budget is not None and conflicts > conflict_budget:
                     self._cancel_until(0)
                     raise BudgetExceededError(
@@ -402,12 +466,14 @@ class CdclSolver:
                 else:
                     cid = len(self._clauses)
                     self._clauses.append(learnt)
-                    self._watches[learnt[0]].append(cid)
-                    self._watches[learnt[1]].append(cid)
+                    self._watches[learnt[0]] += (cid, learnt[1])
+                    self._watches[learnt[1]] += (cid, learnt[0])
                     self._enqueue(learnt[0], cid)
                 self._var_inc *= _ACT_DECAY
-                if conflicts >= restart_at:
-                    restart_at = int(restart_at * _RESTART_FACTOR)
+                if stats["conflicts"] >= self._next_restart:
+                    stats["restarts"] += 1
+                    self._next_restart = stats["conflicts"] + (
+                        _RESTART_UNIT * _luby(stats["restarts"]))
                     self._cancel_until(0)
                 continue
             dl = len(trail_lim)
@@ -430,6 +496,6 @@ class CdclSolver:
                              for u in range(1, self.num_vars + 1)}
                     self._cancel_until(0)
                     return SolveOutcome("SAT", model=model)
-                self.stats["decisions"] += 1
+                stats["decisions"] += 1
                 trail_lim.append(len(trail))
-                self._enqueue((v << 1) | 1, -1)  # default polarity: false
+                self._enqueue((v << 1) | phase[v], -1)

@@ -127,8 +127,8 @@ def _new_solver(nv_orig: int, stats: Dict[str, int]) -> CdclSolver:
 
 def _count(stats: Dict[str, int], eng: CdclSolver) -> None:
     stats["clauses_loaded"] += eng.stats["clauses_added"]
-    stats["conflicts"] += eng.stats["conflicts"]
-    stats["solves"] += eng.stats["solves"]
+    for k in ("conflicts", "solves", "restarts", "minimized_literals"):
+        stats[k] += eng.stats[k]
 
 
 class _NonIncDriver:
@@ -320,7 +320,8 @@ def solve_lcnf(phi: LCNF, algorithm: str = "wmsu1", mode: str = "noninc",
         raise ValueError("fumalik requires all label weights equal to 1")
 
     stats = {"iterations": 0, "rounds": 0, "load_events": 0,
-             "clauses_loaded": 0, "solves": 0, "conflicts": 0}
+             "clauses_loaded": 0, "solves": 0, "conflicts": 0,
+             "restarts": 0, "minimized_literals": 0}
     nv_orig = phi.max_var()
     variables = count(nv_orig + 1)
     label_ids = count(max(phi.label_weights, default=0) + 1)

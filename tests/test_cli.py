@@ -224,6 +224,8 @@ def test_solve_trace_lines_precede_solution(tmp_path, capsys):
     assert any(l.startswith("c round 1: ") for l in lines)
     assert any(l.startswith("c stat load_events ") for l in lines)
     assert any(l.startswith("c stat rounds ") for l in lines)
+    assert any(l.startswith("c stat restarts ") for l in lines)
+    assert any(l.startswith("c stat minimized_literals ") for l in lines)
     assert lines[-3] == "o 2"
 
 
@@ -368,3 +370,13 @@ def test_importing_the_cli_does_not_load_the_oracle():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=env)
     assert out.stdout.strip() == "False"
+
+
+def test_python_dash_m_runs_the_cli():
+    src = os.path.dirname(os.path.dirname(labelmax.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-m", "labelmax", "fuzz", "--n",
+                          "5"], capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("c fuzz: 5 instances")
+    assert "0 mismatches" in out.stdout

@@ -6,7 +6,8 @@ import zlib
 
 import pytest
 
-from labelmax.engine import BudgetExceededError, CdclSolver, encode
+from labelmax.engine import (BudgetExceededError, CdclSolver, _idx_lit,
+                             _luby, encode)
 from labelmax.oracle import random_cnf, truth_table_sat
 
 
@@ -130,6 +131,7 @@ def test_random_instances_agree_with_truth_tables():
         expect = truth_table_sat(clauses, nv) is not None
         out, s = solve_clauses(clauses)
         assert out.sat == expect, (seed, clauses)
+        _assert_watches_consistent(s)
         if out.sat:
             for c in clauses:
                 assert any((l > 0) == bool(out.model[abs(l)]) for l in c)
@@ -148,6 +150,7 @@ def test_random_assumption_cores_are_sound():
         for c in clauses:
             s.add_clause(c)
         out = s.solve(assumptions)
+        _assert_watches_consistent(s)
         expect = truth_table_sat(
             list(clauses) + [(a,) for a in assumptions], nv) is not None
         assert out.sat == expect, (seed, assumptions)
@@ -231,7 +234,22 @@ def _k_sat(seed, nvars, nclauses, k=3):
             for _ in range(nclauses)]
 
 
+def _assert_watches_consistent(s):
+    """Every stored clause is watched by exactly ``c[0]`` and ``c[1]``,
+    once each, and every watcher's blocker is a literal of its clause."""
+    watched = []
+    for lit, ws in enumerate(s._watches):
+        assert len(ws) % 2 == 0
+        for cid, blk in zip(ws[::2], ws[1::2]):
+            assert blk in s._clauses[cid], (cid, blk)
+            watched.append((cid, lit))
+    expect = [(cid, l) for cid, c in enumerate(s._clauses) for l in c[:2]]
+    assert all(len(c) >= 2 for c in s._clauses)
+    assert sorted(watched) == sorted(expect)
+
+
 def _row(out, s):
+    _assert_watches_consistent(s)
     model = 0
     if out.sat:
         model = zlib.crc32(bytes(out.model[v] for v in sorted(out.model)))
@@ -369,6 +387,99 @@ def test_branching_heap_stays_bounded():
         assert len(s._order) <= 4 * s.num_vars
 
 
+def test_luby_sequence():
+    assert [_luby(i) for i in range(15)] == [1, 1, 2, 1, 1, 2, 4, 1, 1, 2,
+                                             1, 1, 2, 4, 8]
+
+
+def _dpll(clauses, assign):
+    """Plain DPLL without learning: is there a model of ``clauses`` that
+    extends ``assign`` (variable -> bool)?"""
+    assign = dict(assign)
+    changed = True
+    while changed:  # unit propagation, then the shortest open clause
+        changed = False
+        shortest = None
+        for c in clauses:
+            free = []
+            for l in c:
+                v = assign.get(abs(l))
+                if v is None:
+                    free.append(l)
+                elif v == (l > 0):
+                    break
+            else:
+                if not free:
+                    return False
+                if len(free) == 1:
+                    assign[abs(free[0])] = free[0] > 0
+                    changed = True
+                elif shortest is None or len(free) < len(shortest):
+                    shortest = free
+    if shortest is None:
+        return True
+    l = shortest[0]
+    return (_dpll(clauses, {**assign, abs(l): l > 0})
+            or _dpll(clauses, {**assign, abs(l): l < 0}))
+
+
+def _learnt_during(clauses, histories):
+    """Every clause learnt while solving under each assumption list in
+    turn on one handle, as DIMACS literals."""
+    s = CdclSolver()
+    learnt = []
+    analyze = s._analyze
+
+    def spy(confl):
+        out = analyze(confl)
+        learnt.append([_idx_lit(i) for i in out[0]])
+        return out
+
+    s._analyze = spy
+    for c in clauses:
+        s.add_clause(c)
+    for a in histories:
+        s.solve(a)
+        _assert_watches_consistent(s)
+    return learnt
+
+
+def _selector_pigeons(p):
+    """PHP(p, p - 1) with each pigeon's clause guarded by a selector: the
+    clauses alone are satisfiable, all selectors together are not."""
+    h = p - 1
+    x = lambda i, j: i * h + j + 1  # noqa: E731
+    sel = [p * h + i + 1 for i in range(p)]
+    clauses = [[x(i, j) for j in range(h)] + [-sel[i]] for i in range(p)]
+    for j in range(h):
+        for a, b in itertools.combinations(range(p), 2):
+            clauses.append([-x(a, j), -x(b, j)])
+    return clauses, sel
+
+
+def test_every_learnt_clause_follows_from_the_input():
+    """Each learnt clause, minimized, is implied by the clauses loaded:
+    with its literals all false they are unsatisfiable, checked by a
+    DPLL that learns nothing.  Answers and cores alone miss an unsound
+    minimization that drops a literal now and then."""
+    cases = []
+    for p in (5, 6, 7):
+        clauses, sel = _selector_pigeons(p)
+        cases.append((clauses, [sel]))
+    for seed in range(20):
+        nv = 20 + 5 * (seed % 3)
+        rng = random.Random(seed)
+        cases.append((list(_k_sat(seed, nv, int(nv * 4.26))),
+                      [[], _random_assumptions(rng, nv, 5)]))
+    total = 0
+    for clauses, histories in cases:
+        learnt = _learnt_during(clauses, histories)
+        for c in learnt:
+            assert not _dpll(clauses, {abs(l): l < 0 for l in c}), c
+        total += len(learnt)
+    assert total >= 1000, total
+
+
 def test_search_pinned_on_random_cnf_with_assumptions():
     for seed, rows in RANDOM_CNF_ROWS.items():
         assert pinned_random_cnf_rows(seed) == rows, seed
@@ -383,8 +494,8 @@ def test_search_pinned_on_incremental_selector_loop():
     assert pinned_incremental_rows() == INCREMENTAL_ROWS
 
 
-# Recorded with the DIMACS-integer engine that the literal-index one
-# replaced; the search must not move.
+# Recorded with blocker literals, local learnt-clause minimization, phase
+# saving and Luby restarts; a change to any of them moves these rows.
 RANDOM_CNF_ROWS = {
     0: [
         ('UNSAT', (), 0, 0, 4, 0),
@@ -392,14 +503,14 @@ RANDOM_CNF_ROWS = {
         ('UNSAT', (), 0, 0, 4, 0),
     ],
     1: [
-        ('SAT', (), 1, 8, 13, 1022999991),
-        ('UNSAT', (3,), 1, 8, 13, 0),
-        ('UNSAT', (-2,), 1, 8, 15, 0),
+        ('SAT', (), 1, 7, 13, 3913845864),
+        ('UNSAT', (3,), 1, 7, 13, 0),
+        ('UNSAT', (-2,), 1, 7, 15, 0),
     ],
     2: [
         ('SAT', (), 0, 6, 12, 1915753420),
         ('UNSAT', (-2,), 0, 6, 13, 0),
-        ('SAT', (), 0, 9, 23, 3614491070),
+        ('SAT', (), 0, 9, 23, 3463180543),
     ],
     3: [
         ('SAT', (), 0, 10, 13, 259278466),
@@ -488,8 +599,8 @@ RANDOM_CNF_ROWS = {
     ],
     20: [
         ('SAT', (), 0, 13, 16, 3155499678),
-        ('SAT', (), 0, 21, 31, 4097170978),
-        ('SAT', (), 0, 29, 46, 246153360),
+        ('SAT', (), 0, 21, 31, 3979276131),
+        ('SAT', (), 0, 29, 46, 1196338715),
     ],
     21: [
         ('SAT', (), 0, 4, 10, 820658383),
@@ -509,7 +620,7 @@ RANDOM_CNF_ROWS = {
     24: [
         ('SAT', (), 0, 6, 13, 2371804012),
         ('SAT', (), 0, 9, 21, 2226851535),
-        ('SAT', (), 0, 11, 29, 2024946661),
+        ('SAT', (), 0, 11, 29, 1719228212),
     ],
     25: [
         ('UNSAT', (), 0, 0, 0, 0),
@@ -590,54 +701,48 @@ RANDOM_CNF_ROWS = {
 
 K_SAT_ROWS = {
     0: [
-        ('UNSAT', (), 36, 50, 454, 0),
-        ('UNSAT', (), 36, 50, 454, 0),
-        ('UNSAT', (), 36, 50, 454, 0),
+        ('UNSAT', (), 40, 43, 501, 0),
+        ('UNSAT', (), 40, 43, 501, 0),
+        ('UNSAT', (), 40, 43, 501, 0),
     ],
     1: [
-        ('UNSAT', (), 62, 90, 890, 0),
-        ('UNSAT', (), 62, 90, 890, 0),
-        ('UNSAT', (), 62, 90, 890, 0),
+        ('UNSAT', (), 56, 62, 772, 0),
+        ('UNSAT', (), 56, 62, 772, 0),
+        ('UNSAT', (), 56, 62, 772, 0),
     ],
     2: [
-        ('SAT', (), 45, 61, 807, 2176092416),
-        ('UNSAT', (-55, -4, 6, 24, 56), 59, 75, 981, 0),
-        ('UNSAT', (-44, -38, -26, -11, 41), 62, 76, 1046, 0),
+        ('SAT', (), 33, 56, 600, 2176092416),
+        ('UNSAT', (-4, 6, 24, 56), 45, 68, 731, 0),
+        ('UNSAT', (-44, -38, -26, -11, 28, 41), 50, 70, 813, 0),
     ],
     3: [
-        ('SAT', (), 67, 83, 1284, 1232480364),
-        ('UNSAT', (-48, -17, 31, 61, 70), 98, 123, 1891, 0),
-        ('UNSAT', (-56, -30, -25, 51, 61), 103, 129, 1989, 0),
+        ('SAT', (), 117, 146, 2146, 1667021783),
+        ('UNSAT', (-48, -17, 31, 61, 70), 146, 179, 2694, 0),
+        ('UNSAT', (-56, -30, -25, 51, 61), 149, 182, 2768, 0),
     ],
     4: [
-        ('SAT', (), 37, 67, 786, 3880864893),
-        ('UNSAT', (-62, 14, 31, 39, 51), 55, 89, 1234, 0),
-        ('UNSAT', (-69, 36, 67), 55, 89, 1245, 0),
+        ('SAT', (), 39, 63, 726, 501249533),
+        ('UNSAT', (-62, 14, 31, 39, 51), 52, 75, 1110, 0),
+        ('UNSAT', (-69, 36, 67), 52, 75, 1121, 0),
     ],
     5: [
-        ('UNSAT', (), 431, 534, 9320, 0),
-        ('UNSAT', (), 431, 534, 9320, 0),
-        ('UNSAT', (), 431, 534, 9320, 0),
+        ('UNSAT', (), 443, 561, 9475, 0),
+        ('UNSAT', (), 443, 561, 9475, 0),
+        ('UNSAT', (), 443, 561, 9475, 0),
     ],
 }
 
 INCREMENTAL_ROWS = [
     ('UNSAT', (31, 32, 35, 38, 39, 40, 42, 45, 46, 47, 48, 49, 54), 9, 1, 212,
      0),
-    ('UNSAT', (56, 58, 64, 69, 74, 85), 12, 2, 320, 0),
-    ('UNSAT',
-     (44, 50, 51, 53, 57, 60, 63, 66, 67, 68, 70, 77, 92, 100, 104, 106, 110,
-      112, 114, 116),
-     19, 5, 497, 0),
-    ('UNSAT', (41, 43, 52, 55, 59, 62, 72, 79, 83, 89, 126, 128), 24, 11, 691,
-     0),
-    ('UNSAT',
-     (61, 71, 73, 75, 82, 87, 94, 96, 108, 118, 120, 136, 140, 144, 150, 156,
-      158, 164, 168, 172, 174, 180, 182, 188, 192),
-     38, 24, 1130, 0),
-    ('UNSAT',
-     (34, 37, 78, 80, 81, 84, 88, 170, 176, 178, 196, 198, 204, 210, 212, 214,
-      216, 220, 226),
-     63, 60, 1688, 0),
-    ('SAT', (), 78, 101, 2316, 2934511140),
+    ('UNSAT', (56, 58, 64, 69, 74, 85), 11, 2, 316, 0),
+    ('UNSAT', (44, 50, 51, 53, 60, 61, 63, 67, 68, 70, 77, 92, 100, 104, 106,
+     110, 112, 114, 116), 17, 5, 500, 0),
+    ('UNSAT', (43, 52, 59, 62, 66, 71, 72, 78, 79, 83, 87, 89, 96, 102, 140,
+     154), 24, 11, 687, 0),
+    ('UNSAT', (34, 37, 57, 65, 82, 86, 90, 118, 120, 122, 126, 128, 146, 158,
+     166, 172, 182, 190, 192, 194, 196, 198), 36, 23, 981, 0),
+    ('UNSAT', (33, 41, 55, 75, 81, 136, 148, 150, 164, 168, 174, 176, 178, 180,
+     188), 51, 36, 1392, 0),
+    ('SAT', (), 65, 74, 2052, 1569472237),
 ]

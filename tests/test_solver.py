@@ -342,48 +342,49 @@ def _soft_pigeons(p, h):
 
 
 # (kind, seed, cost, iterations, conflicts, solves, clauses loaded, CRC of
-# the model), recorded with the one-core-per-call loop that preceded
-# rounds; ``inc`` must keep that search exactly
+# the model), recorded with the engine that saves phases, minimizes
+# learnt clauses and restarts on the Luby sequence; costs are the
+# optima, the other fields pin the search
 INC_PINS = [
     ("wcnf", 0, 9, 7, 1, 9, 109, 1796908317),
-    ("wcnf", 1, 8, 5, 3, 7, 138, 1796908317),
-    ("wcnf", 2, 8, 8, 2, 10, 313, 2699443385),
+    ("wcnf", 1, 8, 5, 3, 7, 138, 2861857501),
+    ("wcnf", 2, 8, 8, 1, 10, 313, 2699443385),
     ("wcnf", 3, 10, 7, 2, 9, 92, 2641720432),
     ("wcnf", 4, 1, 1, 0, 3, 58, 2428972196),
     ("wcnf", 5, 12, 4, 0, 6, 71, 2861857501),
-    ("lcnf", 0, 5, 4, 1, 6, 433, 1617169556),
+    ("lcnf", 0, 5, 4, 2, 6, 433, 1638295203),
     ("lcnf", 1, 5, 3, 0, 5, 82, 1211730713),
     ("lcnf", 2, 5, 2, 0, 4, 55, 2254829286),
-    ("lcnf", 3, 4, 3, 0, 5, 218, 1053362120),
-    ("lcnf", 4, 1, 1, 0, 3, 53, 20624874),
-    ("lcnf", 5, 2, 2, 3, 4, 81, 2275908817),
+    ("lcnf", 3, 4, 3, 0, 5, 218, 3641350029),
+    ("lcnf", 4, 1, 1, 0, 3, 53, 3604493746),
+    ("lcnf", 5, 2, 2, 2, 4, 81, 2275908817),
     ("pigeon", 4, 2, 2, 5, 4, 38, 468213067),
-    ("pigeon", 5, 2, 2, 17, 4, 80, 2605828263),
-    ("pigeon", 6, 2, 2, 63, 4, 133, 3256629391),
-    ("pigeon", 7, 2, 2, 446, 4, 187, 2797483663),
+    ("pigeon", 5, 2, 2, 16, 4, 73, 2073198877),
+    ("pigeon", 6, 2, 2, 68, 4, 133, 3063210389),
+    ("pigeon", 7, 2, 2, 481, 4, 187, 2440576270),
 ]
 
 
 # (kind, seed, cost, iterations, rounds, conflicts, solves, clauses
 # loaded, load events, CRC of the model) of the same instances in
-# ``noninc``, recorded before the working formula kept its encodings
+# ``noninc``, recorded with the same engine
 NONINC_PINS = [
     ("wcnf", 0, 9, 7, 4, 2, 12, 323, 5, 1796908317),
-    ("wcnf", 1, 8, 5, 4, 4, 10, 300, 5, 1796908317),
-    ("wcnf", 2, 8, 6, 5, 3, 12, 585, 6, 2699443385),
+    ("wcnf", 1, 8, 5, 4, 3, 10, 300, 5, 1796908317),
+    ("wcnf", 2, 8, 6, 5, 4, 12, 585, 6, 2699443385),
     ("wcnf", 3, 10, 7, 4, 2, 12, 261, 5, 2641720432),
     ("wcnf", 4, 1, 1, 2, 0, 4, 96, 3, 2428972196),
-    ("wcnf", 5, 12, 4, 2, 1, 7, 103, 3, 2861857501),
-    ("lcnf", 0, 5, 4, 5, 5, 10, 658, 6, 1617169556),
+    ("wcnf", 5, 12, 4, 2, 0, 7, 103, 3, 2861857501),
+    ("lcnf", 0, 5, 4, 5, 2, 10, 658, 6, 1617169556),
     ("lcnf", 1, 5, 3, 3, 0, 7, 139, 4, 1211730713),
     ("lcnf", 2, 5, 2, 2, 0, 5, 71, 3, 2254829286),
     ("lcnf", 3, 4, 3, 4, 0, 8, 371, 5, 1053362120),
     ("lcnf", 4, 1, 1, 2, 0, 4, 70, 3, 20624874),
-    ("lcnf", 5, 2, 2, 2, 4, 5, 86, 3, 2275908817),
+    ("lcnf", 5, 2, 2, 2, 3, 5, 86, 3, 2275908817),
     ("pigeon", 4, 2, 2, 3, 6, 6, 79, 4, 468213067),
-    ("pigeon", 5, 2, 2, 3, 22, 5, 175, 4, 2605828263),
-    ("pigeon", 6, 2, 2, 3, 76, 5, 316, 4, 403979004),
-    ("pigeon", 7, 2, 2, 3, 556, 5, 517, 4, 3990477161),
+    ("pigeon", 5, 2, 2, 3, 23, 5, 175, 4, 3892840894),
+    ("pigeon", 6, 2, 2, 3, 93, 5, 316, 4, 3229588162),
+    ("pigeon", 7, 2, 2, 3, 728, 5, 524, 4, 1063979363),
 ]
 
 
@@ -418,6 +419,12 @@ def test_noninc_search_is_pinned(pin):
     assert (kind, seed, cost, st["iterations"], st["rounds"],
             st["conflicts"], st["solves"], st["clauses_loaded"],
             st["load_events"], crc) == pin
+
+
+@pytest.mark.parametrize("mode", ["inc", "noninc"])
+def test_engine_restarts_and_minimization_reach_the_run_stats(mode):
+    _, st, _ = _pinned_run("pigeon", 7, mode)
+    assert st["restarts"] > 0 and st["minimized_literals"] > 0
 
 
 def test_budget_tripping_inside_a_round_reports_unknown():
