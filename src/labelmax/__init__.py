@@ -22,7 +22,7 @@ from .model import (
     lcnf_from_wcnf,
 )
 from .bce import bce_fixpoint, bce_reconstruct
-from .lcnf_prep import PrepConfig, bve_reconstruct, preprocess_lcnf
+from .lcnf_prep import bve_reconstruct, preprocess_lcnf
 from .reduction import lcnf_to_wcnf, lift_reduction_solution
 from .solver import SolveReport, solve_lcnf
 from .cli import PipelineError, run_pipeline
@@ -36,7 +36,6 @@ __all__ = [
     "LabelledClause",
     "MaxSatSolution",
     "PipelineError",
-    "PrepConfig",
     "SolveReport",
     "WCNF",
     "WeightOverflowError",

@@ -22,7 +22,6 @@ MUS and never triggers a reconstruction flip.
 
 from __future__ import annotations
 
-import random
 from collections import deque
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Set, Tuple
@@ -87,13 +86,13 @@ def _blocking_lit_of_tautology(c: ClauseT) -> int:
     return min(l for l in s if l > 0 and -l in s)
 
 
-def bce_fixpoint(f: WCNF, shuffle_seed: Optional[int] = None
-                 ) -> Tuple[WCNF, BceRecord]:
+def bce_fixpoint(f: WCNF) -> Tuple[WCNF, BceRecord]:
     """Remove tautologies, then blocked clauses to fixpoint.
 
-    Returns the reduced formula and the elimination record.  The result
-    is order-independent (confluence); ``shuffle_seed`` permutes the
-    worklist to let tests exercise that.
+    Returns the reduced formula and the elimination record.  Clauses are
+    tried in sorted order, and a removal queues the clauses sharing a
+    variable with the removed one.  The surviving clauses do not depend
+    on that order (confluence); the record does.
     """
     # distinct clause -> weighted occurrences, preserving input order
     occurrences: Dict[ClauseT, List[Tuple[str, Optional[int], Optional[int]]]] = {}
@@ -103,11 +102,9 @@ def bce_fixpoint(f: WCNF, shuffle_seed: Optional[int] = None
         occurrences.setdefault(c, []).append(("soft", i, w))
 
     present: Set[ClauseT] = set(occurrences)
-    by_var: Dict[int, Set[ClauseT]] = {}
     by_lit: Dict[int, Set[ClauseT]] = {}
     for c in present:
         for l in c:
-            by_var.setdefault(abs(l), set()).add(c)
             by_lit.setdefault(l, set()).add(c)
 
     record: BceRecord = []
@@ -115,15 +112,11 @@ def bce_fixpoint(f: WCNF, shuffle_seed: Optional[int] = None
     def remove(c: ClauseT, lit: int) -> None:
         present.discard(c)
         for l in c:
-            by_var[abs(l)].discard(c)
             by_lit[l].discard(c)
         for kind, idx, w in occurrences[c]:
             record.append(BceEntry(c, lit, kind, idx, w))
 
     order = sorted(present)
-    if shuffle_seed is not None:
-        random.Random(shuffle_seed).shuffle(order)
-
     for c in order:
         if is_tautology(c):
             remove(c, _blocking_lit_of_tautology(c))
@@ -142,7 +135,8 @@ def bce_fixpoint(f: WCNF, shuffle_seed: Optional[int] = None
                 # only clauses sharing a variable can become blocked now
                 neighbours = set()
                 for q in c:
-                    neighbours |= by_var.get(abs(q), set())
+                    neighbours |= by_lit.get(q, set())
+                    neighbours |= by_lit.get(-q, set())
                 for n in sorted(neighbours):
                     if n not in queued:
                         queue.append(n)
@@ -152,7 +146,6 @@ def bce_fixpoint(f: WCNF, shuffle_seed: Optional[int] = None
     out = WCNF(num_vars=f.num_vars)
     out.hard = [c for c in f.hard if c in present]
     out.soft = [(c, w) for c, w in f.soft if c in present]
-    out.num_vars = f.num_vars
     return out, record
 
 

@@ -18,8 +18,7 @@ import sys
 from typing import Callable, Dict, List, NamedTuple, Optional
 
 from .bce import BceRecord, bce_fixpoint, bce_reconstruct, write_record_sidecar
-from .dimacs import (ParseError, ParsedInstance, parse_auto, write_solution,
-                     write_wcnf)
+from .dimacs import ParseError, parse_auto, write_solution, write_wcnf
 from .lcnf_prep import BveRecord, bve_reconstruct, dump_lcnf, preprocess_lcnf
 from .model import (LCNF, MaxSatSolution, WCNF, clause_satisfied,
                     lcnf_from_wcnf)
@@ -41,7 +40,7 @@ class Preprocessed(NamedTuple):
     bve_rec: BveRecord
 
 
-def _preprocess(f: WCNF, prep: str, shuffle_seed: Optional[int] = None,
+def _preprocess(f: WCNF, prep: str,
                 trace: Optional[Callable[[str], None]] = None
                 ) -> Preprocessed:
     """The preprocessing sequence of ``solve`` and ``preprocess``: BCE
@@ -52,7 +51,7 @@ def _preprocess(f: WCNF, prep: str, shuffle_seed: Optional[int] = None,
     steps = prep.split(",")
     bce_rec: BceRecord = []
     if "bce" in steps:
-        f, bce_rec = bce_fixpoint(f, shuffle_seed=shuffle_seed)
+        f, bce_rec = bce_fixpoint(f)
         if trace:
             trace(f"bce: removed {len(bce_rec)} clauses")
     phi = phi_rs = lcnf_from_wcnf(f)
@@ -68,18 +67,17 @@ def _preprocess(f: WCNF, prep: str, shuffle_seed: Optional[int] = None,
 def run_pipeline(f: WCNF, prep: str = "bce,rs", mode: str = "noninc",
                  algorithm: str = "wmsu1",
                  conflict_budget: Optional[int] = None,
-                 trace: Optional[Callable[[str], None]] = None,
-                 shuffle_seed: Optional[int] = None,
-                 verify: bool = True) -> SolveReport:
+                 trace: Optional[Callable[[str], None]] = None
+                 ) -> SolveReport:
     """Solve a weighted formula end to end.
 
     Preprocessing is sound but not free: the answer must not depend on
     ``prep``, ``mode`` or ``algorithm``, only the work done may.  The
-    returned model is total over variables 1..f.num_vars and, when
-    ``verify`` is left on, has been re-evaluated against ``f`` itself:
-    hard clauses satisfied, falsified soft weight equal to the cost.
+    returned model is total over variables 1..f.num_vars and has been
+    re-evaluated against ``f`` itself: hard clauses satisfied, falsified
+    soft weight equal to the cost.
     """
-    pre = _preprocess(f, prep, shuffle_seed, trace)
+    pre = _preprocess(f, prep, trace)
     report = solve_lcnf(pre.lcnf, algorithm=algorithm, mode=mode,
                         conflict_budget=conflict_budget, trace=trace)
     stats = dict(report.stats)
@@ -98,16 +96,15 @@ def run_pipeline(f: WCNF, prep: str = "bce,rs", mode: str = "noninc",
     falsified = frozenset(
         i for i, (c, _) in enumerate(f.soft, start=1)
         if not clause_satisfied(c, model))
-    if verify:
-        for c in f.hard:
-            if not clause_satisfied(c, model):
-                raise PipelineError(
-                    f"reconstructed model falsifies hard clause {c}")
-        recomputed = f.cost_of(model)
-        if recomputed != inner.cost:
+    for c in f.hard:
+        if not clause_satisfied(c, model):
             raise PipelineError(
-                f"cost mismatch: solver reported {inner.cost}, "
-                f"model costs {recomputed}")
+                f"reconstructed model falsifies hard clause {c}")
+    recomputed = f.cost_of(model)
+    if recomputed != inner.cost:
+        raise PipelineError(
+            f"cost mismatch: solver reported {inner.cost}, "
+            f"model costs {recomputed}")
     return SolveReport(
         "optimum", MaxSatSolution(model, inner.cost, falsified), stats)
 
@@ -122,11 +119,11 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
-def _parse_reporting_warnings(path: str) -> ParsedInstance:
+def _parse_reporting_warnings(path: str) -> WCNF:
     parsed = parse_auto(_read_text(path))
     for w in parsed.warnings:
         print(f"c warning: {w}")
-    return parsed
+    return parsed.wcnf
 
 
 def _status_code(status: str) -> int:
@@ -138,20 +135,18 @@ def _status_code(status: str) -> int:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    parsed = _parse_reporting_warnings(args.file)
+    f = _parse_reporting_warnings(args.file)
     trace_cb = None
     if args.trace:
         def trace_cb(msg: str) -> None:
             print("c " + msg)
-    res = run_pipeline(parsed.wcnf, prep=args.prep, mode=args.mode,
+    res = run_pipeline(f, prep=args.prep, mode=args.mode,
                        algorithm=args.alg, conflict_budget=args.budget,
-                       trace=trace_cb, shuffle_seed=args.seed,
-                       verify=not args.no_verify)
+                       trace=trace_cb)
     if args.trace:
         for k in sorted(res.stats):
             print(f"c stat {k} {res.stats[k]}")
-    nv = max(parsed.num_vars_declared, parsed.wcnf.num_vars)
-    sys.stdout.write(write_solution(res.solution, res.status, nv))
+    sys.stdout.write(write_solution(res.solution, res.status, f.num_vars))
     return _status_code(res.status)
 
 
@@ -170,9 +165,8 @@ def _sidecar_payload(f: WCNF, bce_rec: BceRecord, bve_rec: BveRecord,
 
 
 def _cmd_preprocess(args: argparse.Namespace) -> int:
-    parsed = _parse_reporting_warnings(args.file)
-    f, bce_rec, _, phi, bve_rec = _preprocess(parsed.wcnf, args.prep,
-                                              args.seed)
+    f, bce_rec, _, phi, bve_rec = _preprocess(
+        _parse_reporting_warnings(args.file), args.prep)
 
     if args.emit_wcnf:
         enc, selectors = lcnf_to_wcnf(phi)
@@ -210,14 +204,12 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     # imported by the subcommands that use it, so ``solve`` never loads it
     from .oracle import brute_force_maxsat
 
-    parsed = parse_auto(_read_text(args.file))
-    f = parsed.wcnf
+    f = parse_auto(_read_text(args.file)).wcnf
     sol = brute_force_maxsat(f)  # ValueError past the variable cap
     if sol is None:
         sys.stdout.write(write_solution(None, "unsat-hard"))
         return 20
-    nv = max(parsed.num_vars_declared, f.num_vars)
-    sys.stdout.write(write_solution(sol, "optimum", nv))
+    sys.stdout.write(write_solution(sol, "optimum", f.num_vars))
     return 0
 
 
@@ -262,8 +254,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--prep", default="bce,rs", choices=PREPS,
                         help="preprocessing steps (default: bce,rs)")
-    common.add_argument("--seed", type=int, default=None,
-                        help="permutation seed for elimination order")
 
     ps = sub.add_parser("solve", parents=[common],
                         help="solve a (w)cnf file to optimality")
@@ -274,8 +264,6 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="fumalik requires unit weights")
     ps.add_argument("--budget", type=int, default=None,
                     help="conflict budget per SAT call")
-    ps.add_argument("--no-verify", action="store_true",
-                    help="skip re-checking the model against the input")
     ps.add_argument("--trace", action="store_true",
                     help="print per-iteration comment lines")
     ps.set_defaults(func=_cmd_solve)

@@ -35,9 +35,7 @@ class ParseError(ValueError):
 
 @dataclass
 class ParsedInstance:
-    format: str  # "cnf" | "wcnf"
-    num_vars_declared: int
-    wcnf: WCNF
+    wcnf: WCNF  # num_vars is the header's variable count
     warnings: List[str] = field(default_factory=list)
 
 
@@ -102,7 +100,7 @@ def parse_wcnf(text: str) -> ParsedInstance:
             if top is not None and top < 1:
                 raise ParseError(line_no, f"top weight must be >= 1, got {top}")
             header = line
-            inst = ParsedInstance("wcnf", nv, WCNF(num_vars=nv))
+            inst = ParsedInstance(WCNF(num_vars=nv))
             continue
         nums = _int_tokens(line.split(), line_no)
         w, lits = nums[0], _split_clause_tokens(nums[1:], line_no)
@@ -146,7 +144,7 @@ def parse_cnf(text: str) -> ParsedInstance:
             if nv < 0 or nc < 0:
                 raise ParseError(line_no, "negative counts in header")
             header = line
-            inst = ParsedInstance("cnf", nv, WCNF(num_vars=nv))
+            inst = ParsedInstance(WCNF(num_vars=nv))
             continue
         nums = _int_tokens(line.split(), line_no)
         lits = _split_clause_tokens(nums, line_no)

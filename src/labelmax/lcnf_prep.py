@@ -3,7 +3,9 @@
 Labelled variable elimination, subsumption and self-subsuming resolution,
 all of which preserve the label-level MCSes of the input — and therefore
 the optimum of the weighted problem.  Variable elimination is undone per
-solution by `bve_reconstruct`.
+solution by `bve_reconstruct`.  ``preprocess_lcnf`` runs at most
+``MAX_ROUNDS`` rounds, and BVE never creates a clause with more than
+``MAX_LABELSET`` labels.
 
 Weight entries of labels whose clauses disappear are deliberately kept in
 the weight map: downstream cost accounting may still mention them, and a
@@ -22,7 +24,7 @@ from .model import (Assignment, LCNF, LabelledClause, clause_satisfied,
                     is_tautology)
 
 __all__ = [
-    "BveEntry", "BveRecord", "PrepConfig", "l_resolve", "l_ve", "l_bve",
+    "BveEntry", "BveRecord", "l_resolve", "l_ve", "l_bve",
     "l_sub", "l_ssr", "preprocess_lcnf", "bve_reconstruct", "dump_lcnf",
 ]
 
@@ -38,19 +40,10 @@ class BveEntry:
 BveRecord = List[BveEntry]
 
 
-@dataclass(frozen=True)
-class PrepConfig:
-    sub: bool = True
-    ssr: bool = True
-    bve: bool = True
-    max_rounds: int = 10
-    # skip a variable whose elimination would create a clause tagged with
-    # more labels than this; label sets become solver assumptions later
-    max_labelset: int = 32
-
-    @staticmethod
-    def none() -> "PrepConfig":
-        return PrepConfig(sub=False, ssr=False, bve=False)
+MAX_ROUNDS = 10
+# skip a variable whose elimination would create a clause tagged with
+# more labels than this; label sets become solver assumptions later
+MAX_LABELSET = 32
 
 
 # ---------------------------------------------------------------------------
@@ -376,27 +369,23 @@ def _bve_sweep(store: _ClauseStore, record: BveRecord,
             store.add(r)
 
 
-def preprocess_lcnf(phi: LCNF,
-                    config: Optional[PrepConfig] = None) -> Tuple[LCNF, BveRecord]:
-    """Rounds of (subsumption fixpoint, SSR fixpoint, one BVE sweep).
+def preprocess_lcnf(phi: LCNF) -> Tuple[LCNF, BveRecord]:
+    """Rounds of (subsumption fixpoint, SSR fixpoint, one BVE sweep
+    capped at ``MAX_LABELSET`` labels).
 
     Stops when a full round leaves the clause set unchanged or after
-    ``max_rounds``.  Returns the reduced formula and the elimination
+    ``MAX_ROUNDS``.  Returns the reduced formula and the elimination
     record needed to rebuild assignments over the original variables.
     """
-    cfg = config if config is not None else PrepConfig()
     store = _ClauseStore(phi.clauses)
     record: BveRecord = []
-    for _ in range(cfg.max_rounds):
+    for _ in range(MAX_ROUNDS):
         # no round can undo its own edits: SUB and SSR only lower the
         # literal count, and an eliminated variable never comes back
         edits = store.edits
-        if cfg.sub:
-            _sub_fixpoint(store)
-        if cfg.ssr:
-            _ssr_fixpoint(store)
-        if cfg.bve:
-            _bve_sweep(store, record, cfg.max_labelset)
+        _sub_fixpoint(store)
+        _ssr_fixpoint(store)
+        _bve_sweep(store, record, MAX_LABELSET)
         if store.edits == edits:
             break
     return LCNF(frozenset(store.clauses), dict(phi.label_weights)), record

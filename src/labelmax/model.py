@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import (Dict, FrozenSet, Iterable, Iterator, List, NamedTuple,
-                    Optional, Sequence, Tuple)
+                    Optional, Sequence, Set, Tuple)
 
 Lit = int
 ClauseT = Tuple[int, ...]
@@ -103,10 +103,19 @@ class WCNF:
     hard: List[ClauseT] = field(default_factory=list)
     soft: List[Tuple[ClauseT, int]] = field(default_factory=list)
     num_vars: int = 0
+    # ``hard`` and its members as a set, for add_hard's duplicate test;
+    # rebuilt when ``hard`` was replaced or changed elsewhere
+    _hard_index: Optional[Tuple[List[ClauseT], Set[ClauseT]]] = field(
+        default=None, init=False, repr=False, compare=False)
 
     def add_hard(self, lits: Iterable[int]) -> None:
         c = clause(lits)
-        if c not in self.hard:  # hard clauses form a set
+        index = self._hard_index
+        if (index is None or index[0] is not self.hard
+                or len(index[1]) != len(self.hard)):
+            index = self._hard_index = (self.hard, set(self.hard))
+        if c not in index[1]:  # hard clauses form a set
+            index[1].add(c)
             self.hard.append(c)
         self._grow(c)
 
@@ -216,14 +225,14 @@ class LCNF:
     def size(self) -> int:
         return len(self.clauses)
 
-    def replace(self, clauses: Iterable[LabelledClause],
-                label_weights: Optional[Dict[int, int]] = None) -> "LCNF":
-        lw = dict(self.label_weights if label_weights is None else label_weights)
+    def replace(self, clauses: Iterable[LabelledClause]) -> "LCNF":
+        """These clauses, with the weights of the labels they use."""
         cs = frozenset(clauses)
         used = set()
         for c in cs:
             used |= c.labels
-        return LCNF(cs, {l: w for l, w in lw.items() if l in used})
+        return LCNF(cs, {l: w for l, w in self.label_weights.items()
+                         if l in used})
 
     def __iter__(self) -> Iterator[LabelledClause]:
         return iter(self.sorted_clauses())

@@ -113,7 +113,7 @@ def test_pipeline_cost_independent_of_flags_on_random_instances():
                     continue
                 assert res.status == "optimum"
                 assert res.solution.cost == expect.cost, (seed, prep, mode)
-                # verify=True already re-checked the model; check again here
+                # run_pipeline already re-checked the model; check again here
                 assert f.cost_of(res.solution.model) == expect.cost
 
 
@@ -252,6 +252,22 @@ def test_second_main_call_starts_from_the_defaults(tmp_path, capsys,
     assert not any(l.startswith("c stat ") for l in second)
     assert not any(l.startswith("c iteration ") for l in second)
     assert first[-3:] == second[-3:]
+
+
+@pytest.mark.parametrize("prep", PREPS)
+def test_solve_verification_failure_is_an_internal_error(tmp_path, capsys,
+                                                         monkeypatch, prep):
+    # the lifted model sets every variable false, which falsifies the
+    # hard clause (1 2); the answer itself is x2 true at cost 0
+    path = tmp_path / "hard.wcnf"
+    path.write_text("p wcnf 2 2 5\n5 1 2 0\n1 -1 0\n")
+    monkeypatch.setattr(cli, "bce_reconstruct", lambda record, tau: {})
+    assert main(["solve", f"--prep={prep}", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: ")
+    assert "falsifies hard clause (1, 2)" in captured.err
+    assert len(captured.err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("header", ["p wcnf 1 2", f"p wcnf 1 2 {2**64 - 1}"])

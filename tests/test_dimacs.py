@@ -1,6 +1,8 @@
 """Parsing and emission against the golden corpus in tests/golden/."""
 
 import pathlib
+import random
+import time
 
 import pytest
 
@@ -74,7 +76,7 @@ def test_golden_valid_round_trip(name):
     nh, ns, nv = VALID[name]
     assert len(inst.wcnf.hard) == nh
     assert len(inst.wcnf.soft) == ns
-    assert inst.num_vars_declared == nv
+    assert inst.wcnf.num_vars == nv
     emitted = write_wcnf(inst.wcnf)
     reparsed = parse_wcnf(emitted)
     assert reparsed.wcnf.hard == inst.wcnf.hard
@@ -134,8 +136,36 @@ def test_top_not_above_soft_sum_is_a_warning():
 
 
 def test_parse_auto_dispatches_on_header():
-    assert parse_auto("p cnf 1 1\n1 0\n").format == "cnf"
-    assert parse_auto("p wcnf 1 1 5\n1 1 0\n").format == "wcnf"
+    # each parser rejects the other's header
+    assert parse_auto("p cnf 1 1\n1 0\n").wcnf.soft == [((1,), 1)]
+    assert parse_auto("p wcnf 1 1 5\n5 1 0\n").wcnf.hard == [(1,)]
+
+
+def test_many_hard_clauses_parse_in_linear_time():
+    # 40,000 distinct hard clauses, then 10,000 repeats of earlier ones;
+    # a list scan per clause takes about 15 s here, a set lookup 0.1 s
+    rng = random.Random(0)
+    rows = [(i // 200 + 1, -(i % 200 + 201)) for i in range(40000)]
+    rows += [rows[rng.randrange(len(rows))] for _ in range(10000)]
+    text = f"p wcnf 400 {len(rows)} 9\n" + "".join(
+        f"9 {a} {b} 0\n" for a, b in rows)
+    start = time.perf_counter()
+    inst = parse_wcnf(text)
+    assert time.perf_counter() - start < 5.0
+    assert inst.wcnf.hard == rows[:40000]
+    assert inst.wcnf.soft == []
+
+
+def test_add_hard_after_hard_was_replaced():
+    f = WCNF()
+    f.add_hard([1])
+    f.hard = [(2,)]
+    f.add_hard([1])
+    f.add_hard([2])
+    assert f.hard == [(2,), (1,)]
+    f.hard.append((3,))
+    f.add_hard([3])
+    assert f.hard == [(2,), (1,), (3,)]
 
 
 def test_write_solution_lines():

@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from labelmax.bce import bce_fixpoint
-from labelmax.lcnf_prep import (BveEntry, BveRecord, PrepConfig,
-                                _ClauseStore, _new_resolvents, _ssr_partner,
-                                _ssr_pivot, bve_reconstruct, dump_lcnf, l_bve,
-                                l_resolve, l_ssr, l_sub, l_ve, preprocess_lcnf)
+from labelmax.lcnf_prep import (MAX_LABELSET, MAX_ROUNDS, BveEntry, BveRecord,
+                                _bve_sweep, _ClauseStore, _new_resolvents,
+                                _ssr_fixpoint, _ssr_partner, _ssr_pivot,
+                                _sub_fixpoint, bve_reconstruct, dump_lcnf,
+                                l_bve, l_resolve, l_ssr, l_sub, l_ve,
+                                preprocess_lcnf)
 from labelmax.model import (LCNF, WCNF, LabelledClause, clause_vars,
                             induced_subformula, is_tautology, lclause,
                             lcnf_from_wcnf, lcnf_satisfied)
@@ -216,9 +218,9 @@ def test_sub_is_inert_on_plain_maxsat_encodings():
     # distinct singleton labels block the label-inclusion guard everywhere
     for seed in range(20):
         phi = lcnf_from_wcnf(random_wcnf(seed, hard_fraction=0.0))
-        out, rec = preprocess_lcnf(phi, PrepConfig(ssr=False, bve=False))
-        assert out.clauses == phi.clauses
-        assert rec == []
+        store = _ClauseStore(phi.clauses)
+        _sub_fixpoint(store)
+        assert store.clauses == phi.clauses
 
 
 # ---------------------------------------------------------------------------
@@ -227,19 +229,13 @@ def test_sub_is_inert_on_plain_maxsat_encodings():
 
 def test_preprocess_example_subsumption_pass():
     phi = example_two()
-    out, rec = preprocess_lcnf(phi, PrepConfig(ssr=False, bve=False))
+    store = _ClauseStore(phi.clauses)
+    _sub_fixpoint(store)
+    out = phi.replace(store.clauses)
     assert out.clauses == phi.clauses - {lclause([1, -2], [1, 2])}
-    assert rec == []
     assert brute_force_lcnf_maxsat(phi).cost == 2
     assert brute_force_lcnf_maxsat(out).cost == 2
     assert brute_force_lcnf_maxsat(out).falsified == frozenset([2, 3])
-
-
-def test_preprocess_empty_schedule_is_identity():
-    phi = example_two()
-    out, rec = preprocess_lcnf(phi, PrepConfig.none())
-    assert out.clauses == phi.clauses
-    assert rec == []
 
 
 def test_preprocess_can_dissolve_satisfiable_hard_formula():
@@ -339,36 +335,61 @@ def _reference_bve(phi, record, max_labelset):
     return phi
 
 
-def reference_preprocess(phi, config=None):
+# A schedule: the passes each round runs, the most rounds and BVE's
+# label-set cap.  The first is preprocess_lcnf's own.
+ALL_PASSES = ("sub", "ssr", "bve")
+FULL = (ALL_PASSES, MAX_ROUNDS, MAX_LABELSET)
+CONFIGS = [
+    FULL,
+    (("sub",), MAX_ROUNDS, MAX_LABELSET),
+    (("ssr",), MAX_ROUNDS, MAX_LABELSET),
+    (("bve",), MAX_ROUNDS, MAX_LABELSET),
+    (ALL_PASSES, 1, MAX_LABELSET),
+    (ALL_PASSES, MAX_ROUNDS, 1),
+]
+
+
+def reference_preprocess(phi, config=FULL):
     """The pass schedule built from the single-step rules alone: what
     ``preprocess_lcnf`` must return, clause set and record alike."""
-    cfg = config if config is not None else PrepConfig()
+    passes, rounds, cap = config
     record: BveRecord = []
-    for _ in range(cfg.max_rounds):
+    for _ in range(rounds):
         before = phi.clauses
-        if cfg.sub:
+        if "sub" in passes:
             phi = _reference_sub(phi)
-        if cfg.ssr:
+        if "ssr" in passes:
             phi = _reference_ssr(phi)
-        if cfg.bve:
-            phi = _reference_bve(phi, record, cfg.max_labelset)
+        if "bve" in passes:
+            phi = _reference_bve(phi, record, cap)
         if phi.clauses == before:
             break
     return phi, record
 
 
-CONFIGS = [
-    PrepConfig(),
-    PrepConfig(ssr=False, bve=False),
-    PrepConfig(sub=False, bve=False),
-    PrepConfig(sub=False, ssr=False),
-    PrepConfig(max_rounds=1),
-    PrepConfig(max_labelset=1),
-]
+def run_passes(phi, config):
+    """The schedule run by the store passes, as preprocess_lcnf runs
+    its own."""
+    passes, rounds, cap = config
+    store = _ClauseStore(phi.clauses)
+    record: BveRecord = []
+    for _ in range(rounds):
+        edits = store.edits
+        if "sub" in passes:
+            _sub_fixpoint(store)
+        if "ssr" in passes:
+            _ssr_fixpoint(store)
+        if "bve" in passes:
+            _bve_sweep(store, record, cap)
+        if store.edits == edits:
+            break
+    return LCNF(frozenset(store.clauses), dict(phi.label_weights)), record
 
 
-def assert_matches_reference(phi, config=None):
-    out, rec = preprocess_lcnf(phi, config)
+def assert_matches_reference(phi, config=FULL):
+    out, rec = run_passes(phi, config)
+    if config == FULL:
+        assert (out, rec) == preprocess_lcnf(phi)
     want, want_rec = reference_preprocess(phi, config)
     assert out.clauses == want.clauses
     assert out.label_weights == want.label_weights
