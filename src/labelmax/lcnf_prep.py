@@ -95,9 +95,18 @@ def l_ve(phi: LCNF, x: int) -> LCNF:
 
 
 def l_bve(phi: LCNF, x: int) -> LCNF:
-    """l_ve guarded by clause count: apply only if the formula shrinks."""
-    out = l_ve(phi, x)
-    return out if out.size() < phi.size() else phi
+    """l_ve guarded by x's own clauses (Een & Biere, SAT 2005): apply only
+    if the non-tautological clauses with x and with -x make fewer
+    non-tautological resolvent pairs than there are clauses mentioning x.
+
+    Each pair gives at most one new clause, so the formula shrinks.
+    """
+    group = [c for c in phi.clauses if x in c.lits or -x in c.lits]
+    live = [c for c in group if not is_tautology(c.lits)]
+    pairs = sum(1 for a in live if x in a.lits
+                for b in live if -x in b.lits
+                if not is_tautology(l_resolve(a, b, x).lits))
+    return l_ve(phi, x) if pairs < len(group) else phi
 
 
 def l_sub(phi: LCNF, c1: LabelledClause, c2: LabelledClause) -> LCNF:
@@ -146,13 +155,14 @@ def l_ssr(phi: LCNF, c1: LabelledClause, c2: LabelledClause) -> LCNF:
 # 2005).  Each pass gives exactly the clause set, and BVE exactly the
 # record, of applying the rules above one at a time in the order given in
 # its docstring; the tests check this against such a rule-by-rule
-# schedule built from l_sub, l_ssr and l_ve.
+# schedule built from l_sub, l_ssr and l_bve.
 #
 # The per-pair tests use built-in set operations instead of building
 # clauses or sets per pair, and each is tested against its spec:
 # ``_ssr_partner`` decides a pair as ``_ssr_pivot`` does, and
-# ``_new_resolvents`` returns the clauses ``l_ve`` adds.  The store
-# tracks its tautologies, which resolve to nothing in BVE.
+# ``_new_resolvents`` decides an elimination as ``l_bve`` does and
+# returns what ``l_ve`` puts in place of x's clauses.  The store tracks
+# its tautologies, which resolve to nothing in BVE.
 
 
 class _ClauseStore:
@@ -312,34 +322,49 @@ def _ssr_fixpoint(store: _ClauseStore) -> None:
 
 
 def _new_resolvents(store: _ClauseStore, x: int, limit: int,
-                    max_labelset: int) -> Optional[Set[LabelledClause]]:
-    """The non-tautological resolvents on ``x`` that the store lacks, or
-    None once ``limit`` of them turn up or one carries more than
-    ``max_labelset`` labels."""
-    # each side minus its pivot literal, and the negative side's
-    # complements; a tautology resolves to nothing
-    pos = [(set(c.lits) - {x}, c.labels) for c in store.occ[x]
-           if c not in store.tautologies]
+                    max_labelset: int) -> Optional[List[LabelledClause]]:
+    """The resolvents that eliminating ``x`` puts in place of its
+    clauses, one per non-tautological pair of non-tautological clauses;
+    None once ``limit`` pairs give a resolvent, or one resolvent carries
+    more than ``max_labelset`` labels.
+
+    Reads only the clauses mentioning x.  Resolvents repeated, or
+    already in the store, are left for ``store.add`` to collapse.
+    """
+    # each negative clause's complements without x: a pair resolves to a
+    # tautology iff the positive clause meets them
+    tautologies = store.tautologies
     neg = []
-    for c in store.occ[-x]:
-        if c not in store.tautologies:
-            b = set(c.lits) - {-x}
-            neg.append((b, {-m for m in b}, c.labels))
-    new: Set[LabelledClause] = set()
-    for a, a_labels in pos:
-        for b, neg_b, b_labels in neg:
-            if not a.isdisjoint(neg_b):
+    for b in store.occ[-x]:
+        if b not in tautologies:
+            comp = {-m for m in b.lits}
+            comp.discard(x)
+            neg.append((comp, b, b.labels))
+    pairs = []
+    for a in store.occ[x]:
+        if a in tautologies:
+            continue
+        a_lits, a_labels = a.lits, a.labels
+        for comp, b, b_labels in neg:
+            if not comp.isdisjoint(a_lits):
                 continue
-            # no complementary pair: one literal per variable, so the
-            # order by variable alone is the canonical one
-            r = LabelledClause(tuple(sorted(a | b, key=abs)),
-                               a_labels | b_labels)
-            if r in store.clauses or r in new:
-                continue
-            if len(new) + 1 >= limit or len(r.labels) > max_labelset:
+            if len(pairs) + 1 >= limit:
                 return None
-            new.add(r)
-    return new
+            if (len(a_labels) + len(b_labels) > max_labelset
+                    and len(a_labels | b_labels) > max_labelset):
+                return None
+            pairs.append((a, b))
+    out = []
+    for a, b in pairs:
+        lits = set(a.lits)
+        lits.update(b.lits)
+        lits.discard(x)
+        lits.discard(-x)
+        # no complementary pair: one literal per variable, so the order
+        # by variable alone is the canonical one
+        out.append(LabelledClause(tuple(sorted(lits, key=abs)),
+                                  a.labels | b.labels))
+    return out
 
 
 def _bve_sweep(store: _ClauseStore, record: BveRecord,
@@ -349,9 +374,9 @@ def _bve_sweep(store: _ClauseStore, record: BveRecord,
     Variables are tried in (occurrences, variable) order, fixed at the
     start of the sweep.  Eliminating x is ``l_ve``: the clauses
     mentioning x give way to their non-tautological resolvents.  It is
-    accepted iff fewer resolvents are new to the store than clauses
-    mention x, and no new resolvent carries more than ``max_labelset``
-    labels.
+    accepted as ``l_bve`` accepts it, and only if no resolvent carries
+    more than ``max_labelset`` labels; both are decided from x's clauses
+    alone.
     """
     variables = {abs(l) for l, cs in store.occ.items() if cs}
     counts = {v: len(store.mentioning(v)) for v in variables}

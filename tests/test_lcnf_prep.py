@@ -3,7 +3,7 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from labelmax.bce import bce_fixpoint
 from labelmax.lcnf_prep import (MAX_LABELSET, MAX_ROUNDS, BveEntry, BveRecord,
@@ -317,6 +317,14 @@ def _reference_ssr(phi):
         phi = out
 
 
+def resolvent_pairs(phi, x):
+    """One resolvent per non-tautological pair of non-tautological
+    clauses with x and with -x."""
+    live = [c for c in phi.clauses if not is_tautology(c.lits)]
+    return [r for a in live if x in a.lits for b in live if -x in b.lits
+            for r in [l_resolve(a, b, x)] if not is_tautology(r.lits)]
+
+
 def _reference_bve(phi, record, max_labelset):
     occ = Counter(v for c in phi.clauses for v in clause_vars(c.lits))
     for x in sorted(phi.vars(), key=lambda v: (occ[v], v)):
@@ -324,11 +332,11 @@ def _reference_bve(phi, record, max_labelset):
                           if x in c.lits or -x in c.lits)
         if not group:
             continue
-        cand = l_ve(phi, x)
-        if cand.size() >= phi.size():
+        cand = l_bve(phi, x)
+        if cand is phi:
             continue
         if any(len(c.labels) > max_labelset
-               for c in cand.clauses - phi.clauses):
+               for c in resolvent_pairs(phi, x)):
             continue
         record.append(BveEntry(x, group))
         phi = cand
@@ -542,15 +550,47 @@ def test_new_resolvents_are_the_new_clauses_of_ve(rows, max_labelset):
     phi = lcnf_of(rows)
     store = _ClauseStore(phi.clauses)
     for x in range(1, 6):
-        want = l_ve(phi, x).clauses - phi.clauses
-        assert _new_resolvents(store, x, len(want) + 1, 32) == want
         limit = len(store.mentioning(x))
         if not limit:
             continue  # the sweep skips a variable without clauses
-        fits = (len(want) < limit
-                and all(len(r.labels) <= max_labelset for r in want))
+        pairs = resolvent_pairs(phi, x)
+        got = _new_resolvents(store, x, len(pairs) + 1, 32)
+        assert set(got) == set(pairs)
+        refuse = (len(pairs) >= limit
+                  or any(len(r.labels) > max_labelset for r in pairs))
+        assert (l_bve(phi, x) is phi) == (len(pairs) >= limit)
         got = _new_resolvents(store, x, limit, max_labelset)
-        assert got == (want if fits else None)
+        if refuse:
+            assert got is None
+        else:
+            # accepting adds exactly the new clauses of VE to the store
+            assert set(got) - phi.clauses == \
+                l_ve(phi, x).clauses - phi.clauses
+
+
+# four pairs against four clauses, refused though with one resolvent
+# present only three would be new; and one pair over the cap, whose
+# resolvent counts even when present
+@example([({1, 2}, {1}), ({1, 3}, {2}), ({-1, 4}, {3}), ({-1, 5}, {4})], 32)
+@example([({1, 2}, {1}), ({-1, 3}, {2})], 1)
+@settings(max_examples=150, deadline=None)
+@given(ROWS, st.sampled_from([1, 2, 32]))
+def test_bve_decision_ignores_clauses_outside_the_group(rows, max_labelset):
+    # a clause equal to one of x's resolvents does not mention x, so it
+    # must not flip the answer
+    phi = lcnf_of(rows)
+    store = _ClauseStore(phi.clauses)
+    for x in range(1, 6):
+        limit = len(store.mentioning(x))
+        if not limit:
+            continue
+        refused = _new_resolvents(store, x, limit, max_labelset) is None
+        for r in resolvent_pairs(phi, x):
+            more = LCNF(phi.clauses | {r}, phi.label_weights)
+            assert (l_bve(more, x) is more) == (l_bve(phi, x) is phi)
+            got = _new_resolvents(_ClauseStore(more.clauses), x, limit,
+                                  max_labelset)
+            assert (got is None) == refused, (x, r)
 
 
 def prep_digest(f):
@@ -566,13 +606,14 @@ def prep_digest(f):
     return h.hexdigest()[:16]
 
 
-# recorded with the passes before their fast paths, and again when the
-# BCE record of a since removed hard-clause-keeping mode left the digest;
-# each case keeps the id it was first pinned under: (id digest, instance,
-# digest)
+# recorded with the passes before their fast paths, again when the BCE
+# record of a since removed hard-clause-keeping mode left the digest, and
+# the first two again when BVE came to count resolvent pairs in place of
+# new clauses; each case keeps the id it was first pinned under: (id
+# digest, instance, digest)
 PINNED_DIGESTS = [
-    ("130c6d4ee70a6748", lambda: tseitin_wcnf(0), "5153e5b054e71e3c"),
-    ("704a4e1e3772c08c", lambda: tseitin_wcnf(1), "7a82b1195a66ead2"),
+    ("130c6d4ee70a6748", lambda: tseitin_wcnf(0), "eb3c138175066370"),
+    ("704a4e1e3772c08c", lambda: tseitin_wcnf(1), "9e9d93485cfd6586"),
     ("2c49643ad6a56b00", lambda: tseitin_wcnf(2), "68452feb1b387e9d"),
     ("fc245bb8794472ea", lambda: tseitin_wcnf(3), "671296aafcd09ea3"),
     ("a3bd3f57de0f4c3d", lambda: tseitin_wcnf(4), "e00691d27da0aa1e"),
