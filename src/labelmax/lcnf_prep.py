@@ -163,10 +163,22 @@ def l_ssr(phi: LCNF, c1: LabelledClause, c2: LabelledClause) -> LCNF:
 # ``_new_resolvents`` decides an elimination as ``l_bve`` does and
 # returns what ``l_ve`` puts in place of x's clauses.  The store tracks
 # its tautologies, which resolve to nothing in BVE.
+#
+# After its first run each pass re-examines only what changed since its
+# last one (touched sets, as in SatELite): SUB and SSR start from the
+# clauses the store logged as added since their last fixpoint, and BVE
+# skips a variable whose clauses are still those it last refused.  What
+# they leave out can change nothing, so the output stays the same.
 
 
 class _ClauseStore:
-    """A set of labelled clauses plus literal -> clauses occurrence lists."""
+    """A set of labelled clauses plus literal -> clauses occurrence lists.
+
+    ``log`` lists every clause in the order it was added, a clause
+    removed and added again once per addition.  A pass that stores the
+    log's length when it reaches its fixpoint can find, next time, the
+    clauses added since: ``added_since(mark)``.
+    """
 
     def __init__(self, clauses: Iterable[LabelledClause]) -> None:
         self.clauses: Set[LabelledClause] = set()
@@ -175,18 +187,29 @@ class _ClauseStore:
         # instead of scanning a clause's literals again
         self.tautologies: Set[LabelledClause] = set()
         self.edits = 0
+        self.log: List[LabelledClause] = []
+        # where in the log SUB and SSR last reached their fixpoints
+        self.sub_mark = 0
+        self.ssr_mark = 0
+        # variable -> the clauses mentioning it when BVE last refused it
+        self.bve_refused: Dict[int, Set[LabelledClause]] = {}
         for c in clauses:
             self.add(c)
 
-    def add(self, c: LabelledClause) -> bool:
-        """Insert ``c``; False if it was already present."""
+    def add(self, c: LabelledClause, tautology: Optional[bool] = None
+            ) -> bool:
+        """Insert ``c``; False if it was already present.  ``tautology``
+        spares the test when the caller knows the answer."""
         if c in self.clauses:
             return False
         self.clauses.add(c)
         for l in c.lits:
             self.occ[l].add(c)
-        if is_tautology(c.lits):
+        if tautology is None:
+            tautology = is_tautology(c.lits)
+        if tautology:
             self.tautologies.add(c)
+        self.log.append(c)
         self.edits += 1
         return True
 
@@ -200,6 +223,11 @@ class _ClauseStore:
     def mentioning(self, x: int) -> Set[LabelledClause]:
         return self.occ.get(x, set()) | self.occ.get(-x, set())
 
+    def added_since(self, mark: int) -> Set[LabelledClause]:
+        """The members added at log position ``mark`` or later."""
+        clauses = self.clauses
+        return {c for c in self.log[mark:] if c in clauses}
+
 
 def _sub_fixpoint(store: _ClauseStore) -> None:
     """Drop every clause that another clause strictly subsumes.
@@ -208,13 +236,27 @@ def _sub_fixpoint(store: _ClauseStore) -> None:
     order, so the fixpoint is unique: the clauses no other clause
     subsumes.  A clause removed early cannot be missed as a subsumer,
     since whatever it subsumes its own subsumer subsumes too.
+
+    The clauses left by the last fixpoint subsume none of each other,
+    and removals keep it so.  So only the clauses added since can
+    subsume or be subsumed: each of them removes what it subsumes
+    (backward), then is checked against the older clauses (forward).
     """
-    for c1 in list(store.clauses):
+    new = store.added_since(store.sub_mark)
+    # counted before the backward removals, which can leave fewer
+    # clauses than there are new ones while older ones remain
+    older = len(store.clauses) > len(new)
+    occ = store.occ
+    for c1 in new:
         if c1 not in store.clauses:
             continue
         if c1.lits:
-            rare = min(c1.lits, key=lambda l: len(store.occ[l]))
-            candidates = list(store.occ[rare])
+            rare = None
+            for l in c1.lits:
+                o = occ[l]
+                if rare is None or len(o) < len(rare):
+                    rare = o
+            candidates = list(rare)
         else:
             candidates = list(store.clauses)
         n1 = len(c1.lits)
@@ -225,6 +267,38 @@ def _sub_fixpoint(store: _ClauseStore) -> None:
                     s1 = set(c1.lits)
                 if s1.issubset(c2.lits):
                     store.remove(c2)
+    if older:
+        # a clause without literals is in no occurrence list
+        empty = [c for c in store.clauses if not c.lits and c not in new]
+        for c2 in new:
+            if c2 in store.clauses and _subsumed_by_older(store, c2, new,
+                                                          empty):
+                store.remove(c2)
+    store.sub_mark = len(store.log)
+
+
+def _subsumed_by_older(store: _ClauseStore, c2: LabelledClause,
+                       new: Set[LabelledClause],
+                       empty: List[LabelledClause]) -> bool:
+    """Whether a clause outside ``new`` strictly subsumes c2.
+
+    Each candidate is tested once: on the scan of its first literal.
+    """
+    lits2 = c2.lits
+    if not lits2:
+        return False
+    labels2 = c2.labels
+    n2 = len(lits2)
+    for c1 in empty:
+        if c1.labels <= labels2:
+            return True
+    for l in lits2:
+        for c1 in store.occ[l]:
+            lits1 = c1.lits
+            if (lits1[0] == l and len(lits1) < n2 and c1.labels <= labels2
+                    and c1 not in new and set(lits1).issubset(lits2)):
+                return True
+    return False
 
 
 def _ssr_pivot(c1: LabelledClause, c2: LabelledClause) -> Optional[int]:
@@ -284,6 +358,10 @@ def _ssr_fixpoint(store: _ClauseStore) -> None:
     whatever strengthens the new clause also strengthened the longer
     clause it replaces.  So only the new clause, and c1, which may
     strengthen more, are queued again.
+
+    The last fixpoint left no clause that strengthens another, and
+    removals keep it so.  So the heap starts with the clauses added
+    since, and every older clause that strengthens one of them.
     """
     keys: Dict[LabelledClause, Tuple] = {}
 
@@ -293,10 +371,12 @@ def _ssr_fixpoint(store: _ClauseStore) -> None:
             k = keys[c] = c.sort_key()
         return k
 
+    queued = store.added_since(store.ssr_mark)
+    if len(queued) < len(store.clauses):
+        queued |= _strengtheners(store, queued)
     # keys are distinct per clause, so the heap never compares clauses
-    heap = [(key(c), c) for c in store.clauses]
+    heap = [(key(c), c) for c in queued]
     heapq.heapify(heap)
-    queued = set(store.clauses)
 
     def push(c: LabelledClause) -> None:
         if c not in queued:
@@ -319,6 +399,36 @@ def _ssr_fixpoint(store: _ClauseStore) -> None:
         push(c1)
         if store.add(repl):
             push(repl)
+    store.ssr_mark = len(store.log)
+
+
+def _strengtheners(store: _ClauseStore, new: Set[LabelledClause]
+                   ) -> Set[LabelledClause]:
+    """The clauses outside ``new`` that strengthen one of its clauses.
+
+    c1 strengthens c2 on l iff c2 holds -l, is longer, carries c1's
+    labels, and c1 lies in c2 with -l swapped for l; -l itself then
+    cannot be in c1.  So the c1 for pivot l lie in the occurrence list
+    of l, the complement of one of c2's literals.
+    """
+    out: Set[LabelledClause] = set()
+    occ = store.occ
+    for c2 in new:
+        lits2, labels2 = c2.lits, c2.labels
+        n2 = len(lits2)
+        for m in lits2:
+            swapped = None
+            for c1 in occ.get(-m, ()):
+                if (len(c1.lits) >= n2 or c1 in new or c1 in out
+                        or not c1.labels <= labels2):
+                    continue
+                if swapped is None:
+                    swapped = set(lits2)
+                    swapped.discard(m)
+                    swapped.add(-m)
+                if swapped.issuperset(c1.lits):
+                    out.add(c1)
+    return out
 
 
 def _new_resolvents(store: _ClauseStore, x: int, limit: int,
@@ -376,22 +486,33 @@ def _bve_sweep(store: _ClauseStore, record: BveRecord,
     mentioning x give way to their non-tautological resolvents.  It is
     accepted as ``l_bve`` accepts it, and only if no resolvent carries
     more than ``max_labelset`` labels; both are decided from x's clauses
-    alone.
+    alone.  So a variable whose clauses are still those of its last
+    refusal is refused again without a look.
     """
-    variables = {abs(l) for l, cs in store.occ.items() if cs}
-    counts = {v: len(store.mentioning(v)) for v in variables}
+    counts: Dict[int, int] = {}
+    for l, cs in store.occ.items():
+        if cs:
+            v = abs(l)
+            counts[v] = counts.get(v, 0) + len(cs)
+    # a tautology on v is in both of v's lists but mentions v once
+    for t in store.tautologies:
+        for l in t.lits:
+            if l > 0 and -l in t.lits:
+                counts[l] -= 1
+    refused = store.bve_refused
     for x in sorted(counts, key=lambda v: (counts[v], v)):
         group = store.mentioning(x)
-        if not group:
+        if not group or refused.get(x) == group:
             continue
         new = _new_resolvents(store, x, len(group), max_labelset)
         if new is None:
+            refused[x] = group
             continue
         record.append(BveEntry(x, frozenset(group)))
         for c in group:
             store.remove(c)
         for r in new:
-            store.add(r)
+            store.add(r, tautology=False)
 
 
 def preprocess_lcnf(phi: LCNF) -> Tuple[LCNF, BveRecord]:

@@ -82,14 +82,17 @@ def clause_vars(c: Sequence[int]) -> FrozenSet[int]:
     return frozenset(abs(l) for l in c)
 
 
-def lit_value(lit: int, tau: Assignment) -> int:
-    """0/1 value of a literal under a total assignment (vars default to 0)."""
-    v = tau.get(abs(lit), 0)
-    return v if lit > 0 else 1 - v
-
-
 def clause_satisfied(c: Sequence[int], tau: Assignment) -> bool:
-    return any(lit_value(l, tau) == 1 for l in c)
+    """Whether a literal of ``c`` is true under ``tau``: ``v`` if v is 1,
+    ``-v`` if v is 0.  Variables missing from ``tau`` are 0."""
+    get = tau.get
+    for l in c:
+        if l > 0:
+            if get(l, 0) == 1:
+                return True
+        elif get(-l, 0) == 0:
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------

@@ -497,6 +497,26 @@ def test_passes_match_reference_on_ssr_order_cases(rows, config):
     assert_matches_reference(phi, config)
 
 
+# In each formula a later SUB round must find an older clause that
+# subsumes a clause added since the last one.  In the first, that clause
+# is []^{2,3}, which is in no occurrence list.  In the second, the added
+# clauses first remove more older clauses than there are added clauses
+# left, and some older clause still remains.
+SUB_FORWARD_CASES = [
+    [([-1], [3]), ([-3, -1, 2], [1]), ([1], [1, 2]), ([], [2, 3]),
+     ([1, 2], [2]), ([-2], [3]), ([2, 3], [2])],
+    [([1, 3], [1]), ([], [2, 3]), ([1], [3]), ([3], [1, 4]), ([-1, 2], [1]),
+     ([-1, 3, 4], []), ([-4], [3]), ([-3], [2, 4]), ([-4, -2], [])],
+]
+
+
+@pytest.mark.parametrize("rows", SUB_FORWARD_CASES)
+def test_passes_match_reference_on_sub_forward_cases(rows):
+    phi = LCNF(frozenset(lclause(lits, labels) for lits, labels in rows),
+               {1: 1, 2: 1, 3: 1, 4: 1})
+    assert_matches_reference(phi)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.lists(st.tuples(st.sets(st.integers(-5, 5).filter(bool),
                                   max_size=4),
