@@ -165,6 +165,8 @@ def _sidecar_payload(f: WCNF, bce_rec: BceRecord, bve_rec: BveRecord,
 
 
 def _cmd_preprocess(args: argparse.Namespace) -> int:
+    if args.sidecar and not args.emit_wcnf:
+        raise ValueError("--sidecar requires --emit-wcnf")
     f, bce_rec, _, phi, bve_rec = _preprocess(
         _parse_reporting_warnings(args.file), args.prep)
 
@@ -204,7 +206,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     # imported by the subcommands that use it, so ``solve`` never loads it
     from .oracle import brute_force_maxsat
 
-    f = parse_auto(_read_text(args.file)).wcnf
+    f = _parse_reporting_warnings(args.file)
     sol = brute_force_maxsat(f)  # ValueError past the variable cap
     if sol is None:
         sys.stdout.write(write_solution(None, "unsat-hard"))
@@ -275,7 +277,8 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="encode the labelled result back to wcnf")
     pp.add_argument("--out", default=None, help="output path")
     pp.add_argument("--sidecar", default=None,
-                    help="reconstruction record path (json)")
+                    help="reconstruction record path (json); "
+                         "needs --emit-wcnf")
     pp.set_defaults(func=_cmd_preprocess)
 
     po = sub.add_parser("oracle", help="brute-force reference answer")

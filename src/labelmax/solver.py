@@ -10,28 +10,31 @@ minimum keeps its original clauses and sprouts a cheaper twin label that
 carries the relaxed copies.
 
 The loop runs in rounds; each round yields the cores that are then
-relaxed one after another, in the order found.  Two SAT-driver modes:
+relaxed one after another, in the order found.  It owns one SAT solver
+at a time, which loads every labelled clause with one negated selector
+per label and assumes the selectors positively.  The hard check solves
+the hard clauses alone in a fresh solver.  The modes differ in when a
+solver is built and whether a round goes on after a core:
 
-* ``noninc`` — a fresh solver per round; every labelled clause is loaded
-  with one negated selector per label and the selectors are assumed
-  positively.  After each unsatisfiable call the core's selectors are
+* ``noninc`` — a fresh solver per round, loaded with the whole working
+  formula.  After each unsatisfiable call the core's selectors are
   dropped from the assumptions and the same solver is asked again, until
   it answers SAT or no selector is left, so the cores of one round are
   label-disjoint (Davies & Bacchus, CP 2011).  A core refutes only the
   clauses whose labels it contains, so relaxing an earlier core of the
   round leaves a later one a core: the round does what one iteration per
   core would.
-* ``inc`` — a single solver for the whole run and one core per round.
-  Relaxing a label in place gives it a new selector: a unit clause
-  finalizes the old one (which deactivates every loaded copy carrying
-  it) and fresh copies are loaded under the new one.  Nothing is ever
-  reloaded.
+* ``inc`` — the hard check's solver for the whole run and one core per
+  round.  Relaxing a label in place gives it a new selector: a unit
+  clause finalizes the old one (which deactivates every loaded copy
+  carrying it) and fresh copies are loaded under the new one.  Nothing
+  is ever reloaded.
 
 The loop keeps each working clause with its encoding, made once when
 the clause enters: a clause keeps its selectors while it stays, since
 relaxing a label in place replaces every clause that carries it.  The
-new clauses of each relaxed core go to the driver as one batch, which
-``inc`` loads and ``noninc`` ignores: its next round loads the working
+new clauses of each relaxed core form one batch, which ``inc`` loads
+into its live solver; ``noninc``'s next fresh solver loads the working
 formula whole.
 
 Only the answer of a round's first call can be final: when it is SAT,
@@ -68,10 +71,6 @@ class CoreLabels:
     labels: FrozenSet[int]
 
 
-# what a round yields: its cores in the order found, and the model when
-# its first call was already satisfiable (then there are no cores)
-Round = Tuple[List[CoreLabels], Optional[Assignment]]
-
 # the working formula: clause -> (sort key, encoding with selectors)
 Working = Dict[LabelledClause, Tuple[Tuple, Encoded]]
 
@@ -101,15 +100,7 @@ def extract_core_labels(outcome: SolveOutcome,
 
 
 # ---------------------------------------------------------------------------
-# SAT drivers
-#
-# Both drivers see the working formula and the live labels as the main
-# loop keeps them: ``working`` (clause -> (sort key, encoding)),
-# ``selectors`` (label -> selector variable, in ascending label order,
-# which is the assumption order) and ``label_of`` (selector -> label).
-# A driver answers ``check_hard`` and ``solve_round``, takes each relaxed
-# core's new clauses as one ``add`` batch, and adds its solvers' counters
-# to the run's stats by ``close``.
+# SAT calls
 
 
 def _encode_labelled(c: LabelledClause,
@@ -118,9 +109,11 @@ def _encode_labelled(c: LabelledClause,
     return encode(c.lits + tuple(-selectors[m] for m in c.labels))
 
 
-def _new_solver(nv_orig: int, stats: Dict[str, int]) -> CdclSolver:
+def _fresh_solver(nv_orig: int, stats: Dict[str, int],
+                  batch: List[Encoded]) -> CdclSolver:
     eng = CdclSolver()
     eng.ensure_var(nv_orig)
+    eng.load(batch)
     stats["load_events"] += 1
     return eng
 
@@ -131,74 +124,28 @@ def _count(stats: Dict[str, int], eng: CdclSolver) -> None:
         stats[k] += eng.stats[k]
 
 
-class _NonIncDriver:
-    """A fresh solver per call, loaded with the whole working formula;
-    relaxation shows only in the working formula."""
-
-    def __init__(self, nv_orig: int, stats: Dict[str, int]) -> None:
-        self.nv_orig = nv_orig
-        self.stats = stats
-
-    def check_hard(self, hard: List[Encoded], budget: Optional[int]) -> bool:
-        eng = _new_solver(self.nv_orig, self.stats)
-        eng.load(hard)
-        try:
-            return eng.solve((), budget).sat
-        finally:
-            _count(self.stats, eng)
-
-    def solve_round(self, working: Working, selectors: Dict[int, int],
-                    label_of: Dict[int, int], budget: Optional[int]) -> Round:
-        eng = _new_solver(self.nv_orig, self.stats)
-        eng.load([enc for _, enc in sorted(working.values(),
-                                           key=itemgetter(0))])
-        cores: List[CoreLabels] = []
-        assumptions = list(selectors.values())
-        try:
-            while True:
-                out = eng.solve(assumptions, budget)
-                if out.sat:
-                    return cores, None if cores else out.model
-                cores.append(extract_core_labels(out, label_of))
-                failed = out.failed_assumptions
-                assumptions = [a for a in assumptions if a not in failed]
-                if not assumptions:
-                    return cores, None
-        finally:
-            _count(self.stats, eng)
-
-    def add(self, batch: List[Encoded]) -> None:
-        pass
-
-    def close(self) -> None:
-        pass
-
-
-class _IncDriver:
-    """One persistent solver; relaxation applied as clause additions.  An
-    in-place relaxation's batch holds a unit clause that finalizes the
-    old selector, which retires every copy loaded under it."""
-
-    def __init__(self, nv_orig: int, stats: Dict[str, int]) -> None:
-        self.stats = stats
-        self.eng = _new_solver(nv_orig, stats)
-
-    def check_hard(self, hard: List[Encoded], budget: Optional[int]) -> bool:
-        self.eng.load(hard)
-        return self.eng.solve((), budget).sat
-
-    def solve_round(self, working: Working, selectors: Dict[int, int],
-                    label_of: Dict[int, int], budget: Optional[int]) -> Round:
-        out = self.eng.solve(list(selectors.values()), budget)
+def _solve_round(eng: CdclSolver, selectors: Dict[int, int],
+                 label_of: Dict[int, int], budget: Optional[int],
+                 disjoint: bool
+                 ) -> Tuple[List[CoreLabels], Optional[Assignment]]:
+    """One round's SAT calls under the live selectors (``selectors``
+    iterates in ascending label order, the assumption order; ``label_of``
+    maps each selector back).  Returns the round's cores in the order
+    found, and the model when its first call was already satisfiable
+    (then there are no cores).  With ``disjoint`` the solver is asked
+    again without the failed selectors until it answers SAT or none is
+    left; without, the round stops at its first core."""
+    cores: List[CoreLabels] = []
+    assumptions = list(selectors.values())
+    while True:
+        out = eng.solve(assumptions, budget)
         if out.sat:
-            return [], out.model
-        return [extract_core_labels(out, label_of)], None
-
-    def add(self, batch: List[Encoded]) -> None:
-        self.eng.load(batch)
-
-    def close(self) -> None:
-        _count(self.stats, self.eng)
+            return cores, None if cores else out.model
+        cores.append(extract_core_labels(out, label_of))
+        failed = out.failed_assumptions
+        assumptions = [a for a in assumptions if a not in failed]
+        if not (disjoint and assumptions):
+            return cores, None
 
 
 # ---------------------------------------------------------------------------
@@ -325,11 +272,7 @@ def solve_lcnf(phi: LCNF, algorithm: str = "wmsu1", mode: str = "noninc",
     nv_orig = phi.max_var()
     variables = count(nv_orig + 1)
     label_ids = count(max(phi.label_weights, default=0) + 1)
-    driver = (_IncDriver if mode == "inc" else _NonIncDriver)(nv_orig, stats)
-
-    def finish(status: str, solution=None) -> SolveReport:
-        driver.close()
-        return SolveReport(status, solution, stats)
+    incremental = mode == "inc"
 
     weight = {l: phi.label_weights[l] for l in sorted(used)}
     # label -> selector and back; a new label is numbered above every live
@@ -337,15 +280,23 @@ def solve_lcnf(phi: LCNF, algorithm: str = "wmsu1", mode: str = "noninc",
     selectors = {l: next(variables) for l in weight}
     label_of = {s: l for l, s in selectors.items()}
     working: Working = {}
+    eng = _fresh_solver(nv_orig, stats,
+                        _enter(working, [c for c in phi.clauses if c.hard],
+                               selectors))
+
+    def finish(status: str, solution=None) -> SolveReport:
+        _count(stats, eng)
+        return SolveReport(status, solution, stats)
+
     try:
-        if not driver.check_hard(
-                _enter(working, [c for c in phi.clauses if c.hard],
-                       selectors), conflict_budget):
+        if not eng.solve((), conflict_budget).sat:
             return finish("unsat-hard")
     except BudgetExceededError:
         return finish("unknown")
-    driver.add(_enter(working, [c for c in phi.clauses if not c.hard],
-                      selectors))
+    # the soft clauses are the first batch; only ``inc`` loads batches
+    batch = _enter(working, [c for c in phi.clauses if not c.hard], selectors)
+    if incremental:
+        eng.load(batch)
 
     # label -> the working clauses that carry it
     carrying: Dict[int, Set[LabelledClause]] = {l: set() for l in weight}
@@ -355,9 +306,17 @@ def solve_lcnf(phi: LCNF, algorithm: str = "wmsu1", mode: str = "noninc",
 
     while True:
         stats["rounds"] += 1
+        if not incremental:
+            # release the last solver before building the next: building
+            # while the old one is still alive measurably slows the run
+            _count(stats, eng)
+            del eng
+            eng = _fresh_solver(nv_orig, stats,
+                                [enc for _, enc in sorted(working.values(),
+                                                          key=itemgetter(0))])
         try:
-            cores, model = driver.solve_round(working, selectors, label_of,
-                                              conflict_budget)
+            cores, model = _solve_round(eng, selectors, label_of,
+                                        conflict_budget, not incremental)
         except BudgetExceededError:
             return finish("unknown")
 
@@ -374,7 +333,7 @@ def solve_lcnf(phi: LCNF, algorithm: str = "wmsu1", mode: str = "noninc",
                       f"lower bound {lb}")
 
             relaxation_vars: List[int] = []
-            batch: List[Encoded] = []
+            batch = []
             for l in sorted(core.labels):
                 r = next(variables)
                 relaxation_vars.append(r)
@@ -413,7 +372,8 @@ def solve_lcnf(phi: LCNF, algorithm: str = "wmsu1", mode: str = "noninc",
             enc = encode_equals1(relaxation_vars)
             batch += _enter(working, [LabelledClause(c, frozenset())
                                       for c in enc.clauses], selectors)
-            driver.add(batch)
+            if incremental:
+                eng.load(batch)
 
         if trace is not None:
             trace(f"round {stats['rounds']}: {len(cores)} cores, "

@@ -1,0 +1,69 @@
+"""The benchmark's tracer against the current source.
+
+``benchmarks/tracing.py`` wraps labelmax's entry points by name, so a
+refactor that renames or stops calling one of them breaks the traced
+benchmark without failing anything else.  The tracer needs only the
+standard library, so this test runs wherever the tier-1 suite does.
+"""
+
+import importlib.util
+import pathlib
+
+from labelmax import cli, engine, lcnf_prep, model, solver
+
+TRACING = (pathlib.Path(__file__).resolve().parent.parent /
+           "benchmarks" / "tracing.py")
+
+# soft pigeonhole: the optimum needs cores under the default
+# preprocessing
+PIGEON = """\
+p wcnf 6 9 10
+1 1 2 0
+1 3 4 0
+1 5 6 0
+1 -1 -3 0
+1 -1 -5 0
+1 -3 -5 0
+1 -2 -4 0
+1 -2 -6 0
+1 -4 -6 0
+"""
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_patches_resolve_and_record_cores(tmp_path, capsys):
+    owners = [cli, lcnf_prep, model.WCNF, solver, engine.CdclSolver]
+    before = [dict(vars(o)) for o in owners]
+    path = tmp_path / "pigeon.wcnf"
+    path.write_text(PIGEON)
+    tracer = _load_tracing().Tracer()
+    tracer.install()
+    try:
+        assert [dict(vars(o)) for o in owners] != before
+        loads = {}
+        for mode in ("noninc", "inc"):
+            cores = len(tracer.core_sizes)
+            seen = tracer.counts["solver.load_events"]
+            assert cli.main(["solve", f"--mode={mode}", str(path)]) == 0
+            assert capsys.readouterr().out.startswith("o 1\n")
+            assert len(tracer.core_sizes) > cores
+            assert all(n > 0 for n in tracer.core_sizes)
+            loads[mode] = tracer.counts["solver.load_events"] - seen
+    finally:
+        tracer.uninstall()
+    # ``inc`` keeps one solver; ``noninc`` builds one per round as well
+    assert loads["inc"] == 1 < loads["noninc"]
+    summary = tracer.summary()
+    for name in ("cli.run_pipeline", "solver.solve_lcnf",
+                 "solver.extract_core_labels", "solver.certify",
+                 "cardinality.encode_equals1", "engine.solve"):
+        assert summary["span_calls:" + name] > 0, name
+    assert summary["core_sizes_n"] == len(tracer.core_sizes)
+    assert [dict(vars(o)) for o in owners] == before
+

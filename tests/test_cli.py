@@ -282,7 +282,8 @@ def test_solve_weight_sum_above_cap_is_an_error(tmp_path, capsys, header):
 
 
 @pytest.mark.parametrize("command", [["solve"], ["preprocess"],
-                                     ["preprocess", "--emit-wcnf"]])
+                                     ["preprocess", "--emit-wcnf"],
+                                     ["oracle"]])
 def test_parser_warnings_are_printed_as_comments(tmp_path, capsys, command):
     path = tmp_path / "miscounted.wcnf"
     path.write_text(EXAMPLE1.replace("p wcnf 3 6 7", "p wcnf 3 5 7"))
@@ -337,6 +338,20 @@ def test_preprocess_emit_wcnf_stdout(tmp_path, capsys):
     assert main(["preprocess", "--emit-wcnf", str(path)]) == 0
     out = capsys.readouterr().out
     assert out.startswith("p wcnf ")
+
+
+def test_preprocess_sidecar_without_emit_wcnf_is_an_error(tmp_path, capsys):
+    # the sidecar records how to lift a model of the emitted wcnf, so
+    # without one there is nothing it could belong to
+    path = tmp_path / "ex1.wcnf"
+    path.write_text(EXAMPLE1)
+    sidecar = tmp_path / "rec.json"
+    assert main(["preprocess", "--sidecar", str(sidecar), str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert len(captured.err.splitlines()) == 1
+    assert not sidecar.exists()
 
 
 # ---------------------------------------------------------------------------

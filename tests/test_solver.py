@@ -231,32 +231,50 @@ class _RelaxationCounter:
         self._live, self._seen = selectors, dict(selectors)
 
 
+class _RunSpy:
+    """Captures, from ``solver._enter``, the working formula and the live
+    selectors of a run: the same two dicts serve the whole run."""
+
+    def __init__(self, monkeypatch):
+        self.working = self.selectors = None
+        enter = solver._enter
+
+        def spy_enter(working, clauses, selectors):
+            self.working, self.selectors = working, selectors
+            return enter(working, clauses, selectors)
+
+        monkeypatch.setattr(solver, "_enter", spy_enter)
+
+
 def test_noninc_loads_each_fresh_solver_with_fresh_encodings(monkeypatch):
     """Each fresh ``noninc`` solver gets one ``load`` batch: the working
     formula in ``sort_key`` order, each clause with one negated selector
     per label, exactly as encoding it from scratch gives, on runs that
     both split labels and relax them in place."""
-    loaded = []
+    loaded = []  # (solver, batch)
     relaxations = _RelaxationCounter()
-    solve_round = solver._NonIncDriver.solve_round
+    run = _RunSpy(monkeypatch)
+    solve_round = solver._solve_round
     load = CdclSolver.load
 
     def spy_load(eng, batch):
-        loaded.append(batch)
+        loaded.append((eng, batch))
         return load(eng, batch)
 
-    def spy_round(driver, working, selectors, label_of, budget):
+    def spy_round(eng, selectors, label_of, budget, disjoint):
+        assert selectors is run.selectors
         relaxations.round(selectors)
         want = [encode(list(c.lits) +
                        [-selectors[m] for m in sorted(c.labels)])
-                for c in sorted(working, key=LabelledClause.sort_key)]
-        before = len(loaded)
-        out = solve_round(driver, working, selectors, label_of, budget)
-        assert loaded[before:] == [want]
-        return out
+                for c in sorted(run.working, key=LabelledClause.sort_key)]
+        # a fresh solver that took this one batch
+        assert eng.stats["solves"] == 0
+        assert [b for e, b in loaded if e is eng] == [want]
+        loaded.clear()
+        return solve_round(eng, selectors, label_of, budget, disjoint)
 
     monkeypatch.setattr(CdclSolver, "load", spy_load)
-    monkeypatch.setattr(solver._NonIncDriver, "solve_round", spy_round)
+    monkeypatch.setattr(solver, "_solve_round", spy_round)
     phis = ([lcnf_from_wcnf(random_wcnf(seed, max_weight=4))
              for seed in range(40)] +
             [random_lcnf(seed, nlabels=8) for seed in range(40)])
@@ -267,6 +285,7 @@ def test_noninc_loads_each_fresh_solver_with_fresh_encodings(monkeypatch):
             assert report.status == "unsat-hard"
         else:
             assert report.solution.cost == expect.cost
+        loaded.clear()
     assert min(relaxations.splits, relaxations.inplace) >= 20, \
         vars(relaxations)
 
@@ -283,25 +302,27 @@ def test_noninc_round_cores_are_disjoint_and_stay_cores(monkeypatch):
     leaves each later one a core: the hard clauses plus the working
     clauses labelled within it stay unsatisfiable.  Costs equal the
     oracle's on weighted instances that split labels."""
-    solve_round = solver._NonIncDriver.solve_round
+    run = _RunSpy(monkeypatch)
+    solve_round = solver._solve_round
     equals1 = solver.encode_equals1
     pending = []  # (working formula, labels) of cores not yet relaxed
     seen = {"multi": 0}
     relaxations = _RelaxationCounter()
 
-    def spy_round(driver, working, selectors, label_of, budget):
+    def spy_round(eng, selectors, label_of, budget, disjoint):
+        assert selectors is run.selectors and disjoint
         relaxations.round(selectors)
         live = set(selectors)
         assert list(selectors) == sorted(selectors)
         assert label_of == {s: l for l, s in selectors.items()}
-        cores, model = solve_round(driver, working, selectors, label_of,
-                                   budget)
+        cores, model = solve_round(eng, selectors, label_of, budget,
+                                   disjoint)
         assert (model is None) == bool(cores)
         for i, core in enumerate(cores):
             assert core.labels <= live
             assert all(not core.labels & c.labels for c in cores[:i])
         seen["multi"] += len(cores) > 1
-        pending[:] = [(working, core.labels) for core in cores]
+        pending[:] = [(run.working, core.labels) for core in cores]
         return cores, model
 
     def spy_equals1(variables):
@@ -311,7 +332,7 @@ def test_noninc_round_cores_are_disjoint_and_stay_cores(monkeypatch):
             assert _refuted(c for c in working if c.labels <= labels)
         return equals1(variables)
 
-    monkeypatch.setattr(solver._NonIncDriver, "solve_round", spy_round)
+    monkeypatch.setattr(solver, "_solve_round", spy_round)
     monkeypatch.setattr(solver, "encode_equals1", spy_equals1)
     for seed in range(30):
         f = random_wcnf(seed, nvars=8, nclauses=30, max_weight=4,
@@ -485,6 +506,36 @@ def test_budget_exhaustion_reports_unknown():
     report = solve_lcnf(phi, "wmsu1", "noninc", conflict_budget=0)
     assert report.status == "unknown"
     assert report.solution is None
+
+
+@pytest.mark.parametrize("mode", ["noninc", "inc"])
+@pytest.mark.parametrize("hard", [True, False], ids=["hard-check", "round"])
+def test_budget_exhaustion_counts_the_live_solver(mode, hard):
+    """Three pigeons in two holes need conflicts to refute, so a zero
+    budget trips at the first one: hard, in the hard check; soft, in the
+    first call of round 1, after a hard check without clauses.  Either
+    way the run is ``unknown`` and its stats count the solver that was
+    live when the budget ran out."""
+    f = WCNF()
+    add = f.add_hard if hard else (lambda lits: f.add_soft(lits, 1))
+    for lits in [(1, 2), (3, 4), (5, 6),
+                 (-1, -3), (-1, -5), (-3, -5),
+                 (-2, -4), (-2, -6), (-4, -6)]:
+        add(lits)
+    f.add_soft([7], 1)
+    phi = lcnf_from_wcnf(f)
+    report = solve_lcnf(phi, "wmsu1", mode, conflict_budget=0)
+    assert report.status == "unknown" and report.solution is None
+    st = report.stats
+    if hard:  # nothing but the hard check's solver and its one call
+        assert (st["rounds"], st["load_events"], st["solves"]) == (0, 1, 1)
+        assert st["clauses_loaded"] == 9
+    else:  # ``noninc`` built round 1's solver, ``inc`` kept its first
+        loads = 2 if mode == "noninc" else 1
+        assert (st["rounds"], st["load_events"], st["solves"]) == \
+            (1, loads, 2)
+        assert st["clauses_loaded"] == phi.size() == 10
+    assert st["iterations"] == 0 and st["conflicts"] == 1
 
 
 def test_all_hard_satisfiable_costs_zero():
