@@ -7,8 +7,9 @@ formula.  The printed cost is always checked against the input before
 anything reaches stdout.
 
 Exit codes: 0 optimum found, 20 hard part unsatisfiable, 1 anything
-else (parse or I/O error, budget exhaustion, a weight sum above 2^64-1,
-internal check failure), with a one-line message on stderr.
+else (parse or I/O error, a negative count, budget exhaustion, a weight
+sum above 2^64-1, internal check failure), with a one-line message on
+stderr; 2 a command-line usage error, with argparse's usage block.
 """
 
 import argparse
@@ -33,9 +34,8 @@ class PipelineError(RuntimeError):
 
 
 class Preprocessed(NamedTuple):
-    wcnf: WCNF  # after BCE
     bce_rec: BceRecord
-    lifted: LCNF  # labelled form of ``wcnf``
+    lifted: LCNF  # labelled form of the formula after BCE
     lcnf: LCNF  # after SUB/SSR/BVE
     bve_rec: BveRecord
 
@@ -61,7 +61,7 @@ def _preprocess(f: WCNF, prep: str,
         if trace:
             trace(f"rs: {phi.size()} -> {phi_rs.size()} clauses, "
                   f"{len(bve_rec)} variables eliminated")
-    return Preprocessed(f, bce_rec, phi, phi_rs, bve_rec)
+    return Preprocessed(bce_rec, phi, phi_rs, bve_rec)
 
 
 def run_pipeline(f: WCNF, prep: str = "bce,rs", mode: str = "noninc",
@@ -135,6 +135,8 @@ def _status_code(status: str) -> int:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
+    if args.budget is not None and args.budget < 0:
+        raise ValueError(f"--budget must be >= 0, got {args.budget}")
     f = _parse_reporting_warnings(args.file)
     trace_cb = None
     if args.trace:
@@ -167,38 +169,33 @@ def _sidecar_payload(f: WCNF, bce_rec: BceRecord, bve_rec: BveRecord,
 def _cmd_preprocess(args: argparse.Namespace) -> int:
     if args.sidecar and not args.emit_wcnf:
         raise ValueError("--sidecar requires --emit-wcnf")
-    f, bce_rec, _, phi, bve_rec = _preprocess(
-        _parse_reporting_warnings(args.file), args.prep)
+    f = _parse_reporting_warnings(args.file)
+    bce_rec, _, phi, bve_rec = _preprocess(f, args.prep)
 
+    sidecar_path = None
     if args.emit_wcnf:
         enc, selectors = lcnf_to_wcnf(phi)
-        out_text = write_wcnf(enc)
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(out_text)
-            sidecar_path = args.sidecar or args.out + ".sidecar.json"
-        else:
-            sys.stdout.write(out_text)
-            sidecar_path = args.sidecar
-        if sidecar_path:
-            with open(sidecar_path, "w") as fh:
-                json.dump(_sidecar_payload(f, bce_rec, bve_rec, selectors),
-                          fh, indent=1)
-                fh.write("\n")
-        return 0
-
-    # debugging view of the labelled formula
-    lines = [f"c bce removed {len(bce_rec)}",
-             f"c bve eliminated {len(bve_rec)}"]
-    for l in sorted(phi.label_weights):
-        lines.append(f"c w {l} {phi.label_weights[l]}")
-    body = dump_lcnf(phi)
-    text = "\n".join(lines) + "\n" + (body + "\n" if body else "")
+        text = write_wcnf(enc)
+        sidecar_path = args.sidecar or (args.out and
+                                        args.out + ".sidecar.json")
+    else:
+        # debugging view of the labelled formula
+        lines = [f"c bce removed {len(bce_rec)}",
+                 f"c bve eliminated {len(bve_rec)}"]
+        for l in sorted(phi.label_weights):
+            lines.append(f"c w {l} {phi.label_weights[l]}")
+        body = dump_lcnf(phi)
+        text = "\n".join(lines) + "\n" + (body + "\n" if body else "")
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+    if sidecar_path:
+        with open(sidecar_path, "w") as fh:
+            json.dump(_sidecar_payload(f, bce_rec, bve_rec, selectors),
+                      fh, indent=1)
+            fh.write("\n")
     return 0
 
 
@@ -208,11 +205,9 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
     f = _parse_reporting_warnings(args.file)
     sol = brute_force_maxsat(f)  # ValueError past the variable cap
-    if sol is None:
-        sys.stdout.write(write_solution(None, "unsat-hard"))
-        return 20
-    sys.stdout.write(write_solution(sol, "optimum", f.num_vars))
-    return 0
+    status = "unsat-hard" if sol is None else "optimum"
+    sys.stdout.write(write_solution(sol, status, f.num_vars))
+    return _status_code(status)
 
 
 _FUZZ_CONFIGS = [(p, m) for p in PREPS for m in MODES]
@@ -221,6 +216,8 @@ _FUZZ_CONFIGS = [(p, m) for p in PREPS for m in MODES]
 def _cmd_fuzz(args: argparse.Namespace) -> int:
     from .oracle import brute_force_maxsat, random_wcnf
 
+    if args.n < 0:
+        raise ValueError(f"--n must be >= 0, got {args.n}")
     bad = 0
     for i in range(args.n):
         seed = args.seed + i

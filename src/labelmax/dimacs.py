@@ -10,7 +10,9 @@ Accepted input formats:
 
 The 2022+ header-less format with ``h``-prefixed hard clauses is
 rejected with a pointer to the classic format.  Parsing is line-based:
-one clause per line, terminated by a single ``0``.
+one clause per line, terminated by a single ``0``.  Lines are read as
+whitespace-separated tokens, the header included; ``parse_auto`` takes
+the format from the header.
 
 Output follows the usual evaluation convention: ``o <cost>``, then an
 ``s`` status line, then a ``v`` model line (signed literals, trailing
@@ -59,13 +61,6 @@ def _split_clause_tokens(nums: List[int], line_no: int) -> Tuple[int, ...]:
     return tuple(lits)
 
 
-def _check_vars(lits: Tuple[int, ...], nv: int, line_no: int) -> None:
-    for l in lits:
-        if abs(l) > nv:
-            raise ParseError(
-                line_no, f"variable {abs(l)} beyond declared maximum {nv}")
-
-
 def _content_lines(text: str):
     for i, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -74,102 +69,83 @@ def _content_lines(text: str):
         yield i, line
 
 
-def parse_wcnf(text: str) -> ParsedInstance:
-    header = None
-    nv = nc = 0
-    top: Optional[int] = None
-    inst = None
+def _parse(text: str, fmt: Optional[str]) -> ParsedInstance:
+    """Read ``fmt`` ("cnf" or "wcnf"); None takes the format from the
+    header, reading anything but ``p cnf`` as wcnf."""
+    lines = _content_lines(text)
+    want = f"'p {fmt}'" if fmt else "'p cnf' or 'p wcnf'"
+    first = next(lines, None)
+    if first is None:
+        raise ParseError(1, f"empty input: no {want} header found")
+    line_no, line = first
+    header = line.split()
+    if header[0] != "p":
+        if header[0] == "h":
+            raise ParseError(
+                line_no,
+                "'h'-prefixed hard clause (2022+ format) not supported; "
+                "use the classic 'p wcnf <nv> <nc> <top>' header")
+        raise ParseError(line_no, f"expected {want} header before clauses")
+    if fmt is None:
+        fmt = "cnf" if header[1:2] == ["cnf"] else "wcnf"
+    cnf = fmt == "cnf"
+    if header[1:2] != [fmt] or len(header) not in ((4,) if cnf else (4, 5)):
+        raise ParseError(line_no, f"malformed header {line!r}")
+    nv, nc, *rest = _int_tokens(header[2:], line_no)
+    if nv < 0 or nc < 0:
+        raise ParseError(line_no, "negative counts in header")
+    top: Optional[int] = rest[0] if rest else None
+    if top is not None and top < 1:
+        raise ParseError(line_no, f"top weight must be >= 1, got {top}")
+
+    inst = ParsedInstance(WCNF(num_vars=nv))
+    f = inst.wcnf
     clause_lines = 0
-    for line_no, line in _content_lines(text):
-        if header is None:
-            if not line.startswith("p "):
-                if line.startswith("h "):
-                    raise ParseError(
-                        line_no,
-                        "'h'-prefixed hard clause (2022+ format) not supported; "
-                        "use the classic 'p wcnf <nv> <nc> <top>' header")
-                raise ParseError(line_no, "expected 'p wcnf' header before clauses")
-            parts = line.split()
-            if len(parts) not in (4, 5) or parts[0] != "p" or parts[1] != "wcnf":
-                raise ParseError(line_no, f"malformed header {line!r}")
-            nums = _int_tokens(parts[2:], line_no)
-            nv, nc = nums[0], nums[1]
-            if nv < 0 or nc < 0:
-                raise ParseError(line_no, "negative counts in header")
-            top = nums[2] if len(nums) == 3 else None
-            if top is not None and top < 1:
-                raise ParseError(line_no, f"top weight must be >= 1, got {top}")
-            header = line
-            inst = ParsedInstance(WCNF(num_vars=nv))
-            continue
+    for line_no, line in lines:
         nums = _int_tokens(line.split(), line_no)
-        w, lits = nums[0], _split_clause_tokens(nums[1:], line_no)
+        w = 1 if cnf else nums.pop(0)
+        lits = _split_clause_tokens(nums, line_no)
+        # a repeated literal token usually means a weight-prefixed wcnf
+        # line was fed to the cnf reader; reject rather than guess
+        if cnf and len(lits) != len(set(lits)):
+            raise ParseError(line_no,
+                             "repeated literal token in cnf clause line")
         if w == 0:
             raise ParseError(line_no, "clause weight 0")
         if w < 0:
             raise ParseError(line_no, f"negative clause weight {w}")
         if top is not None and w > top:
             raise ParseError(line_no, f"clause weight {w} exceeds top {top}")
-        _check_vars(lits, nv, line_no)
-        if top is not None and w == top:
-            inst.wcnf.add_hard(lits)
+        for l in lits:
+            if abs(l) > nv:
+                raise ParseError(
+                    line_no, f"variable {abs(l)} beyond declared maximum {nv}")
+        if w == top:
+            f.add_hard(lits)
         else:
-            inst.wcnf.add_soft(lits, w)
+            f.add_soft(lits, w)
         clause_lines += 1
-    if header is None:
-        raise ParseError(1, "empty input: no 'p wcnf' header found")
     if clause_lines != nc:
         inst.warnings.append(
             f"header declares {nc} clauses, file contains {clause_lines}")
-    if top is not None and inst.wcnf.soft and inst.wcnf.soft_weight_sum() >= top:
+    if top is not None and f.soft and f.soft_weight_sum() >= top:
         inst.warnings.append(
             f"top {top} does not exceed the soft weight sum "
-            f"{inst.wcnf.soft_weight_sum()}")
+            f"{f.soft_weight_sum()}")
     return inst
 
 
 def parse_cnf(text: str) -> ParsedInstance:
-    header = None
-    nv = nc = 0
-    inst = None
-    clause_lines = 0
-    for line_no, line in _content_lines(text):
-        if header is None:
-            if not line.startswith("p "):
-                raise ParseError(line_no, "expected 'p cnf' header before clauses")
-            parts = line.split()
-            if len(parts) != 4 or parts[1] != "cnf":
-                raise ParseError(line_no, f"malformed header {line!r}")
-            nv, nc = _int_tokens(parts[2:], line_no)
-            if nv < 0 or nc < 0:
-                raise ParseError(line_no, "negative counts in header")
-            header = line
-            inst = ParsedInstance(WCNF(num_vars=nv))
-            continue
-        nums = _int_tokens(line.split(), line_no)
-        lits = _split_clause_tokens(nums, line_no)
-        # a repeated literal token usually means a weight-prefixed wcnf
-        # line was fed to the cnf parser; reject rather than guess
-        if len(lits) != len(set(lits)):
-            raise ParseError(line_no, "repeated literal token in cnf clause line")
-        _check_vars(lits, nv, line_no)
-        inst.wcnf.add_soft(lits, 1)
-        clause_lines += 1
-    if header is None:
-        raise ParseError(1, "empty input: no 'p cnf' header found")
-    if clause_lines != nc:
-        inst.warnings.append(
-            f"header declares {nc} clauses, file contains {clause_lines}")
-    return inst
+    return _parse(text, "cnf")
+
+
+def parse_wcnf(text: str) -> ParsedInstance:
+    return _parse(text, "wcnf")
 
 
 def parse_auto(text: str) -> ParsedInstance:
-    """Dispatch on the first 'p' header found."""
-    for _, line in _content_lines(text):
-        if line.startswith("p cnf"):
-            return parse_cnf(text)
-        break
-    return parse_wcnf(text)
+    """Take the format from the ``p`` header."""
+    return _parse(text, None)
 
 
 # ---------------------------------------------------------------------------

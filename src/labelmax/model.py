@@ -22,8 +22,8 @@ Two formula representations live here:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import (Dict, FrozenSet, Iterable, Iterator, List, NamedTuple,
-                    Optional, Sequence, Set, Tuple)
+from typing import (Dict, FrozenSet, Iterable, List, NamedTuple, Optional,
+                    Sequence, Set, Tuple)
 
 Lit = int
 ClauseT = Tuple[int, ...]
@@ -236,9 +236,6 @@ class LCNF:
             used |= c.labels
         return LCNF(cs, {l: w for l, w in self.label_weights.items()
                          if l in used})
-
-    def __iter__(self) -> Iterator[LabelledClause]:
-        return iter(self.sorted_clauses())
 
 
 def induced_subformula(phi: LCNF, m: Iterable[int]) -> LCNF:

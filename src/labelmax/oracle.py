@@ -19,8 +19,8 @@ from __future__ import annotations
 import heapq
 import random
 from itertools import combinations
-from typing import (Dict, FrozenSet, Iterable, List, Optional, Sequence, Set,
-                    Tuple)
+from typing import (Callable, Dict, FrozenSet, Iterable, List, Optional,
+                    Sequence, Set, Tuple)
 
 from .model import (
     LCNF,
@@ -188,7 +188,7 @@ def brute_force_lcnf_maxsat(phi: LCNF) -> Optional[MaxSatSolution]:
 
 
 # ---------------------------------------------------------------------------
-# MUS / MCS enumeration (clause level, 1-based indices)
+# minimal-set enumeration: MUS / MCS (clause and label level), hitting sets
 
 
 def _check_enum_cap(n: int) -> None:
@@ -196,25 +196,31 @@ def _check_enum_cap(n: int) -> None:
         raise ValueError(f"subset enumeration capped at {MAX_ENUM_SETS} elements")
 
 
-def enumerate_mus(clauses: Sequence[ClauseT], num_vars: int) -> Set[FrozenSet[int]]:
-    """All minimal unsatisfiable subsets, as sets of 1-based clause indices.
+def _minimal_sets(universe: Sequence[int],
+                  holds: Callable[[FrozenSet[int]], bool]
+                  ) -> Set[FrozenSet[int]]:
+    """All minimal subsets of ``universe`` on which ``holds`` is true.
 
-    Size-ascending scan with superset pruning: an unsatisfiable subset
-    containing no smaller-or-equal found MUS is itself minimal, because
-    every unsatisfiable set contains some MUS.
+    Size-ascending scan with superset pruning.  ``holds`` must be closed
+    under supersets: then every set that holds contains a minimal one,
+    found at a smaller or equal size, so a set that holds and contains
+    no set found so far is itself minimal.
     """
-    _check_enum_cap(len(clauses))
-    tt = _TruthTables(num_vars)
+    _check_enum_cap(len(universe))
     found: List[FrozenSet[int]] = []
-    idxs = range(len(clauses))
-    for size in range(len(clauses) + 1):
-        for combo in combinations(idxs, size):
+    for size in range(len(universe) + 1):
+        for combo in combinations(universe, size):
             s = frozenset(combo)
-            if any(m <= s for m in found):
-                continue
-            if not tt.sat_mask([clauses[i] for i in combo]):
+            if not any(m <= s for m in found) and holds(s):
                 found.append(s)
-    return {frozenset(i + 1 for i in m) for m in found}
+    return set(found)
+
+
+def enumerate_mus(clauses: Sequence[ClauseT], num_vars: int) -> Set[FrozenSet[int]]:
+    """All minimal unsatisfiable subsets, as sets of 1-based clause indices."""
+    tt = _TruthTables(num_vars)
+    return _minimal_sets(range(1, len(clauses) + 1), lambda s: not tt.sat_mask(
+        [clauses[i - 1] for i in s]))
 
 
 def enumerate_mcs(clauses: Sequence[ClauseT], num_vars: int) -> Set[FrozenSet[int]]:
@@ -222,40 +228,22 @@ def enumerate_mcs(clauses: Sequence[ClauseT], num_vars: int) -> Set[FrozenSet[in
 
     Satisfiable input yields {frozenset()}: nothing needs removing.
     """
-    _check_enum_cap(len(clauses))
     tt = _TruthTables(num_vars)
-    found: List[FrozenSet[int]] = []
-    idxs = range(len(clauses))
-    for size in range(len(clauses) + 1):
-        for combo in combinations(idxs, size):
-            r = frozenset(combo)
-            if any(m <= r for m in found):
-                continue
-            if tt.sat_mask([clauses[i] for i in idxs if i not in r]):
-                found.append(r)
-    return {frozenset(i + 1 for i in m) for m in found}
+    return _minimal_sets(range(1, len(clauses) + 1), lambda r: bool(tt.sat_mask(
+        [c for i, c in enumerate(clauses, start=1) if i not in r])))
 
 
-# ---------------------------------------------------------------------------
-# MUS / MCS enumeration (label level)
+def _induced_sat(phi: LCNF) -> Callable[[FrozenSet[int]], int]:
+    """Truth-table satisfiability of ``induced_subformula(phi, m)``."""
+    tt = _TruthTables(max(phi.max_var(), 1))
+    return lambda m: tt.sat_mask(
+        [c.lits for c in induced_subformula(phi, m).clauses])
 
 
 def enumerate_mus_labels(phi: LCNF) -> Set[FrozenSet[int]]:
     """Minimal label sets M with the induced subformula unsatisfiable."""
-    labels = sorted(phi.labels())
-    _check_enum_cap(len(labels))
-    nv = max(phi.max_var(), 1)
-    tt = _TruthTables(nv)
-    found: List[FrozenSet[int]] = []
-    for size in range(len(labels) + 1):
-        for combo in combinations(labels, size):
-            m = frozenset(combo)
-            if any(f <= m for f in found):
-                continue
-            sub = induced_subformula(phi, m)
-            if not tt.sat_mask([c.lits for c in sub.clauses]):
-                found.append(m)
-    return set(found)
+    sat = _induced_sat(phi)
+    return _minimal_sets(sorted(phi.labels()), lambda m: not sat(m))
 
 
 def enumerate_mcs_labels(phi: LCNF) -> Set[FrozenSet[int]]:
@@ -264,24 +252,9 @@ def enumerate_mcs_labels(phi: LCNF) -> Set[FrozenSet[int]]:
     Hard-unsatisfiable input (empty-labelled part has no model) yields
     the empty family; satisfiable input yields {frozenset()}.
     """
-    labels = sorted(phi.labels())
-    _check_enum_cap(len(labels))
-    nv = max(phi.max_var(), 1)
-    tt = _TruthTables(nv)
-    found: List[FrozenSet[int]] = []
-    for size in range(len(labels) + 1):
-        for combo in combinations(labels, size):
-            r = frozenset(combo)
-            if any(f <= r for f in found):
-                continue
-            sub = induced_subformula(phi, set(labels) - r)
-            if tt.sat_mask([c.lits for c in sub.clauses]):
-                found.append(r)
-    return set(found)
-
-
-# ---------------------------------------------------------------------------
-# hitting-set duality
+    labels = phi.labels()
+    sat = _induced_sat(phi)
+    return _minimal_sets(sorted(labels), lambda r: bool(sat(labels - r)))
 
 
 def minimal_hitting_sets(family: Iterable[FrozenSet[int]]) -> Set[FrozenSet[int]]:
@@ -293,17 +266,8 @@ def minimal_hitting_sets(family: Iterable[FrozenSet[int]]) -> Set[FrozenSet[int]
     fam = [frozenset(s) for s in family]
     if any(len(s) == 0 for s in fam):
         return set()
-    universe = sorted(set().union(*fam)) if fam else []
-    _check_enum_cap(len(universe))
-    found: List[FrozenSet[int]] = []
-    for size in range(len(universe) + 1):
-        for combo in combinations(universe, size):
-            h = frozenset(combo)
-            if any(f <= h for f in found):
-                continue
-            if all(h & s for s in fam):
-                found.append(h)
-    return set(found)
+    universe = sorted(set().union(*fam))
+    return _minimal_sets(universe, lambda h: all(h & s for s in fam))
 
 
 def check_hitting_duality(muses: Set[FrozenSet[int]], mcses: Set[FrozenSet[int]]) -> bool:

@@ -211,10 +211,6 @@ def _component_hitting_set(mins: List[FrozenSet[int]],
     return best
 
 
-def _restrict_model(tau: Dict[int, int], nv: int) -> Dict[int, int]:
-    return {v: tau.get(v, 0) for v in range(1, nv + 1)}
-
-
 def _certify(orig: LCNF, tau: Dict[int, int], lb: int) -> MaxSatSolution:
     falsified = [c for c in orig.sorted_clauses()
                  if not clause_satisfied(c.lits, tau)]
@@ -346,12 +342,10 @@ def solve_lcnf(phi: LCNF, algorithm: str = "wmsu1", mode: str = "noninc",
                     weight[nl] = w_min
                     s = selectors[nl] = next(variables)
                     label_of[s] = nl
-                    copies = [LabelledClause.make((r,) + c.lits,
-                                                  (c.labels - {l}) | {nl})
-                              for c in carried]
+                    relaxed = [LabelledClause.make((r,) + c.lits,
+                                                   (c.labels - {l}) | {nl})
+                               for c in carried]
                     carrying[nl] = set()
-                    _index(carrying, copies)
-                    batch += _enter(working, copies, selectors)
                 else:
                     relaxed = [LabelledClause.make((r,) + c.lits, c.labels)
                                for c in carried]
@@ -360,14 +354,14 @@ def solve_lcnf(phi: LCNF, algorithm: str = "wmsu1", mode: str = "noninc",
                         del working[c]
                         for m in c.labels:
                             carrying[m].discard(c)
-                    _index(carrying, relaxed)
                     retired = selectors[l]
                     del label_of[retired]
                     s = selectors[l] = next(variables)
                     label_of[s] = l
                     # the unit finalizes the old selector
                     batch.append(encode([-retired]))
-                    batch += _enter(working, relaxed, selectors)
+                _index(carrying, relaxed)
+                batch += _enter(working, relaxed, selectors)
 
             enc = encode_equals1(relaxation_vars)
             batch += _enter(working, [LabelledClause(c, frozenset())
@@ -379,5 +373,5 @@ def solve_lcnf(phi: LCNF, algorithm: str = "wmsu1", mode: str = "noninc",
             trace(f"round {stats['rounds']}: {len(cores)} cores, "
                   f"lower bound {lb}")
         if model is not None:
-            tau = _restrict_model(model, nv_orig)
+            tau = {v: model.get(v, 0) for v in range(1, nv_orig + 1)}
             return finish("optimum", _certify(phi, tau, lb))

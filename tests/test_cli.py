@@ -203,6 +203,50 @@ def test_solve_parse_error_exit_1(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("sep", ["\t", "  "], ids=["tab", "two-spaces"])
+@pytest.mark.parametrize("text,cost", [
+    (EXAMPLE1.replace("p wcnf", "p{sep}wcnf"), 2),
+    ("p{sep}cnf 1 2\n1 0\n-1 0\n", 1),
+], ids=["wcnf", "cnf"])
+def test_solve_reads_headers_with_any_whitespace(tmp_path, capsys, sep,
+                                                 text, cost):
+    path = tmp_path / "in.txt"
+    path.write_text(text.format(sep=sep))
+    assert main(["solve", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == f"o {cost}"
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--budget=-1", "{path}"],
+    ["fuzz", "--n", "-3"],
+])
+def test_negative_counts_are_an_error(tmp_path, capsys, argv):
+    path = tmp_path / "ex1.wcnf"
+    path.write_text(EXAMPLE1)
+    assert main([a.format(path=path) for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert len(captured.err.splitlines()) == 1
+
+
+def test_fuzz_with_no_instances_is_valid(capsys):
+    assert main(["fuzz", "--n", "0"]) == 0
+    assert "0 instances" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--mode=foo", "x.wcnf"],
+    ["solve", "--budget=x", "x.wcnf"],
+    ["fuzz", "--n", "three"],
+])
+def test_usage_errors_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err
+
+
 def test_solve_missing_file_exit_1(capsys):
     assert main(["solve", "/nonexistent/x.wcnf"]) == 1
     assert "error:" in capsys.readouterr().err

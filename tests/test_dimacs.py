@@ -95,6 +95,24 @@ def test_golden_errors(name):
     assert exc.value.line_no == line_no
 
 
+@pytest.mark.parametrize("name", sorted(VALID) + sorted(ERRORS))
+def test_golden_parse_auto_matches_the_extension_parser(name):
+    """The command line reads every file with ``parse_auto``."""
+    text = (GOLDEN / name).read_text()
+    if name in ERRORS:
+        substring, line_no = ERRORS[name]
+        with pytest.raises(ParseError) as exc:
+            parse_auto(text)
+        assert substring in str(exc.value)
+        assert exc.value.line_no == line_no
+        return
+    want, got = _parse(name, text), parse_auto(text)
+    assert got.wcnf.hard == want.wcnf.hard
+    assert got.wcnf.soft == want.wcnf.soft
+    assert got.wcnf.num_vars == want.wcnf.num_vars
+    assert got.warnings == want.warnings
+
+
 def test_basic_wcnf_values():
     inst = parse_wcnf((GOLDEN / "basic.wcnf").read_text())
     assert inst.wcnf.hard == [(1,)]
@@ -139,6 +157,19 @@ def test_parse_auto_dispatches_on_header():
     # each parser rejects the other's header
     assert parse_auto("p cnf 1 1\n1 0\n").wcnf.soft == [((1,), 1)]
     assert parse_auto("p wcnf 1 1 5\n5 1 0\n").wcnf.hard == [(1,)]
+
+
+@pytest.mark.parametrize("sep", ["\t", "  "], ids=["tab", "two-spaces"])
+def test_header_is_read_by_tokens(sep):
+    cnf = f"p{sep}cnf 2{sep}2\n1 2 0\n-1 0\n"
+    wcnf = f"p{sep}wcnf 2 2{sep}5\n5 1 2 0\n3 -1 0\n"
+    for parse, text in ((parse_auto, cnf), (parse_cnf, cnf)):
+        assert parse(text).wcnf.soft == [((1, 2), 1), ((-1,), 1)]
+    for parse, text in ((parse_auto, wcnf), (parse_wcnf, wcnf)):
+        inst = parse(text)
+        assert inst.wcnf.hard == [(1, 2)]
+        assert inst.wcnf.soft == [((-1,), 3)]
+        assert inst.warnings == []
 
 
 def test_many_hard_clauses_parse_in_linear_time():

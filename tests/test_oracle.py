@@ -209,6 +209,21 @@ def test_label_mcs_of_hard_unsat_is_empty_family():
     assert enumerate_mus_labels(phi) == {frozenset()}
 
 
+def test_clause_and_label_level_enumerations_agree():
+    # clause i labelled {i} turns a clause subset into the same label set
+    unsat = 0
+    for seed in range(40):
+        clauses, nv = random_cnf(seed, nvars=4, nclauses=9 + seed % 4)
+        phi = LCNF(frozenset(lclause(c, [i]) for i, c in
+                             enumerate(clauses, start=1)),
+                   {i: 1 for i in range(1, len(clauses) + 1)})
+        muses = enumerate_mus(clauses, nv)
+        assert muses == enumerate_mus_labels(phi), seed
+        assert enumerate_mcs(clauses, nv) == enumerate_mcs_labels(phi), seed
+        unsat += bool(muses)
+    assert 5 <= unsat <= 35  # both satisfiable and unsatisfiable inputs
+
+
 def test_brute_force_lcnf_on_example():
     sol = brute_force_lcnf_maxsat(labelled_example())
     assert sol.cost == 2
