@@ -35,8 +35,7 @@ class PipelineError(RuntimeError):
 
 class Preprocessed(NamedTuple):
     bce_rec: BceRecord
-    lifted: LCNF  # labelled form of the formula after BCE
-    lcnf: LCNF  # after SUB/SSR/BVE
+    lcnf: LCNF  # labelled form after BCE and SUB/SSR/BVE
     bve_rec: BveRecord
 
 
@@ -61,7 +60,7 @@ def _preprocess(f: WCNF, prep: str,
         if trace:
             trace(f"rs: {phi.size()} -> {phi_rs.size()} clauses, "
                   f"{len(bve_rec)} variables eliminated")
-    return Preprocessed(bce_rec, phi, phi_rs, bve_rec)
+    return Preprocessed(bce_rec, phi_rs, bve_rec)
 
 
 def run_pipeline(f: WCNF, prep: str = "bce,rs", mode: str = "noninc",
@@ -88,8 +87,8 @@ def run_pipeline(f: WCNF, prep: str = "bce,rs", mode: str = "noninc",
 
     inner = report.solution
     assert inner is not None
-    retained = pre.lifted.labels() - inner.falsified
-    tau = bve_reconstruct(pre.bve_rec, dict(inner.model), retained=retained)
+    tau = bve_reconstruct(pre.bve_rec, dict(inner.model),
+                          removed=inner.falsified)
     tau = bce_reconstruct(pre.bce_rec, tau)
     model = {v: tau.get(v, 0) for v in range(1, f.num_vars + 1)}
 
@@ -170,7 +169,7 @@ def _cmd_preprocess(args: argparse.Namespace) -> int:
     if args.sidecar and not args.emit_wcnf:
         raise ValueError("--sidecar requires --emit-wcnf")
     f = _parse_reporting_warnings(args.file)
-    bce_rec, _, phi, bve_rec = _preprocess(f, args.prep)
+    bce_rec, phi, bve_rec = _preprocess(f, args.prep)
 
     sidecar_path = None
     if args.emit_wcnf:

@@ -542,18 +542,16 @@ def preprocess_lcnf(phi: LCNF) -> Tuple[LCNF, BveRecord]:
 
 
 def bve_reconstruct(rec: BveRecord, tau: Assignment,
-                    retained: Optional[FrozenSet[int]] = None) -> Assignment:
+                    removed: FrozenSet[int] = frozenset()) -> Assignment:
     """Extend a model of the reduced formula over eliminated variables.
 
     Works backwards through the record, picking for each variable a value
-    (0 preferred) satisfying every recorded clause whose label set lies
-    inside ``retained`` — clauses outside the retained context impose no
-    constraint.  ``retained=None`` keeps every clause constraining.
+    (0 preferred) satisfying every recorded clause that carries no label
+    in ``removed`` — clauses of removed labels impose no constraint.
     """
     out = dict(tau)
     for entry in reversed(rec):
-        group = [c for c in entry.group
-                 if retained is None or c.labels <= retained]
+        group = [c for c in entry.group if not c.labels & removed]
         for v in (0, 1):
             out[entry.var] = v
             if all(clause_satisfied(c.lits, out) for c in group):

@@ -30,12 +30,12 @@ solver is built and whether a round goes on after a core:
   carrying it) and fresh copies are loaded under the new one.  Nothing
   is ever reloaded.
 
-The loop keeps each working clause with its encoding, made once when
-the clause enters: a clause keeps its selectors while it stays, since
-relaxing a label in place replaces every clause that carries it.  The
-new clauses of each relaxed core form one batch, which ``inc`` loads
-into its live solver; ``noninc``'s next fresh solver loads the working
-formula whole.
+The loop keeps each working clause with its encoding, in entry order,
+and files it under its labels when it enters.  A clause keeps its
+selectors while it stays, since relaxing a label in place replaces
+every clause that carries it.  The new clauses of each relaxed core form
+one batch, in ``sort_key`` order, which ``inc`` loads into its live
+solver; ``noninc``'s next fresh solver loads the working formula whole.
 
 Only the answer of a round's first call can be final: when it is SAT,
 the accumulated lower bound is the cost.  Before reporting, the final
@@ -47,7 +47,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import count
-from operator import itemgetter
 from typing import (Callable, Dict, FrozenSet, Iterable, List, Optional, Set,
                     Tuple)
 
@@ -71,8 +70,8 @@ class CoreLabels:
     labels: FrozenSet[int]
 
 
-# the working formula: clause -> (sort key, encoding with selectors)
-Working = Dict[LabelledClause, Tuple[Tuple, Encoded]]
+# the working formula in entry order: clause -> encoding with selectors
+Working = Dict[LabelledClause, Encoded]
 
 
 @dataclass
@@ -125,16 +124,16 @@ def _count(stats: Dict[str, int], eng: CdclSolver) -> None:
 
 
 def _solve_round(eng: CdclSolver, selectors: Dict[int, int],
-                 label_of: Dict[int, int], budget: Optional[int],
-                 disjoint: bool
+                 budget: Optional[int], disjoint: bool
                  ) -> Tuple[List[CoreLabels], Optional[Assignment]]:
     """One round's SAT calls under the live selectors (``selectors``
-    iterates in ascending label order, the assumption order; ``label_of``
-    maps each selector back).  Returns the round's cores in the order
-    found, and the model when its first call was already satisfiable
-    (then there are no cores).  With ``disjoint`` the solver is asked
-    again without the failed selectors until it answers SAT or none is
-    left; without, the round stops at its first core."""
+    iterates in ascending label order, the assumption order).  Returns
+    the round's cores in the order found, and the model when its first
+    call was already satisfiable (then there are no cores).  With
+    ``disjoint`` the solver is asked again without the failed selectors
+    until it answers SAT or none is left; without, the round stops at
+    its first core."""
+    label_of = {s: l for l, s in selectors.items()}
     cores: List[CoreLabels] = []
     assumptions = list(selectors.values())
     while True:
@@ -212,7 +211,7 @@ def _component_hitting_set(mins: List[FrozenSet[int]],
 
 
 def _certify(orig: LCNF, tau: Dict[int, int], lb: int) -> MaxSatSolution:
-    falsified = [c for c in orig.sorted_clauses()
+    falsified = [c for c in orig.clauses
                  if not clause_satisfied(c.lits, tau)]
     if any(c.hard for c in falsified):
         raise RuntimeError("internal error: model falsifies a hard clause")
@@ -226,23 +225,19 @@ def _certify(orig: LCNF, tau: Dict[int, int], lb: int) -> MaxSatSolution:
     return MaxSatSolution(model=tau, cost=lb, falsified=removed)
 
 
-def _index(carrying: Dict[int, Set[LabelledClause]],
-           clauses: Iterable[LabelledClause]) -> None:
-    for c in clauses:
-        for m in c.labels:
-            carrying[m].add(c)
-
-
-def _enter(working: Working, clauses: Iterable[LabelledClause],
+def _enter(working: Working, carrying: Dict[int, Set[LabelledClause]],
+           clauses: Iterable[LabelledClause],
            selectors: Dict[int, int]) -> List[Encoded]:
-    """Put clauses into the working formula, each encoded under the live
-    selectors, and return their encodings in sort-key order."""
-    entries = []
-    for c in clauses:
-        e = working[c] = (c.sort_key(), _encode_labelled(c, selectors))
-        entries.append(e)
-    entries.sort(key=itemgetter(0))
-    return [enc for _, enc in entries]
+    """Put clauses into the working formula in ``sort_key`` order, each
+    encoded under the live selectors and filed in ``carrying`` under its
+    labels, and return their encodings in that order."""
+    batch = []
+    for c in sorted(clauses, key=LabelledClause.sort_key):
+        enc = working[c] = _encode_labelled(c, selectors)
+        batch.append(enc)
+        for m in c.labels:
+            carrying.setdefault(m, set()).add(c)
+    return batch
 
 
 def solve_lcnf(phi: LCNF, algorithm: str = "wmsu1", mode: str = "noninc",
@@ -271,14 +266,15 @@ def solve_lcnf(phi: LCNF, algorithm: str = "wmsu1", mode: str = "noninc",
     incremental = mode == "inc"
 
     weight = {l: phi.label_weights[l] for l in sorted(used)}
-    # label -> selector and back; a new label is numbered above every live
-    # one, so insertion order stays ascending label order
+    # label -> selector; a new label is numbered above every live one, so
+    # insertion order stays ascending label order
     selectors = {l: next(variables) for l in weight}
-    label_of = {s: l for l, s in selectors.items()}
     working: Working = {}
+    # label -> the working clauses that carry it
+    carrying: Dict[int, Set[LabelledClause]] = {}
     eng = _fresh_solver(nv_orig, stats,
-                        _enter(working, [c for c in phi.clauses if c.hard],
-                               selectors))
+                        _enter(working, carrying,
+                               [c for c in phi.clauses if c.hard], selectors))
 
     def finish(status: str, solution=None) -> SolveReport:
         _count(stats, eng)
@@ -290,13 +286,11 @@ def solve_lcnf(phi: LCNF, algorithm: str = "wmsu1", mode: str = "noninc",
     except BudgetExceededError:
         return finish("unknown")
     # the soft clauses are the first batch; only ``inc`` loads batches
-    batch = _enter(working, [c for c in phi.clauses if not c.hard], selectors)
+    batch = _enter(working, carrying,
+                   [c for c in phi.clauses if not c.hard], selectors)
     if incremental:
         eng.load(batch)
 
-    # label -> the working clauses that carry it
-    carrying: Dict[int, Set[LabelledClause]] = {l: set() for l in weight}
-    _index(carrying, working)
     lb = 0
     total = add_weights(*(phi.label_weights[l] for l in used))
 
@@ -307,12 +301,10 @@ def solve_lcnf(phi: LCNF, algorithm: str = "wmsu1", mode: str = "noninc",
             # while the old one is still alive measurably slows the run
             _count(stats, eng)
             del eng
-            eng = _fresh_solver(nv_orig, stats,
-                                [enc for _, enc in sorted(working.values(),
-                                                          key=itemgetter(0))])
+            eng = _fresh_solver(nv_orig, stats, list(working.values()))
         try:
-            cores, model = _solve_round(eng, selectors, label_of,
-                                        conflict_budget, not incremental)
+            cores, model = _solve_round(eng, selectors, conflict_budget,
+                                        not incremental)
         except BudgetExceededError:
             return finish("unknown")
 
@@ -340,12 +332,10 @@ def solve_lcnf(phi: LCNF, algorithm: str = "wmsu1", mode: str = "noninc",
                     nl = next(label_ids)
                     weight[l] -= w_min
                     weight[nl] = w_min
-                    s = selectors[nl] = next(variables)
-                    label_of[s] = nl
+                    selectors[nl] = next(variables)
                     relaxed = [LabelledClause.make((r,) + c.lits,
                                                    (c.labels - {l}) | {nl})
                                for c in carried]
-                    carrying[nl] = set()
                 else:
                     relaxed = [LabelledClause.make((r,) + c.lits, c.labels)
                                for c in carried]
@@ -354,18 +344,15 @@ def solve_lcnf(phi: LCNF, algorithm: str = "wmsu1", mode: str = "noninc",
                         del working[c]
                         for m in c.labels:
                             carrying[m].discard(c)
-                    retired = selectors[l]
-                    del label_of[retired]
-                    s = selectors[l] = next(variables)
-                    label_of[s] = l
                     # the unit finalizes the old selector
-                    batch.append(encode([-retired]))
-                _index(carrying, relaxed)
-                batch += _enter(working, relaxed, selectors)
+                    batch.append(encode([-selectors[l]]))
+                    selectors[l] = next(variables)
+                batch += _enter(working, carrying, relaxed, selectors)
 
             enc = encode_equals1(relaxation_vars)
-            batch += _enter(working, [LabelledClause(c, frozenset())
-                                      for c in enc.clauses], selectors)
+            batch += _enter(working, carrying,
+                            [LabelledClause(c, frozenset())
+                             for c in enc.clauses], selectors)
             if incremental:
                 eng.load(batch)
 

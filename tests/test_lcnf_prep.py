@@ -256,7 +256,8 @@ def test_preprocess_preserves_optimum_and_reconstructs():
         assert sol_before is not None and sol_after is not None  # planted hard part
         assert sol_after.cost == sol_before.cost, seed
         retained = phi.labels() - sol_after.falsified
-        tau = bve_reconstruct(rec, sol_after.model, retained=retained)
+        tau = bve_reconstruct(rec, sol_after.model,
+                              removed=sol_after.falsified)
         assert lcnf_satisfied(induced_subformula(phi, retained), tau), seed
         solved += 1
     assert solved == 60
@@ -278,10 +279,26 @@ def test_reconstruct_tie_breaks_to_false():
 
 def test_reconstruct_ignores_clauses_outside_retained_context():
     rec = [BveEntry(1, frozenset([lclause([1], [1]), lclause([-1, 4])]))]
-    out = bve_reconstruct(rec, {4: 0}, retained=frozenset())
+    out = bve_reconstruct(rec, {4: 0}, removed=frozenset([1]))
     assert out[1] == 0
     with pytest.raises(RuntimeError):
         bve_reconstruct(rec, {4: 0})  # both clauses constrain; x has no value
+
+
+def test_record_labels_occur_in_the_input():
+    """Every label a BVE record carries is a label of the input, so a
+    recorded clause lies inside ``labels() - removed`` exactly when it
+    carries no removed label: ``removed`` is the retained context."""
+    phis = ([random_lcnf(seed) for seed in range(100)] +
+            [lcnf_from_wcnf(tseitin_wcnf(seed)) for seed in range(6)])
+    labelled = 0
+    for phi in phis:
+        _, rec = preprocess_lcnf(phi)
+        for entry in rec:
+            for c in entry.group:
+                assert c.labels <= phi.labels(), (phi, c)
+                labelled += bool(c.labels)
+    assert labelled >= 100
 
 
 def test_dump_format():

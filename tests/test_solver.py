@@ -232,23 +232,25 @@ class _RelaxationCounter:
 
 
 class _RunSpy:
-    """Captures, from ``solver._enter``, the working formula and the live
-    selectors of a run: the same two dicts serve the whole run."""
+    """Captures, from ``solver._enter``, the working formula, its label
+    index and the live selectors of a run: the same three dicts serve
+    the whole run."""
 
     def __init__(self, monkeypatch):
-        self.working = self.selectors = None
+        self.working = self.carrying = self.selectors = None
         enter = solver._enter
 
-        def spy_enter(working, clauses, selectors):
-            self.working, self.selectors = working, selectors
-            return enter(working, clauses, selectors)
+        def spy_enter(working, carrying, clauses, selectors):
+            self.working, self.carrying = working, carrying
+            self.selectors = selectors
+            return enter(working, carrying, clauses, selectors)
 
         monkeypatch.setattr(solver, "_enter", spy_enter)
 
 
 def test_noninc_loads_each_fresh_solver_with_fresh_encodings(monkeypatch):
     """Each fresh ``noninc`` solver gets one ``load`` batch: the working
-    formula in ``sort_key`` order, each clause with one negated selector
+    formula in entry order, each clause with one negated selector
     per label, exactly as encoding it from scratch gives, on runs that
     both split labels and relax them in place."""
     loaded = []  # (solver, batch)
@@ -261,17 +263,17 @@ def test_noninc_loads_each_fresh_solver_with_fresh_encodings(monkeypatch):
         loaded.append((eng, batch))
         return load(eng, batch)
 
-    def spy_round(eng, selectors, label_of, budget, disjoint):
+    def spy_round(eng, selectors, budget, disjoint):
         assert selectors is run.selectors
         relaxations.round(selectors)
         want = [encode(list(c.lits) +
                        [-selectors[m] for m in sorted(c.labels)])
-                for c in sorted(run.working, key=LabelledClause.sort_key)]
+                for c in run.working]
         # a fresh solver that took this one batch
         assert eng.stats["solves"] == 0
         assert [b for e, b in loaded if e is eng] == [want]
         loaded.clear()
-        return solve_round(eng, selectors, label_of, budget, disjoint)
+        return solve_round(eng, selectors, budget, disjoint)
 
     monkeypatch.setattr(CdclSolver, "load", spy_load)
     monkeypatch.setattr(solver, "_solve_round", spy_round)
@@ -288,6 +290,14 @@ def test_noninc_loads_each_fresh_solver_with_fresh_encodings(monkeypatch):
         loaded.clear()
     assert min(relaxations.splits, relaxations.inplace) >= 20, \
         vars(relaxations)
+
+
+def _label_index(working):
+    index = {}
+    for c in working:
+        for m in c.labels:
+            index.setdefault(m, set()).add(c)
+    return index
 
 
 def _refuted(clauses):
@@ -309,14 +319,13 @@ def test_noninc_round_cores_are_disjoint_and_stay_cores(monkeypatch):
     seen = {"multi": 0}
     relaxations = _RelaxationCounter()
 
-    def spy_round(eng, selectors, label_of, budget, disjoint):
+    def spy_round(eng, selectors, budget, disjoint):
         assert selectors is run.selectors and disjoint
         relaxations.round(selectors)
         live = set(selectors)
         assert list(selectors) == sorted(selectors)
-        assert label_of == {s: l for l, s in selectors.items()}
-        cores, model = solve_round(eng, selectors, label_of, budget,
-                                   disjoint)
+        assert run.carrying == _label_index(run.working)
+        cores, model = solve_round(eng, selectors, budget, disjoint)
         assert (model is None) == bool(cores)
         for i, core in enumerate(cores):
             assert core.labels <= live
