@@ -12,6 +12,7 @@ from .model import (
     ClauseT,
     LabelledClause,
     MaxSatSolution,
+    StackEntry,
     WCNF,
     WeightOverflowError,
     clause,
@@ -20,12 +21,13 @@ from .model import (
     is_tautology,
     lclause,
     lcnf_from_wcnf,
+    reconstruct,
 )
-from .bce import bce_fixpoint, bce_reconstruct
-from .lcnf_prep import bve_reconstruct, preprocess_lcnf
+from .bce import bce_fixpoint
+from .lcnf_prep import preprocess_lcnf
 from .reduction import lcnf_to_wcnf, lift_reduction_solution
 from .solver import SolveReport, solve_lcnf
-from .cli import PipelineError, run_pipeline
+from .cli import PipelineError, bce_reconstruct, bve_reconstruct, run_pipeline
 
 __version__ = "0.1.0"
 
@@ -37,6 +39,7 @@ __all__ = [
     "MaxSatSolution",
     "PipelineError",
     "SolveReport",
+    "StackEntry",
     "WCNF",
     "WeightOverflowError",
     "bce_fixpoint",
@@ -51,6 +54,7 @@ __all__ = [
     "lcnf_to_wcnf",
     "lift_reduction_solution",
     "preprocess_lcnf",
+    "reconstruct",
     "run_pipeline",
     "solve_lcnf",
     "__version__",

@@ -1,4 +1,4 @@
-"""Blocked clause elimination on weighted formulas, with reconstruction.
+"""Blocked clause elimination on weighted formulas.
 
 A clause C is blocked on one of its literals l when every resolvent of C
 on l with a clause of the current formula is tautological; clauses with
@@ -8,37 +8,27 @@ minimal unsatisfiable subset, and therefore preserves MaxSAT optima --
 which is why it may run on the weighted formula before any translation,
 on hard and soft clauses alike.
 
-Eliminated clauses go onto a stack; a model of the reduced formula is
-lifted back by walking the stack in reverse and flipping the blocking
-literal of any clause the assignment falsifies.  The flip cannot break
-clauses handled earlier, so the lift is linear time.
+Each eliminated clause C, blocked on l, goes onto the reconstruction
+stack as ``StackEntry(|l|, {C})`` with no labels.  ``model.reconstruct``
+lifts a model of the reduced formula back by walking the stack in
+reverse and flipping the blocking literal of any clause the assignment
+falsifies.  The flip cannot break clauses handled earlier, so the lift
+is linear time.
 
 Blockedness is decided over the clause *set* (hard and soft together,
 weights ignored, duplicates collapsed); removing a clause removes every
-weighted occurrence at once.  Tautological clauses are swept first:
-they are satisfied under every assignment, so dropping them keeps every
-MUS and never triggers a reconstruction flip.
+weighted occurrence at once, and pushes one entry.  Tautological
+clauses are swept first: they are satisfied under every assignment, so
+dropping them keeps every MUS and never triggers a reconstruction flip.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Set, Tuple
 
-from .model import Assignment, ClauseT, WCNF, clause_satisfied, is_tautology
-
-
-@dataclass(frozen=True)
-class BceEntry:
-    clause: ClauseT
-    blocking_lit: int
-    kind: str  # "hard" | "soft"
-    soft_index: Optional[int] = None  # 1-based index in the input WCNF
-    weight: Optional[int] = None
-
-
-BceRecord = List[BceEntry]
+from .model import (ClauseT, LabelledClause, Stack, StackEntry, WCNF,
+                    is_tautology)
 
 
 def _resolvent_tautological(c: ClauseT, l: int, other: ClauseT) -> bool:
@@ -86,35 +76,30 @@ def _blocking_lit_of_tautology(c: ClauseT) -> int:
     return min(l for l in s if l > 0 and -l in s)
 
 
-def bce_fixpoint(f: WCNF) -> Tuple[WCNF, BceRecord]:
+def bce_fixpoint(f: WCNF) -> Tuple[WCNF, Stack]:
     """Remove tautologies, then blocked clauses to fixpoint.
 
-    Returns the reduced formula and the elimination record.  Clauses are
-    tried in sorted order, and a removal queues the clauses sharing a
-    variable with the removed one.  The surviving clauses do not depend
-    on that order (confluence); the record does.
+    Returns the reduced formula and the elimination record, one stack
+    entry per distinct removed clause.  Clauses are tried in sorted
+    order, and a removal queues the clauses sharing a variable with the
+    removed one.  The surviving clauses do not depend on that order
+    (confluence); the record does.
     """
-    # distinct clause -> weighted occurrences, preserving input order
-    occurrences: Dict[ClauseT, List[Tuple[str, Optional[int], Optional[int]]]] = {}
-    for c in f.hard:
-        occurrences.setdefault(c, []).append(("hard", None, None))
-    for i, (c, w) in enumerate(f.soft, start=1):
-        occurrences.setdefault(c, []).append(("soft", i, w))
-
-    present: Set[ClauseT] = set(occurrences)
+    present: Set[ClauseT] = set(f.hard)
+    present.update(c for c, _ in f.soft)
     by_lit: Dict[int, Set[ClauseT]] = {}
     for c in present:
         for l in c:
             by_lit.setdefault(l, set()).add(c)
 
-    record: BceRecord = []
+    record: Stack = []
 
     def remove(c: ClauseT, lit: int) -> None:
         present.discard(c)
         for l in c:
             by_lit[l].discard(c)
-        for kind, idx, w in occurrences[c]:
-            record.append(BceEntry(c, lit, kind, idx, w))
+        record.append(StackEntry(
+            abs(lit), frozenset([LabelledClause(c, frozenset())])))
 
     order = sorted(present)
     for c in order:
@@ -147,30 +132,3 @@ def bce_fixpoint(f: WCNF) -> Tuple[WCNF, BceRecord]:
     out.hard = [c for c in f.hard if c in present]
     out.soft = [(c, w) for c, w in f.soft if c in present]
     return out, record
-
-
-def bce_reconstruct(record: BceRecord, tau: Assignment) -> Assignment:
-    """Lift a model of the reduced formula over the eliminated clauses.
-
-    Reverse stack order: for each eliminated clause, if the current
-    assignment falsifies it, flip the blocking literal's variable.
-    Variables absent from ``tau`` default to 0 before flipping.
-    """
-    out = dict(tau)
-    for entry in reversed(record):
-        for l in entry.clause:
-            out.setdefault(abs(l), 0)
-        if not clause_satisfied(entry.clause, out):
-            v = abs(entry.blocking_lit)
-            out[v] = 1 - out[v]
-    return out
-
-
-def write_record_sidecar(record: BceRecord) -> str:
-    """One line per eliminated clause: '<lits> 0 | <blocking lit> <origin>'."""
-    lines = []
-    for e in record:
-        origin = e.kind if e.kind == "hard" else f"soft {e.soft_index} {e.weight}"
-        lines.append(" ".join(str(l) for l in e.clause) +
-                     f" 0 | {e.blocking_lit} {origin}")
-    return "\n".join(lines) + ("\n" if lines else "")

@@ -8,8 +8,9 @@ anything reaches stdout.
 
 Exit codes: 0 optimum found, 20 hard part unsatisfiable, 1 anything
 else (parse or I/O error, a negative count, budget exhaustion, a weight
-sum above 2^64-1, internal check failure), with a one-line message on
-stderr; 2 a command-line usage error, with argparse's usage block.
+sum above 2^64-1), with a one-line ``error:`` message on stderr, or a
+failed internal check, with a one-line ``internal error:`` message; 2 a
+command-line usage error, with argparse's usage block.
 """
 
 import argparse
@@ -18,15 +19,19 @@ import json
 import sys
 from typing import Callable, Dict, List, NamedTuple, Optional
 
-from .bce import BceRecord, bce_fixpoint, bce_reconstruct, write_record_sidecar
+from .bce import bce_fixpoint
 from .dimacs import ParseError, parse_auto, write_solution, write_wcnf
-from .lcnf_prep import BveRecord, bve_reconstruct, dump_lcnf, preprocess_lcnf
-from .model import (LCNF, MaxSatSolution, WCNF, clause_satisfied,
-                    lcnf_from_wcnf)
+from .lcnf_prep import dump_lcnf, preprocess_lcnf
+from .model import (LCNF, LabelledClause, MaxSatSolution, Stack, WCNF,
+                    clause_satisfied, lcnf_from_wcnf, reconstruct)
 from .reduction import lcnf_to_wcnf
 from .solver import ALGORITHMS, MODES, SolveReport, solve_lcnf
 
 PREPS = ("none", "bce", "rs", "bce,rs")
+
+# run_pipeline lifts the BVE record, then the BCE record, one call each;
+# benchmarks/tracing.py times the two calls by these names
+bce_reconstruct = bve_reconstruct = reconstruct
 
 
 class PipelineError(RuntimeError):
@@ -34,9 +39,9 @@ class PipelineError(RuntimeError):
 
 
 class Preprocessed(NamedTuple):
-    bce_rec: BceRecord
+    bce_rec: Stack
     lcnf: LCNF  # labelled form after BCE and SUB/SSR/BVE
-    bve_rec: BveRecord
+    bve_rec: Stack
 
 
 def _preprocess(f: WCNF, prep: str,
@@ -48,13 +53,13 @@ def _preprocess(f: WCNF, prep: str,
     if prep not in PREPS:
         raise ValueError(f"unknown prep {prep!r}")
     steps = prep.split(",")
-    bce_rec: BceRecord = []
+    bce_rec: Stack = []
     if "bce" in steps:
         f, bce_rec = bce_fixpoint(f)
         if trace:
             trace(f"bce: removed {len(bce_rec)} clauses")
     phi = phi_rs = lcnf_from_wcnf(f)
-    bve_rec: BveRecord = []
+    bve_rec: Stack = []
     if "rs" in steps:
         phi_rs, bve_rec = preprocess_lcnf(phi)
         if trace:
@@ -87,8 +92,7 @@ def run_pipeline(f: WCNF, prep: str = "bce,rs", mode: str = "noninc",
 
     inner = report.solution
     assert inner is not None
-    tau = bve_reconstruct(pre.bve_rec, dict(inner.model),
-                          removed=inner.falsified)
+    tau = bve_reconstruct(pre.bve_rec, inner.model, removed=inner.falsified)
     tau = bce_reconstruct(pre.bce_rec, tau)
     model = {v: tau.get(v, 0) for v in range(1, f.num_vars + 1)}
 
@@ -151,17 +155,19 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     return _status_code(res.status)
 
 
-def _sidecar_payload(f: WCNF, bce_rec: BceRecord, bve_rec: BveRecord,
+def _sidecar_payload(f: WCNF, stack: Stack,
                      selectors: Dict[int, int]) -> Dict:
+    """The input's variable count, the label -> selector map of the
+    emitted WCNF, and the reconstruction stack, bottom entry first."""
     return {
         "num_vars": f.num_vars,
-        "bce": write_record_sidecar(bce_rec).splitlines(),
-        "bve": [{"var": e.var,
-                 "group": [{"lits": list(c.lits),
-                            "labels": sorted(c.labels)}
-                           for c in sorted(e.group, key=lambda c: c.sort_key())]}
-                for e in bve_rec],
         "selectors": {str(l): v for l, v in sorted(selectors.items())},
+        "stack": [{"var": e.var,
+                   "group": [{"lits": list(c.lits),
+                              "labels": sorted(c.labels)}
+                             for c in sorted(e.group,
+                                             key=LabelledClause.sort_key)]}
+                  for e in stack],
     }
 
 
@@ -192,7 +198,7 @@ def _cmd_preprocess(args: argparse.Namespace) -> int:
         sys.stdout.write(text)
     if sidecar_path:
         with open(sidecar_path, "w") as fh:
-            json.dump(_sidecar_payload(f, bce_rec, bve_rec, selectors),
+            json.dump(_sidecar_payload(f, bce_rec + bve_rec, selectors),
                       fh, indent=1)
             fh.write("\n")
     return 0
@@ -296,11 +302,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (OSError, ParseError, ValueError, ArithmeticError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except PipelineError as e:
+    except RuntimeError as e:  # a consistency check of labelmax failed
         print(f"internal error: {e}", file=sys.stderr)
-        return 1
-    except RuntimeError as e:  # the solver's own consistency checks
-        print(f"error: {e}", file=sys.stderr)
         return 1
 
 

@@ -2,10 +2,11 @@
 
 Labelled variable elimination, subsumption and self-subsuming resolution,
 all of which preserve the label-level MCSes of the input — and therefore
-the optimum of the weighted problem.  Variable elimination is undone per
-solution by `bve_reconstruct`.  ``preprocess_lcnf`` runs at most
-``MAX_ROUNDS`` rounds, and BVE never creates a clause with more than
-``MAX_LABELSET`` labels.
+the optimum of the weighted problem.  Each eliminated variable goes onto
+the reconstruction stack as ``StackEntry(x, clauses that mentioned x)``,
+and ``model.reconstruct`` undoes the eliminations per solution.
+``preprocess_lcnf`` runs at most ``MAX_ROUNDS`` rounds, and BVE never
+creates a clause with more than ``MAX_LABELSET`` labels.
 
 Weight entries of labels whose clauses disappear are deliberately kept in
 the weight map: downstream cost accounting may still mention them, and a
@@ -16,28 +17,14 @@ from __future__ import annotations
 
 import heapq
 from collections import defaultdict
-from dataclasses import dataclass
-from typing import (Callable, Dict, FrozenSet, Iterable, List, Optional,
-                    Set, Tuple)
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
-from .model import (Assignment, LCNF, LabelledClause, clause_satisfied,
-                    is_tautology)
+from .model import LCNF, LabelledClause, Stack, StackEntry, is_tautology
 
 __all__ = [
-    "BveEntry", "BveRecord", "l_resolve", "l_ve", "l_bve",
-    "l_sub", "l_ssr", "preprocess_lcnf", "bve_reconstruct", "dump_lcnf",
+    "l_resolve", "l_ve", "l_bve", "l_sub", "l_ssr", "preprocess_lcnf",
+    "dump_lcnf",
 ]
-
-
-@dataclass(frozen=True)
-class BveEntry:
-    """One eliminated variable with every clause that mentioned it."""
-
-    var: int
-    group: FrozenSet[LabelledClause]
-
-
-BveRecord = List[BveEntry]
 
 
 MAX_ROUNDS = 10
@@ -477,7 +464,7 @@ def _new_resolvents(store: _ClauseStore, x: int, limit: int,
     return out
 
 
-def _bve_sweep(store: _ClauseStore, record: BveRecord,
+def _bve_sweep(store: _ClauseStore, record: Stack,
                max_labelset: int) -> None:
     """One pass of bounded variable elimination.
 
@@ -508,14 +495,14 @@ def _bve_sweep(store: _ClauseStore, record: BveRecord,
         if new is None:
             refused[x] = group
             continue
-        record.append(BveEntry(x, frozenset(group)))
+        record.append(StackEntry(x, frozenset(group)))
         for c in group:
             store.remove(c)
         for r in new:
             store.add(r, tautology=False)
 
 
-def preprocess_lcnf(phi: LCNF) -> Tuple[LCNF, BveRecord]:
+def preprocess_lcnf(phi: LCNF) -> Tuple[LCNF, Stack]:
     """Rounds of (subsumption fixpoint, SSR fixpoint, one BVE sweep
     capped at ``MAX_LABELSET`` labels).
 
@@ -524,7 +511,7 @@ def preprocess_lcnf(phi: LCNF) -> Tuple[LCNF, BveRecord]:
     record needed to rebuild assignments over the original variables.
     """
     store = _ClauseStore(phi.clauses)
-    record: BveRecord = []
+    record: Stack = []
     for _ in range(MAX_ROUNDS):
         # no round can undo its own edits: SUB and SSR only lower the
         # literal count, and an eliminated variable never comes back
@@ -535,32 +522,6 @@ def preprocess_lcnf(phi: LCNF) -> Tuple[LCNF, BveRecord]:
         if store.edits == edits:
             break
     return LCNF(frozenset(store.clauses), dict(phi.label_weights)), record
-
-
-# ---------------------------------------------------------------------------
-# reconstruction
-
-
-def bve_reconstruct(rec: BveRecord, tau: Assignment,
-                    removed: FrozenSet[int] = frozenset()) -> Assignment:
-    """Extend a model of the reduced formula over eliminated variables.
-
-    Works backwards through the record, picking for each variable a value
-    (0 preferred) satisfying every recorded clause that carries no label
-    in ``removed`` — clauses of removed labels impose no constraint.
-    """
-    out = dict(tau)
-    for entry in reversed(rec):
-        group = [c for c in entry.group if not c.labels & removed]
-        for v in (0, 1):
-            out[entry.var] = v
-            if all(clause_satisfied(c.lits, out) for c in group):
-                break
-        else:
-            raise RuntimeError(
-                f"no value of variable {entry.var} satisfies its "
-                f"recorded clause group; model does not fit the record")
-    return out
 
 
 def dump_lcnf(phi: LCNF) -> str:

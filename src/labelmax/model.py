@@ -277,6 +277,52 @@ def lcnf_satisfied(phi: LCNF, tau: Assignment) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# reconstruction
+
+
+class StackEntry(NamedTuple):
+    """One entry of a reconstruction stack (Järvisalo, Heule & Biere,
+    "Inprocessing Rules", IJCAR 2012): a variable and the recorded
+    clauses that mention it.  BCE pushes ``(|l|, {C})`` for a clause C
+    blocked on l, with no labels; BVE pushes an eliminated variable with
+    every labelled clause it occurred in."""
+
+    var: int
+    group: FrozenSet[LabelledClause]
+
+
+Stack = List[StackEntry]
+
+
+def reconstruct(stack: Stack, tau: Assignment,
+                removed: FrozenSet[int] = frozenset()) -> Assignment:
+    """Lift a model of the reduced formula over ``stack``, last entry
+    first.
+
+    An entry's variable keeps its value in ``tau``, or starts at 0 when
+    absent.  Its live clauses are those carrying no label in
+    ``removed``: the clauses of removed labels impose no constraint.  If
+    a live clause is falsified, its literal of the variable is false,
+    and so is that of every other falsified one; the variable is flipped
+    to make it true.  A live clause falsified after that means the model
+    does not fit the stack.
+    """
+    out = dict(tau)
+    for x, group in reversed(stack):
+        out.setdefault(x, 0)
+        if all(clause_satisfied(c.lits, out) for c in group
+               if removed.isdisjoint(c.labels)):
+            continue
+        out[x] = 1 - out[x]
+        if not all(clause_satisfied(c.lits, out) for c in group
+                   if removed.isdisjoint(c.labels)):
+            raise RuntimeError(
+                f"no value of variable {x} satisfies its recorded clause "
+                f"group; model does not fit the record")
+    return out
+
+
+# ---------------------------------------------------------------------------
 # solutions
 
 

@@ -214,13 +214,13 @@ def _certify(orig: LCNF, tau: Dict[int, int], lb: int) -> MaxSatSolution:
     falsified = [c for c in orig.clauses
                  if not clause_satisfied(c.lits, tau)]
     if any(c.hard for c in falsified):
-        raise RuntimeError("internal error: model falsifies a hard clause")
+        raise RuntimeError("model falsifies a hard clause")
     removed = _min_cost_hitting_set([c.labels for c in falsified],
                                     orig.label_weights)
     charged = cost_of_labels(orig, removed)
     if charged != lb:
         raise RuntimeError(
-            f"internal error: accumulated bound {lb} does not match the "
+            f"accumulated bound {lb} does not match the "
             f"cheapest removal set of the final model ({charged})")
     return MaxSatSolution(model=tau, cost=lb, falsified=removed)
 
@@ -313,8 +313,7 @@ def solve_lcnf(phi: LCNF, algorithm: str = "wmsu1", mode: str = "noninc",
             w_min = min(weight[l] for l in core.labels)
             lb = add_weights(lb, w_min)
             if lb > total:
-                raise RuntimeError(
-                    "internal error: bound exceeded total weight")
+                raise RuntimeError("bound exceeded total weight")
             if trace is not None:
                 trace(f"iteration {stats['iterations']}: core "
                       f"{len(core.labels)}, min weight {w_min}, "

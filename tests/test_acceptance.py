@@ -33,13 +33,13 @@ import time
 
 import pytest
 
-from labelmax.bce import bce_fixpoint, bce_reconstruct
+from labelmax.bce import bce_fixpoint
 from labelmax.cli import PREPS, run_pipeline
 from labelmax.dimacs import ParseError, parse_cnf, parse_wcnf, write_wcnf
 from labelmax.engine import CdclSolver
 from labelmax.lcnf_prep import l_bve, l_ssr, l_sub
 from labelmax.model import (LCNF, WCNF, clause, clause_satisfied, is_tautology,
-                            lclause)
+                            lclause, reconstruct)
 from labelmax.oracle import (brute_force_maxsat, check_hitting_duality,
                              enumerate_mcs, enumerate_mcs_labels,
                              enumerate_mus, enumerate_mus_labels, random_cnf,
@@ -184,7 +184,7 @@ def bce_suite():
             elif cr == best_r:
                 optimal.append(tau)
         for tau in optimal:
-            lifted = bce_reconstruct(rec, dict(tau))
+            lifted = reconstruct(rec, dict(tau))
             cost = sum(1 for c in clauses if not clause_satisfied(c, lifted))
             if cost != best_o or best_r != best_o:
                 failures.append(("reconstruction", i, tau))

@@ -4,15 +4,9 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from labelmax.bce import (
-    BceEntry,
-    _blocked_in,
-    bce_fixpoint,
-    bce_reconstruct,
-    is_blocked,
-    write_record_sidecar,
-)
-from labelmax.model import WCNF, clause, clause_satisfied, is_tautology
+from labelmax.bce import _blocked_in, bce_fixpoint, is_blocked
+from labelmax.model import (WCNF, StackEntry, clause, clause_satisfied,
+                            is_tautology, lclause, reconstruct)
 from labelmax.oracle import (
     brute_force_maxsat,
     enumerate_mus,
@@ -28,6 +22,11 @@ def wcnf_of(soft_clauses, hard_clauses=(), weights=None):
     for i, c in enumerate(soft_clauses):
         f.add_soft(c, weights[i] if weights else 1)
     return f
+
+
+def entry(lits, blocking_lit):
+    """The stack entry of a clause BCE removed as blocked on a literal."""
+    return StackEntry(abs(blocking_lit), frozenset([lclause(lits)]))
 
 
 def test_is_blocked_pure_literal():
@@ -59,8 +58,7 @@ def test_fixpoint_removes_pure_literal_clause_and_cascades():
     f = wcnf_of([(1, 2), (-2,)])
     out, record = bce_fixpoint(f)
     assert out.soft == []
-    assert record == [BceEntry((1, 2), 1, "soft", 1, 1),
-                      BceEntry((-2,), -2, "soft", 2, 1)]
+    assert record == [entry((1, 2), 1), entry((-2,), -2)]
 
 
 def test_fixpoint_empty_formula():
@@ -81,8 +79,7 @@ def test_fixpoint_cascades():
 def test_fixpoint_removes_tautologies_first():
     f = wcnf_of([(1, -1, 2), (2,), (-2,)])
     out, record = bce_fixpoint(f)
-    assert record[0].clause == (-1, 1, 2)
-    assert record[0].blocking_lit == 1
+    assert record[0] == entry((-1, 1, 2), 1)
     assert out.soft == [((2,), 1), ((-2,), 1)]
 
 
@@ -90,7 +87,7 @@ def test_fixpoint_hard_clauses_eligible_by_default():
     f = wcnf_of([], hard_clauses=[(1, 2)])
     out, record = bce_fixpoint(f)
     assert out.hard == []
-    assert record == [BceEntry((1, 2), 1, "hard", None, None)]
+    assert record == [entry((1, 2), 1)]
 
 
 def test_duplicate_soft_occurrences_removed_together():
@@ -99,29 +96,28 @@ def test_duplicate_soft_occurrences_removed_together():
     f.add_soft([1, 2], 5)
     out, record = bce_fixpoint(f)
     assert out.soft == []
-    assert [e.soft_index for e in record] == [1, 2]
-    assert [e.weight for e in record] == [3, 5]
-    assert all(e.blocking_lit == 1 for e in record)
+    # one entry per distinct clause: lifting it satisfies every occurrence
+    assert record == [entry((1, 2), 1)]
 
 
 def test_reconstruct_flips_blocking_literal():
-    rec = [BceEntry((1, 2), 1, "soft", 1, 1)]
-    assert bce_reconstruct(rec, {1: 0, 2: 0}) == {1: 1, 2: 0}
-    assert bce_reconstruct(rec, {1: 0, 2: 1}) == {1: 0, 2: 1}  # already satisfied
+    rec = [entry((1, 2), 1)]
+    assert reconstruct(rec, {1: 0, 2: 0}) == {1: 1, 2: 0}
+    assert reconstruct(rec, {1: 0, 2: 1}) == {1: 0, 2: 1}  # already satisfied
 
 
 def test_reconstruct_reverse_order_semantics():
     # synthetic two-entry stack: last-eliminated is processed first
-    rec = [BceEntry((1, 2), 1, "soft", 1, 1),
-           BceEntry((-1, 3), 3, "soft", 2, 1)]
-    out = bce_reconstruct(rec, {1: 0, 2: 0, 3: 0})
+    rec = [entry((1, 2), 1), entry((-1, 3), 3)]
+    out = reconstruct(rec, {1: 0, 2: 0, 3: 0})
     assert out == {1: 1, 2: 0, 3: 0}
 
 
 def test_reconstruct_defaults_absent_vars_to_zero():
-    rec = [BceEntry((4, 5), 4, "soft", 1, 1)]
-    out = bce_reconstruct(rec, {})
-    assert out == {4: 1, 5: 0}
+    rec = [entry((4, 5), 4)]
+    out = reconstruct(rec, {})
+    # 4 starts at 0 and flips; 5 stays absent, which reads 0
+    assert out == {4: 1}
 
 
 def reference_bce(f, order_seed):
@@ -195,7 +191,7 @@ def test_cost_preservation_and_lift():
             continue
         assert after is not None
         assert after.cost == base.cost, seed
-        lifted = bce_reconstruct(record, after.model)
+        lifted = reconstruct(record, after.model)
         # the lift keeps all hard clauses and the exact optimal cost
         for c in f.hard:
             assert clause_satisfied(c, lifted)

@@ -2,8 +2,9 @@
 
 ``benchmarks/tracing.py`` wraps labelmax's entry points by name, so a
 refactor that renames or stops calling one of them breaks the traced
-benchmark without failing anything else.  The tracer needs only the
-standard library, so this test runs wherever the tier-1 suite does.
+benchmark, or zeroes one of its per-layer metrics, without failing
+anything else.  The tracer needs only the standard library, so this test
+runs wherever the tier-1 suite does.
 """
 
 import importlib.util
@@ -13,6 +14,9 @@ from labelmax import cli, engine, lcnf_prep, model, solver
 
 TRACING = (pathlib.Path(__file__).resolve().parent.parent /
            "benchmarks" / "tracing.py")
+
+# entry points the tracer wraps that src/ never calls (ROADMAP item 1)
+NEVER_CALLED = {"lcnf_prep.l_ve", "engine.add_clause"}
 
 # soft pigeonhole: the optimum needs cores under the default
 # preprocessing
@@ -43,6 +47,15 @@ def test_tracer_patches_resolve_and_record_cores(tmp_path, capsys):
     path = tmp_path / "pigeon.wcnf"
     path.write_text(PIGEON)
     tracer = _load_tracing().Tracer()
+    # every span name the tracer installs, engine.solve by hand
+    wrapped = ["engine.solve"]
+    timed = tracer._timed
+
+    def spy(owner, attr, name, after=None):
+        wrapped.append(name)
+        timed(owner, attr, name, after)
+
+    tracer._timed = spy
     tracer.install()
     try:
         assert [dict(vars(o)) for o in owners] != before
@@ -60,10 +73,10 @@ def test_tracer_patches_resolve_and_record_cores(tmp_path, capsys):
     # ``inc`` keeps one solver; ``noninc`` builds one per round as well
     assert loads["inc"] == 1 < loads["noninc"]
     summary = tracer.summary()
-    for name in ("cli.run_pipeline", "solver.solve_lcnf",
-                 "solver.extract_core_labels", "solver.certify",
-                 "cardinality.encode_equals1", "engine.solve"):
-        assert summary["span_calls:" + name] > 0, name
+    assert len(wrapped) >= 18
+    for name in wrapped:
+        if name not in NEVER_CALLED:
+            assert summary.get("span_calls:" + name, 0) > 0, name
     assert summary["core_sizes_n"] == len(tracer.core_sizes)
     assert [dict(vars(o)) for o in owners] == before
 

@@ -1,16 +1,21 @@
 import json
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 
 import labelmax
-from labelmax import cli
+from labelmax import cli, solver
 from labelmax.cli import PREPS, PipelineError, main, run_pipeline
-from labelmax.dimacs import parse_wcnf
-from labelmax.model import WCNF, clause_satisfied
+from labelmax.dimacs import parse_wcnf, write_wcnf
+from labelmax.model import (WCNF, MaxSatSolution, StackEntry,
+                            clause_satisfied, lclause, reconstruct)
 from labelmax.oracle import brute_force_maxsat, random_wcnf
+from labelmax.reduction import lift_reduction_solution
+from labelmax.solver import MODES
+from test_lcnf_prep import pigeon_wcnf, tseitin_wcnf
 
 EXAMPLE1 = """\
 p wcnf 3 6 7
@@ -298,19 +303,48 @@ def test_second_main_call_starts_from_the_defaults(tmp_path, capsys,
     assert first[-3:] == second[-3:]
 
 
-@pytest.mark.parametrize("prep", PREPS)
-def test_solve_verification_failure_is_an_internal_error(tmp_path, capsys,
-                                                         monkeypatch, prep):
+def _unfit_lift(stack, tau, removed=frozenset()):
+    # no value of x1 satisfies both hard units
+    return reconstruct([StackEntry(1, frozenset([lclause([1]),
+                                                 lclause([-1])]))], tau)
+
+
+# each breaks one internal check: (owner, name, replacement, input,
+# message); the answer to the first input is x2 true at cost 0, to the
+# second cost 1
+INTERNAL_FAULTS = {
     # the lifted model sets every variable false, which falsifies the
-    # hard clause (1 2); the answer itself is x2 true at cost 0
-    path = tmp_path / "hard.wcnf"
-    path.write_text("p wcnf 2 2 5\n5 1 2 0\n1 -1 0\n")
-    monkeypatch.setattr(cli, "bce_reconstruct", lambda record, tau: {})
+    # hard clause (1 2)
+    "verify": (cli, "bce_reconstruct", lambda record, tau: {},
+               "p wcnf 2 2 5\n5 1 2 0\n1 -1 0\n",
+               "falsifies hard clause (1, 2)"),
+    "lift": (cli, "bve_reconstruct", _unfit_lift,
+             "p wcnf 2 2 5\n5 1 2 0\n1 -1 0\n",
+             "does not fit the record"),
+    # certification charges nothing for the final model
+    "certify": (solver, "_min_cost_hitting_set",
+                lambda families, weights: frozenset(),
+                "p wcnf 1 2 3\n1 1 0\n1 -1 0\n",
+                "accumulated bound 1 does not match"),
+}
+
+
+# a "verify" case is named by its prep alone, the others by prep and fault
+@pytest.mark.parametrize("prep,fault", [
+    pytest.param(p, f, id=p if f == "verify" else f"{p}-{f}")
+    for f in sorted(INTERNAL_FAULTS) for p in PREPS])
+def test_solve_verification_failure_is_an_internal_error(tmp_path, capsys,
+                                                         monkeypatch, prep,
+                                                         fault):
+    owner, name, replacement, text, message = INTERNAL_FAULTS[fault]
+    path = tmp_path / "in.wcnf"
+    path.write_text(text)
+    monkeypatch.setattr(owner, name, replacement)
     assert main(["solve", f"--prep={prep}", str(path)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("internal error: ")
-    assert "falsifies hard clause (1, 2)" in captured.err
+    assert message in captured.err
     assert len(captured.err.splitlines()) == 1
 
 
@@ -372,7 +406,7 @@ def test_preprocess_emit_wcnf_roundtrips_cost(tmp_path, capsys):
     assert res.status == "optimum" and res.solution.cost == 2
 
     sidecar = json.loads((tmp_path / "enc.wcnf.sidecar.json").read_text())
-    assert set(sidecar) == {"num_vars", "bce", "bve", "selectors"}
+    assert set(sidecar) == {"num_vars", "selectors", "stack"}
     assert all(int(l) > 0 for l in sidecar["selectors"])
 
 
@@ -382,6 +416,63 @@ def test_preprocess_emit_wcnf_stdout(tmp_path, capsys):
     assert main(["preprocess", "--emit-wcnf", str(path)]) == 0
     out = capsys.readouterr().out
     assert out.startswith("p wcnf ")
+
+
+def unit_pairs_wcnf(seed, pairs=12):
+    """Soft units (x) and (-x) for every variable, weights 1-9."""
+    rng = random.Random(seed)
+    f = WCNF()
+    for v in range(1, pairs + 1):
+        f.add_soft([v], rng.randint(1, 9))
+        f.add_soft([-v], rng.randint(1, 9))
+    return f
+
+
+def lift_through_sidecar(path, model, cost):
+    """A model of the emitted WCNF lifted to the input's variables with
+    nothing but the sidecar at ``path``."""
+    side = json.loads(path.read_text())
+    selectors = {int(l): v for l, v in side["selectors"].items()}
+    inner = lift_reduction_solution(MaxSatSolution(model, cost), selectors)
+    stack = [StackEntry(e["var"], frozenset(lclause(c["lits"], c["labels"])
+                                            for c in e["group"]))
+             for e in side["stack"]]
+    tau = reconstruct(stack, inner.model, inner.falsified)
+    return {v: tau.get(v, 0) for v in range(1, side["num_vars"] + 1)}
+
+
+def test_emitted_wcnf_solution_lifts_through_the_sidecar(tmp_path, capsys):
+    # the up-front route: preprocess, solve the emitted file with no
+    # preprocessing of its own, then lift from the files on disk alone
+    instances = ([random_wcnf(seed) for seed in range(300)] +
+                 [tseitin_wcnf(seed) for seed in range(6)] +
+                 [tseitin_wcnf(seed, 8, 30) for seed in range(3)] +
+                 [pigeon_wcnf(0, 3, 1), pigeon_wcnf(1, 3, 2),
+                  pigeon_wcnf(2, 4, 1)] +
+                 [unit_pairs_wcnf(seed) for seed in range(6)])
+    src, enc = tmp_path / "in.wcnf", tmp_path / "enc.wcnf"
+    sidecar = tmp_path / "enc.wcnf.sidecar.json"
+    lifted = 0
+    for f in instances:
+        want = run_pipeline(f)
+        src.write_text(write_wcnf(f))
+        assert main(["preprocess", "--emit-wcnf", "--out", str(enc),
+                     str(src)]) == 0
+        for mode in MODES:
+            code = main(["solve", "--prep=none", f"--mode={mode}", str(enc)])
+            lines = capsys.readouterr().out.splitlines()
+            if want.status == "unsat-hard":
+                assert code == 20
+                continue
+            assert code == 0
+            cost = int(next(l for l in lines if l.startswith("o "))[2:])
+            vline = next(l for l in lines if l.startswith("v "))
+            model = {abs(l): int(l > 0) for l in map(int, vline.split()[1:-1])}
+            tau = lift_through_sidecar(sidecar, model, cost)
+            assert all(clause_satisfied(c, tau) for c in f.hard)
+            assert f.cost_of(tau) == cost == want.solution.cost
+            lifted += 1
+    assert lifted >= 500
 
 
 def test_preprocess_sidecar_without_emit_wcnf_is_an_error(tmp_path, capsys):

@@ -6,15 +6,15 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from labelmax.bce import bce_fixpoint
-from labelmax.lcnf_prep import (MAX_LABELSET, MAX_ROUNDS, BveEntry, BveRecord,
-                                _bve_sweep, _ClauseStore, _new_resolvents,
-                                _ssr_fixpoint, _ssr_partner, _ssr_pivot,
-                                _sub_fixpoint, bve_reconstruct, dump_lcnf,
-                                l_bve, l_resolve, l_ssr, l_sub, l_ve,
-                                preprocess_lcnf)
-from labelmax.model import (LCNF, WCNF, LabelledClause, clause_vars,
-                            induced_subformula, is_tautology, lclause,
-                            lcnf_from_wcnf, lcnf_satisfied)
+from labelmax.lcnf_prep import (MAX_LABELSET, MAX_ROUNDS, _bve_sweep,
+                                _ClauseStore, _new_resolvents, _ssr_fixpoint,
+                                _ssr_partner, _ssr_pivot, _sub_fixpoint,
+                                dump_lcnf, l_bve, l_resolve, l_ssr, l_sub,
+                                l_ve, preprocess_lcnf)
+from labelmax.model import (LCNF, WCNF, LabelledClause, StackEntry,
+                            clause_satisfied, clause_vars, induced_subformula,
+                            is_tautology, lclause, lcnf_from_wcnf,
+                            lcnf_satisfied, reconstruct)
 from labelmax.oracle import (brute_force_lcnf_maxsat, enumerate_mcs_labels,
                              random_lcnf, random_wcnf)
 
@@ -242,7 +242,7 @@ def test_preprocess_can_dissolve_satisfiable_hard_formula():
     phi = LCNF([lclause([1, 2]), lclause([3])], {})
     out, rec = preprocess_lcnf(phi)
     assert out.clauses == frozenset()
-    tau = bve_reconstruct(rec, {})
+    tau = reconstruct(rec, {})
     assert lcnf_satisfied(phi, tau)
 
 
@@ -256,8 +256,7 @@ def test_preprocess_preserves_optimum_and_reconstructs():
         assert sol_before is not None and sol_after is not None  # planted hard part
         assert sol_after.cost == sol_before.cost, seed
         retained = phi.labels() - sol_after.falsified
-        tau = bve_reconstruct(rec, sol_after.model,
-                              removed=sol_after.falsified)
+        tau = reconstruct(rec, sol_after.model, removed=sol_after.falsified)
         assert lcnf_satisfied(induced_subformula(phi, retained), tau), seed
         solved += 1
     assert solved == 60
@@ -268,21 +267,66 @@ def test_preprocess_preserves_optimum_and_reconstructs():
 
 
 def test_reconstruct_forced_value():
-    rec = [BveEntry(1, frozenset([lclause([1, 2]), lclause([-1, 3])]))]
-    assert bve_reconstruct(rec, {2: 1, 3: 0}) == {2: 1, 3: 0, 1: 0}
+    rec = [StackEntry(1, frozenset([lclause([1, 2]), lclause([-1, 3])]))]
+    assert reconstruct(rec, {2: 1, 3: 0}) == {2: 1, 3: 0, 1: 0}
 
 
 def test_reconstruct_tie_breaks_to_false():
-    rec = [BveEntry(1, frozenset([lclause([1, 2]), lclause([-1, 3])]))]
-    assert bve_reconstruct(rec, {2: 1, 3: 1})[1] == 0
+    rec = [StackEntry(1, frozenset([lclause([1, 2]), lclause([-1, 3])]))]
+    assert reconstruct(rec, {2: 1, 3: 1})[1] == 0
 
 
 def test_reconstruct_ignores_clauses_outside_retained_context():
-    rec = [BveEntry(1, frozenset([lclause([1], [1]), lclause([-1, 4])]))]
-    out = bve_reconstruct(rec, {4: 0}, removed=frozenset([1]))
+    rec = [StackEntry(1, frozenset([lclause([1], [1]), lclause([-1, 4])]))]
+    out = reconstruct(rec, {4: 0}, removed=frozenset([1]))
     assert out[1] == 0
     with pytest.raises(RuntimeError):
-        bve_reconstruct(rec, {4: 0})  # both clauses constrain; x has no value
+        reconstruct(rec, {4: 0})  # both clauses constrain; x has no value
+
+
+def reference_lift(rec, tau, removed=frozenset()):
+    """The rule BVE's lift had before it shared one with BCE: last entry
+    first, the variable takes the first of 0 and 1 that satisfies its
+    clauses carrying no removed label, and neither is an error."""
+    out = dict(tau)
+    for entry in reversed(rec):
+        group = [c for c in entry.group if not c.labels & removed]
+        for v in (0, 1):
+            out[entry.var] = v
+            if all(clause_satisfied(c.lits, out) for c in group):
+                break
+        else:
+            raise RuntimeError(entry.var)
+    return out
+
+
+# an entry's clauses: sign of its variable, other literals, labels
+GROUPS = st.lists(st.lists(
+    st.tuples(st.booleans(), st.sets(st.integers(-6, 6).filter(bool),
+                                     max_size=3),
+              st.sets(st.integers(1, 3), max_size=2)),
+    min_size=1, max_size=4), max_size=5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.permutations(range(1, 7)), GROUPS,
+       st.dictionaries(st.integers(1, 6), st.integers(0, 1)),
+       st.sets(st.integers(1, 3)))
+def test_lift_matches_the_reference_rule(order, groups, tau, removed):
+    # one variable per entry, as BVE records them, absent from tau or 0
+    rec = [StackEntry(x, frozenset(
+        lclause(rest | {x if pos else -x}, labels)
+        for pos, rest, labels in group)) for x, group in zip(order, groups)]
+    tau = {v: b for v, b in tau.items()
+           if b == 0 or all(v != e.var for e in rec)}
+    removed = frozenset(removed)
+    try:
+        want = reference_lift(rec, tau, removed)
+    except RuntimeError:
+        with pytest.raises(RuntimeError):
+            reconstruct(rec, tau, removed)
+    else:
+        assert reconstruct(rec, tau, removed) == want
 
 
 def test_record_labels_occur_in_the_input():
@@ -355,7 +399,7 @@ def _reference_bve(phi, record, max_labelset):
         if any(len(c.labels) > max_labelset
                for c in resolvent_pairs(phi, x)):
             continue
-        record.append(BveEntry(x, group))
+        record.append(StackEntry(x, group))
         phi = cand
     return phi
 
@@ -378,7 +422,7 @@ def reference_preprocess(phi, config=FULL):
     """The pass schedule built from the single-step rules alone: what
     ``preprocess_lcnf`` must return, clause set and record alike."""
     passes, rounds, cap = config
-    record: BveRecord = []
+    record = []
     for _ in range(rounds):
         before = phi.clauses
         if "sub" in passes:
@@ -397,7 +441,7 @@ def run_passes(phi, config):
     its own."""
     passes, rounds, cap = config
     store = _ClauseStore(phi.clauses)
-    record: BveRecord = []
+    record = []
     for _ in range(rounds):
         edits = store.edits
         if "sub" in passes:
@@ -630,37 +674,43 @@ def test_bve_decision_ignores_clauses_outside_the_group(rows, max_labelset):
             assert (got is None) == refused, (x, r)
 
 
+def record_repr(rec):
+    """A stack's entries with their clauses in ``sort_key`` order."""
+    return repr([(e.var, sorted(e.group, key=LabelledClause.sort_key))
+                 for e in rec])
+
+
 def prep_digest(f):
     """SHA-256 over the BCE record, and the sorted clauses and BVE record
     of preprocess_lcnf before and after BCE."""
     h = hashlib.sha256()
-    h.update(repr(bce_fixpoint(f)[1]).encode())
+    h.update(record_repr(bce_fixpoint(f)[1]).encode())
     for phi in (lcnf_from_wcnf(f), lcnf_from_wcnf(bce_fixpoint(f)[0])):
         out, rec = preprocess_lcnf(phi)
         h.update(repr(out.sorted_clauses()).encode())
-        h.update(repr([(e.var, sorted(e.group, key=LabelledClause.sort_key))
-                       for e in rec]).encode())
+        h.update(record_repr(rec).encode())
     return h.hexdigest()[:16]
 
 
 # recorded with the passes before their fast paths, again when the BCE
-# record of a since removed hard-clause-keeping mode left the digest, and
-# the first two again when BVE came to count resolvent pairs in place of
-# new clauses; each case keeps the id it was first pinned under: (id
-# digest, instance, digest)
+# record of a since removed hard-clause-keeping mode left the digest, the
+# first two again when BVE came to count resolvent pairs in place of new
+# clauses, and the tseitin ones again when the BCE record became stack
+# entries, one per distinct clause (its BVE half unchanged); each case
+# keeps the id it was first pinned under: (id digest, instance, digest)
 PINNED_DIGESTS = [
-    ("130c6d4ee70a6748", lambda: tseitin_wcnf(0), "eb3c138175066370"),
-    ("704a4e1e3772c08c", lambda: tseitin_wcnf(1), "9e9d93485cfd6586"),
-    ("2c49643ad6a56b00", lambda: tseitin_wcnf(2), "68452feb1b387e9d"),
-    ("fc245bb8794472ea", lambda: tseitin_wcnf(3), "671296aafcd09ea3"),
-    ("a3bd3f57de0f4c3d", lambda: tseitin_wcnf(4), "e00691d27da0aa1e"),
-    ("ebc84a2ba21771a4", lambda: tseitin_wcnf(5), "92c53a88950533ab"),
+    ("130c6d4ee70a6748", lambda: tseitin_wcnf(0), "7706229b245d2dac"),
+    ("704a4e1e3772c08c", lambda: tseitin_wcnf(1), "a862c9bdbeaa036f"),
+    ("2c49643ad6a56b00", lambda: tseitin_wcnf(2), "e4bff9438afa09b3"),
+    ("fc245bb8794472ea", lambda: tseitin_wcnf(3), "423cbc62012fd843"),
+    ("a3bd3f57de0f4c3d", lambda: tseitin_wcnf(4), "2f3db62e232856af"),
+    ("ebc84a2ba21771a4", lambda: tseitin_wcnf(5), "2dfc3890cc323726"),
     ("fc0d2dd8bea70953", lambda: tseitin_wcnf(0, 8, 30),
-     "9738baaaf10761e2"),
+     "18ead1771a764410"),
     ("554dbafc69b7d0ed", lambda: tseitin_wcnf(1, 8, 30),
-     "3778b2d2438844e7"),
+     "8fb971901c4ccef8"),
     ("f8d02515c60729dd", lambda: tseitin_wcnf(2, 8, 30),
-     "7c6e223b00a90f53"),
+     "451d4739acfe28c2"),
     ("6ef2b1bbaf4f7348", lambda: pigeon_wcnf(0, 3, 1),
      "b7ff723ce24e2371"),
     ("1955a28c9dce8e83", lambda: pigeon_wcnf(1, 3, 2),
