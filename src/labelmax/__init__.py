@@ -17,9 +17,7 @@ from .model import (
     WeightOverflowError,
     clause,
     cost_of_labels,
-    induced_subformula,
     is_tautology,
-    lclause,
     lcnf_from_wcnf,
     reconstruct,
 )
@@ -27,7 +25,7 @@ from .bce import bce_fixpoint
 from .lcnf_prep import preprocess_lcnf
 from .reduction import lcnf_to_wcnf, lift_reduction_solution
 from .solver import SolveReport, solve_lcnf
-from .cli import PipelineError, bce_reconstruct, bve_reconstruct, run_pipeline
+from .cli import PipelineError, run_pipeline
 
 __version__ = "0.1.0"
 
@@ -43,13 +41,9 @@ __all__ = [
     "WCNF",
     "WeightOverflowError",
     "bce_fixpoint",
-    "bce_reconstruct",
-    "bve_reconstruct",
     "clause",
     "cost_of_labels",
-    "induced_subformula",
     "is_tautology",
-    "lclause",
     "lcnf_from_wcnf",
     "lcnf_to_wcnf",
     "lift_reduction_solution",

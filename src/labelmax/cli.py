@@ -81,6 +81,9 @@ def run_pipeline(f: WCNF, prep: str = "bce,rs", mode: str = "noninc",
     re-evaluated against ``f`` itself: hard clauses satisfied, falsified
     soft weight equal to the cost.
     """
+    # checked on the input: preprocessing may drop every weighted clause
+    if algorithm == "fumalik" and any(w != 1 for _, w in f.soft):
+        raise ValueError("fumalik requires all label weights equal to 1")
     pre = _preprocess(f, prep, trace)
     report = solve_lcnf(pre.lcnf, algorithm=algorithm, mode=mode,
                         conflict_budget=conflict_budget, trace=trace)

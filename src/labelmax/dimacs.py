@@ -164,7 +164,7 @@ def write_wcnf(f: WCNF) -> str:
 
 
 def write_solution(sol: Optional[MaxSatSolution], status: str,
-                   num_vars: Optional[int] = None) -> str:
+                   num_vars: int) -> str:
     """Evaluation-style output. ``status``: optimum | unsat-hard | unknown."""
     if status == "unsat-hard":
         return "s UNSATISFIABLE\n"
@@ -172,8 +172,6 @@ def write_solution(sol: Optional[MaxSatSolution], status: str,
         return "s UNKNOWN\n"
     if status != "optimum" or sol is None:
         raise ValueError(f"bad status {status!r} or missing solution")
-    if num_vars is None:
-        num_vars = max(sol.model, default=0)
     lits = sol.model_tuple(num_vars)
     return (f"o {sol.cost}\n"
             "s OPTIMUM FOUND\n"

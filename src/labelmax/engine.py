@@ -136,10 +136,6 @@ class CdclSolver:
 
     # -- variables ---------------------------------------------------------
 
-    def new_var(self) -> int:
-        self.ensure_var(self.num_vars + 1)
-        return self.num_vars
-
     def ensure_var(self, v: int) -> None:
         n = v - self.num_vars
         if n <= 0:

@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from typing import (Dict, FrozenSet, Iterable, List, NamedTuple, Optional,
                     Sequence, Set, Tuple)
 
-Lit = int
 ClauseT = Tuple[int, ...]
 Assignment = Dict[int, int]
 
@@ -78,10 +77,6 @@ def is_tautology(c: Sequence[int]) -> bool:
     return len(set(map(abs, s))) < len(s)
 
 
-def clause_vars(c: Sequence[int]) -> FrozenSet[int]:
-    return frozenset(abs(l) for l in c)
-
-
 def clause_satisfied(c: Sequence[int], tau: Assignment) -> bool:
     """Whether a literal of ``c`` is true under ``tau``: ``v`` if v is 1,
     ``-v`` if v is 0.  Variables missing from ``tau`` are 0."""
@@ -132,13 +127,6 @@ class WCNF:
             if abs(l) > self.num_vars:
                 self.num_vars = abs(l)
 
-    def soft_clauses(self) -> List[ClauseT]:
-        return [c for c, _ in self.soft]
-
-    def all_clauses(self) -> List[ClauseT]:
-        """Hard and soft clauses as one list (weights disregarded)."""
-        return list(self.hard) + [c for c, _ in self.soft]
-
     def soft_weight_sum(self) -> int:
         return add_weights(*(w for _, w in self.soft))
 
@@ -181,10 +169,6 @@ class LabelledClause(NamedTuple):
         return f"<{body}>^{{{tags}}}"
 
 
-def lclause(lits: Iterable[int], labels: Iterable[int] = ()) -> LabelledClause:
-    return LabelledClause.make(lits, labels)
-
-
 @dataclass
 class LCNF:
     """Set of labelled clauses plus a weight for every label in use.
@@ -210,43 +194,14 @@ class LCNF:
             out |= c.labels
         return frozenset(out)
 
-    def vars(self) -> FrozenSet[int]:
-        out: set = set()
-        for c in self.clauses:
-            out |= clause_vars(c.lits)
-        return frozenset(out)
-
     def max_var(self) -> int:
         return max((max((abs(l) for l in c.lits), default=0) for c in self.clauses), default=0)
 
     def sorted_clauses(self) -> List[LabelledClause]:
         return sorted(self.clauses, key=LabelledClause.sort_key)
 
-    def hard_clauses(self) -> List[ClauseT]:
-        return [c.lits for c in self.sorted_clauses() if c.hard]
-
     def size(self) -> int:
         return len(self.clauses)
-
-    def replace(self, clauses: Iterable[LabelledClause]) -> "LCNF":
-        """These clauses, with the weights of the labels they use."""
-        cs = frozenset(clauses)
-        used = set()
-        for c in cs:
-            used |= c.labels
-        return LCNF(cs, {l: w for l, w in self.label_weights.items()
-                         if l in used})
-
-
-def induced_subformula(phi: LCNF, m: Iterable[int]) -> LCNF:
-    """Clauses of ``phi`` whose label set is contained in ``m``.
-
-    Empty-labelled clauses are always retained.  Weight entries are
-    restricted to the labels still in use.
-    """
-    ms = frozenset(m)
-    kept = [c for c in phi.clauses if c.labels <= ms]
-    return phi.replace(kept)
 
 
 def lcnf_from_wcnf(f: WCNF) -> LCNF:
@@ -270,10 +225,6 @@ def cost_of_labels(phi: LCNF, labels: Iterable[int]) -> int:
             raise KeyError(f"label {l} has no weight entry")
         total.append(phi.label_weights[l])
     return add_weights(*total)
-
-
-def lcnf_satisfied(phi: LCNF, tau: Assignment) -> bool:
-    return all(clause_satisfied(c.lits, tau) for c in phi.clauses)
 
 
 # ---------------------------------------------------------------------------

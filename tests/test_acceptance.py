@@ -36,16 +36,17 @@ import pytest
 from labelmax.bce import bce_fixpoint
 from labelmax.cli import PREPS, run_pipeline
 from labelmax.dimacs import ParseError, parse_cnf, parse_wcnf, write_wcnf
-from labelmax.engine import CdclSolver
 from labelmax.lcnf_prep import l_bve, l_ssr, l_sub
-from labelmax.model import (LCNF, WCNF, clause, clause_satisfied, is_tautology,
-                            lclause, reconstruct)
-from labelmax.oracle import (brute_force_maxsat, check_hitting_duality,
-                             enumerate_mcs, enumerate_mcs_labels,
-                             enumerate_mus, enumerate_mus_labels, random_cnf,
-                             random_lcnf, random_wcnf, truth_table_sat)
+from labelmax.model import (WCNF, clause, clause_satisfied, is_tautology,
+                            reconstruct)
+from labelmax.oracle import brute_force_maxsat, random_wcnf
 from labelmax.reduction import lcnf_to_wcnf
 from labelmax.solver import solve_lcnf
+from support import (check_hitting_duality, enumerate_mcs,
+                     enumerate_mcs_labels, enumerate_mus,
+                     enumerate_mus_labels, labelled_example, random_cnf,
+                     random_lcnf, solve_clauses, truth_table_sat,
+                     unit_soft_formula)
 
 MODES = ("noninc", "inc")
 
@@ -101,7 +102,7 @@ def lcnf_suite():
                 truth_table_sat(full, nv) is None:
             duality_phis.append(phi)
         before = enumerate_mcs_labels(phi)
-        for x in sorted(phi.vars()):
+        for x in sorted({abs(l) for c in phi.clauses for l in c.lits}):
             out = l_bve(phi, x)
             if out.clauses != phi.clauses:
                 fired["bve"] += 1
@@ -144,7 +145,7 @@ def bce_suite():
         for c in clauses:
             f.add_soft(c, 1)
         out_full, rec = bce_fixpoint(f)
-        survivors = set(out_full.all_clauses())
+        survivors = set(out_full.hard + [c for c, _ in out_full.soft])
 
         # monotonicity on five random sub-formulas
         rng = random.Random(i)
@@ -154,7 +155,8 @@ def bce_suite():
                 if rng.random() < 0.7:
                     sub.add_soft(c, 1)
             out_sub, _ = bce_fixpoint(sub)
-            if not set(out_sub.all_clauses()) <= survivors:
+            kept = out_sub.hard + [c for c, _ in out_sub.soft]
+            if not set(kept) <= survivors:
                 failures.append(("monotonicity", i))
 
         # MUS preservation on the in-cap unsatisfiable inputs
@@ -199,13 +201,6 @@ def bce_suite():
 # criterion 1: the six-unit-clause example
 
 
-def example_one() -> WCNF:
-    f = WCNF()
-    for lits in [(1,), (-1,), (1, 2), (1, -2), (3,), (-3,)]:
-        f.add_soft(lits, 1)
-    return f
-
-
 def cnf_resolve(a, b, x):
     return clause(tuple(l for l in a if l != x) +
                   tuple(l for l in b if l != -x))
@@ -246,7 +241,7 @@ def _unit_costs(clauses, num_vars):
 
 def test_criterion_1_example_fidelity_and_unsound_cnf_prep():
     t0 = time.perf_counter()
-    f = example_one()
+    f = unit_soft_formula()
     n_runs = 0
     for prep in PREPS:
         for mode in MODES:
@@ -285,14 +280,6 @@ def test_criterion_1_example_fidelity_and_unsound_cnf_prep():
 
 # ---------------------------------------------------------------------------
 # criterion 2: the labelled example
-
-
-def labelled_example() -> LCNF:
-    return LCNF(frozenset([
-        lclause([-1]), lclause([3]),
-        lclause([1, 2], [1]), lclause([1, -2], [1, 2]),
-        lclause([1], [2]), lclause([-3], [3]),
-    ]), {1: 1, 2: 1, 3: 1})
 
 
 def test_criterion_2_labelled_example_fidelity():
@@ -448,14 +435,6 @@ def test_criterion_6_hitting_set_duality(wcnf_sweep, lcnf_suite, bce_suite):
 # criterion 8: SAT-engine conformance
 
 
-def _solve_clauses(clauses, nv, assumptions=()):
-    s = CdclSolver()
-    s.ensure_var(nv)
-    for c in clauses:
-        s.add_clause(c)
-    return s.solve(list(assumptions)), s
-
-
 def _three_var_pool():
     out = []
     for signs in itertools.product((-1, 0, 1), repeat=3):
@@ -485,7 +464,7 @@ def test_criterion_8_sat_engine_conformance():
     n_small = 0
     for clauses in _fixed_enumeration(pool):
         expect = truth_table_sat(clauses, 3)
-        out, _ = _solve_clauses(clauses, 3)
+        out, _ = solve_clauses(clauses, num_vars=3)
         assert out.sat == (expect is not None), clauses
         if out.sat:
             assert all(
@@ -505,7 +484,7 @@ def test_criterion_8_sat_engine_conformance():
                            for v in rng.sample(range(1, nv + 1), 3)]
         expect = truth_table_sat(
             list(clauses) + [(a,) for a in assumptions], nv)
-        out, s = _solve_clauses(clauses, nv, assumptions)
+        out, s = solve_clauses(clauses, assumptions, num_vars=nv)
         assert out.sat == (expect is not None), (seed, assumptions)
         if out.sat:
             for c in clauses:

@@ -6,13 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from labelmax.bce import _blocked_in, bce_fixpoint, is_blocked
 from labelmax.model import (WCNF, StackEntry, clause, clause_satisfied,
-                            is_tautology, lclause, reconstruct)
-from labelmax.oracle import (
-    brute_force_maxsat,
-    enumerate_mus,
-    random_wcnf,
-    truth_table_sat,
-)
+                            is_tautology, reconstruct)
+from labelmax.oracle import brute_force_maxsat, random_wcnf
+from support import enumerate_mus, lclause, truth_table_sat
 
 
 def wcnf_of(soft_clauses, hard_clauses=(), weights=None):
@@ -125,7 +121,8 @@ def reference_bce(f, order_seed):
     scanning the clause set in a seeded random order until a scan
     removes nothing."""
     rng = random.Random(order_seed)
-    left = {c for c in f.all_clauses() if not is_tautology(c)}
+    left = {c for c in f.hard + [c for c, _ in f.soft]
+            if not is_tautology(c)}
     removed = True
     while removed:
         removed = False
@@ -159,7 +156,8 @@ def test_monotonicity_on_random_instances():
         # survivors of the sub-formula must survive in the super-formula
         out_sub, _ = bce_fixpoint(sub)
         out_full, _ = bce_fixpoint(f)
-        assert set(out_sub.all_clauses()) <= set(out_full.all_clauses())
+        assert set(out_sub.hard + [c for c, _ in out_sub.soft]) <= \
+            set(out_full.hard + [c for c, _ in out_full.soft])
 
 
 def test_mus_preservation_on_random_unsat_instances():
@@ -207,7 +205,8 @@ CLAUSES = st.lists(st.sets(st.integers(-5, 5).filter(bool), max_size=4),
 def test_fast_blocked_test_matches_is_blocked(hard, soft):
     # blockedness is asked after the tautology sweep
     f = wcnf_of([sorted(c) for c in soft], [sorted(c) for c in hard])
-    formula = {c for c in f.all_clauses() if not is_tautology(c)}
+    formula = {c for c in f.hard + [c for c, _ in f.soft]
+               if not is_tautology(c)}
     for c in formula:
         for l in c:
             others = [o for o in formula if -l in o]

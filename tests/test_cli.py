@@ -11,11 +11,11 @@ from labelmax import cli, solver
 from labelmax.cli import PREPS, PipelineError, main, run_pipeline
 from labelmax.dimacs import parse_wcnf, write_wcnf
 from labelmax.model import (WCNF, MaxSatSolution, StackEntry,
-                            clause_satisfied, lclause, reconstruct)
+                            clause_satisfied, reconstruct)
 from labelmax.oracle import brute_force_maxsat, random_wcnf
 from labelmax.reduction import lift_reduction_solution
 from labelmax.solver import MODES
-from test_lcnf_prep import pigeon_wcnf, tseitin_wcnf
+from support import lclause, pigeon_wcnf, tseitin_wcnf, unit_soft_formula
 
 EXAMPLE1 = """\
 p wcnf 3 6 7
@@ -50,10 +50,6 @@ p wcnf 6 9 10
 """
 
 
-def example1_wcnf():
-    return parse_wcnf(EXAMPLE1).wcnf
-
-
 # ---------------------------------------------------------------------------
 # run_pipeline
 
@@ -61,7 +57,7 @@ def example1_wcnf():
 @pytest.mark.parametrize("prep", PREPS)
 @pytest.mark.parametrize("mode", ["noninc", "inc"])
 def test_pipeline_example1_all_flag_combinations(prep, mode):
-    f = example1_wcnf()
+    f = unit_soft_formula()
     res = run_pipeline(f, prep=prep, mode=mode, algorithm="fumalik")
     assert res.status == "optimum"
     assert res.solution.cost == 2
@@ -96,11 +92,11 @@ def test_pipeline_budget_exhaustion_is_unknown():
 
 def test_pipeline_rejects_unknown_prep():
     with pytest.raises(ValueError):
-        run_pipeline(example1_wcnf(), prep="rs,bce")
+        run_pipeline(unit_soft_formula(), prep="rs,bce")
 
 
 def test_pipeline_stats_carry_prep_counts():
-    res = run_pipeline(example1_wcnf(), prep="bce,rs")
+    res = run_pipeline(unit_soft_formula(), prep="bce,rs")
     assert {"iterations", "rounds", "load_events", "bce_removed",
             "bve_eliminated"} <= set(res.stats)
 
@@ -149,7 +145,7 @@ def test_pipeline_verification_catches_a_lying_cost(monkeypatch):
 
     monkeypatch.setattr(cli_mod, "solve_lcnf", lying)
     with pytest.raises(PipelineError):
-        run_pipeline(example1_wcnf(), prep="none")
+        run_pipeline(unit_soft_formula(), prep="none")
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +258,26 @@ def test_solve_fumalik_on_weighted_input_is_an_error(tmp_path, capsys):
     path.write_text("p wcnf 1 2 9\n4 1 0\n2 -1 0\n")
     assert main(["solve", "--alg=fumalik", str(path)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("prep", PREPS)
+@pytest.mark.parametrize("mode", MODES)
+def test_fumalik_acceptance_does_not_depend_on_prep(tmp_path, capsys, prep,
+                                                    mode):
+    # BCE and BVE drop the weight-5 clause, so only a check on the input
+    # rejects it under every prep
+    path = tmp_path / "w.wcnf"
+    path.write_text("p wcnf 3 3 9\n1 1 0\n1 -1 0\n5 2 3 0\n")
+    argv = ["solve", "--alg=fumalik", f"--prep={prep}", f"--mode={mode}"]
+    assert main(argv + [str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: fumalik requires all label weights equal to 1\n"
+    unit = parse_wcnf("p wcnf 3 3 9\n1 1 0\n1 -1 0\n1 2 3 0\n").wcnf
+    costs = {run_pipeline(unit, prep=prep, mode=mode,
+                          algorithm=alg).solution.cost
+             for alg in ("fumalik", "wmsu1")}
+    assert costs == {1}
 
 
 def test_solve_trace_lines_precede_solution(tmp_path, capsys):

@@ -204,10 +204,10 @@ def test_write_solution_lines():
     assert write_solution(sol, "optimum", 1) == "o 2\ns OPTIMUM FOUND\nv -1 0\n"
     sol0 = MaxSatSolution(model={1: 1}, cost=0)
     assert write_solution(sol0, "optimum", 1) == "o 0\ns OPTIMUM FOUND\nv 1 0\n"
-    assert write_solution(None, "unsat-hard") == "s UNSATISFIABLE\n"
-    assert write_solution(None, "unknown") == "s UNKNOWN\n"
+    assert write_solution(None, "unsat-hard", 1) == "s UNSATISFIABLE\n"
+    assert write_solution(None, "unknown", 1) == "s UNKNOWN\n"
     with pytest.raises(ValueError):
-        write_solution(None, "optimum")
+        write_solution(None, "optimum", 1)
 
 
 def test_write_wcnf_emits_computed_top():

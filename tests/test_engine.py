@@ -8,14 +8,12 @@ import pytest
 
 from labelmax.engine import (BudgetExceededError, CdclSolver, _idx_lit,
                              _luby, encode)
-from labelmax.oracle import random_cnf, truth_table_sat
+from support import random_cnf, solve_clauses, truth_table_sat
 
 
-def solve_clauses(clauses, assumptions=(), solver=None):
-    s = solver or CdclSolver()
-    for c in clauses:
-        s.add_clause(c)
-    return s.solve(assumptions), s
+def fresh_var(s):
+    s.ensure_var(s.num_vars + 1)
+    return s.num_vars
 
 
 def test_single_clause_sat():
@@ -306,7 +304,7 @@ def pinned_incremental_rows():
             for _ in range(60)]
     sel = {}
     for i, c in enumerate(soft):
-        sel[i] = s.new_var()
+        sel[i] = fresh_var(s)
         s.add_clause(c + [-sel[i]])
     rows = []
     for _ in range(25):
@@ -318,10 +316,10 @@ def pinned_incremental_rows():
         relax = []
         for i in core:
             s.add_clause([-sel[i]])
-            r = s.new_var()
+            r = fresh_var(s)
             relax.append(r)
             soft[i] = soft[i] + [r]
-            sel[i] = s.new_var()
+            sel[i] = fresh_var(s)
             s.add_clause(soft[i] + [-sel[i]])
         s.add_clause(relax)
         for a, b in itertools.combinations(relax, 2):
@@ -379,7 +377,7 @@ def test_branching_heap_stays_bounded():
         s.add_clause(c)
     sels = []
     for _ in range(40):
-        sels.append(s.new_var())
+        sels.append(fresh_var(s))
         s.add_clause([rng.choice((v, -v))
                       for v in rng.sample(range(1, nv + 1), 2)] + [-sels[-1]])
     for k in range(200):

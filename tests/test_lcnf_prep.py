@@ -11,20 +11,13 @@ from labelmax.lcnf_prep import (MAX_LABELSET, MAX_ROUNDS, _bve_sweep,
                                 _ssr_partner, _ssr_pivot, _sub_fixpoint,
                                 dump_lcnf, l_bve, l_resolve, l_ssr, l_sub,
                                 l_ve, preprocess_lcnf)
-from labelmax.model import (LCNF, WCNF, LabelledClause, StackEntry,
-                            clause_satisfied, clause_vars, induced_subformula,
-                            is_tautology, lclause, lcnf_from_wcnf,
-                            lcnf_satisfied, reconstruct)
-from labelmax.oracle import (brute_force_lcnf_maxsat, enumerate_mcs_labels,
-                             random_lcnf, random_wcnf)
-
-
-def example_two():
-    return LCNF(frozenset([
-        lclause([-1]), lclause([3]),
-        lclause([1, 2], [1]), lclause([1, -2], [1, 2]),
-        lclause([1], [2]), lclause([-3], [3]),
-    ]), {1: 1, 2: 1, 3: 1})
+from labelmax.model import (LCNF, LabelledClause, StackEntry,
+                            clause_satisfied, is_tautology, lcnf_from_wcnf,
+                            reconstruct)
+from labelmax.oracle import random_wcnf
+from support import (brute_force_lcnf_maxsat, enumerate_mcs_labels,
+                     induced_subformula, labelled_example, lclause,
+                     lcnf_satisfied, pigeon_wcnf, random_lcnf, tseitin_wcnf)
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +86,7 @@ def test_ve_drops_tautological_resolvents():
 
 
 def test_ve_commutes_with_induced_subformula_pinned():
-    phi = example_two()
+    phi = labelled_example()
     lhs = l_ve(induced_subformula(phi, {1}), 1)
     rhs = induced_subformula(l_ve(phi, 1), {1})
     expected = frozenset([lclause([3]), lclause([2], [1])])
@@ -107,7 +100,7 @@ def test_ve_commutes_with_induced_subformula_random():
         rng = random.Random(seed)
         labels = sorted(phi.labels())
         m = frozenset(l for l in labels if rng.random() < 0.5)
-        for x in sorted(phi.vars()):
+        for x in sorted({abs(l) for c in phi.clauses for l in c.lits}):
             assert l_ve(induced_subformula(phi, m), x).clauses == \
                 induced_subformula(l_ve(phi, x), m).clauses
 
@@ -129,20 +122,20 @@ def test_bve_applies_only_when_formula_shrinks():
 
 
 def test_sub_removes_weaker_clause():
-    phi = example_two()
+    phi = labelled_example()
     out = l_sub(phi, lclause([1], [2]), lclause([1, -2], [1, 2]))
     assert out.clauses == phi.clauses - {lclause([1, -2], [1, 2])}
     assert out.label_weights == phi.label_weights
 
 
 def test_sub_requires_clause_inclusion():
-    phi = example_two()
+    phi = labelled_example()
     out = l_sub(phi, lclause([1, 2], [1]), lclause([1, -2], [1, 2]))
     assert out.clauses == phi.clauses
 
 
 def test_sub_requires_label_inclusion():
-    phi = example_two()
+    phi = labelled_example()
     out = l_sub(phi, lclause([1], [2]), lclause([1, 2], [1]))
     assert out.clauses == phi.clauses
 
@@ -178,7 +171,7 @@ def test_rules_preserve_label_mcses_on_random_instances():
     for seed in range(40):
         phi = random_lcnf(seed, nvars=8, nclauses=12, nlabels=6)
         before = enumerate_mcs_labels(phi)
-        for x in sorted(phi.vars()):
+        for x in sorted({abs(l) for c in phi.clauses for l in c.lits}):
             out = l_bve(phi, x)
             if out.clauses != phi.clauses:
                 fired["bve"] += 1
@@ -200,7 +193,7 @@ def test_rules_preserve_label_mcses_on_random_instances():
 def test_rules_never_mint_labels_and_keep_weight_entries():
     for seed in range(25):
         phi = random_lcnf(seed)
-        for x in sorted(phi.vars()):
+        for x in sorted({abs(l) for c in phi.clauses for l in c.lits}):
             out = l_bve(phi, x)
             assert out.labels() <= phi.labels()
             assert out.label_weights == phi.label_weights
@@ -228,10 +221,10 @@ def test_sub_is_inert_on_plain_maxsat_encodings():
 
 
 def test_preprocess_example_subsumption_pass():
-    phi = example_two()
+    phi = labelled_example()
     store = _ClauseStore(phi.clauses)
     _sub_fixpoint(store)
-    out = phi.replace(store.clauses)
+    out = LCNF(store.clauses, phi.label_weights)
     assert out.clauses == phi.clauses - {lclause([1, -2], [1, 2])}
     assert brute_force_lcnf_maxsat(phi).cost == 2
     assert brute_force_lcnf_maxsat(out).cost == 2
@@ -387,8 +380,8 @@ def resolvent_pairs(phi, x):
 
 
 def _reference_bve(phi, record, max_labelset):
-    occ = Counter(v for c in phi.clauses for v in clause_vars(c.lits))
-    for x in sorted(phi.vars(), key=lambda v: (occ[v], v)):
+    occ = Counter(v for c in phi.clauses for v in {abs(l) for l in c.lits})
+    for x in sorted(occ, key=lambda v: (occ[v], v)):
         group = frozenset(c for c in phi.clauses
                           if x in c.lits or -x in c.lits)
         if not group:
@@ -463,51 +456,6 @@ def assert_matches_reference(phi, config=FULL):
     assert out.clauses == want.clauses
     assert out.label_weights == want.label_weights
     assert rec == want_rec
-
-
-def tseitin_wcnf(seed, n_inputs=5, n_gates=12):
-    """Random and/or/xor circuit with hard gate definitions and soft
-    units on every input and every unread gate output."""
-    rng = random.Random(seed)
-    f = WCNF(num_vars=n_inputs + n_gates)
-    unread = list(range(1, n_inputs + 1))
-    for k in range(n_gates):
-        y = n_inputs + 1 + k
-        a = unread.pop(rng.randrange(len(unread))) if unread else \
-            rng.randrange(1, y)
-        b = rng.choice([v for v in range(1, y) if v != a])
-        if b in unread:
-            unread.remove(b)
-        unread.append(y)
-        a *= rng.choice((1, -1))
-        b *= rng.choice((1, -1))
-        kind = rng.choice(("and", "or", "xor"))
-        if kind == "and":
-            gate = [(-y, a), (-y, b), (y, -a, -b)]
-        elif kind == "or":
-            gate = [(y, -a), (y, -b), (-y, a, b)]
-        else:
-            gate = [(-y, a, b), (-y, -a, -b), (y, -a, b), (y, a, -b)]
-        for c in gate:
-            f.add_hard(c)
-    for v in list(range(1, n_inputs + 1)) + sorted(unread):
-        f.add_soft((rng.choice((v, -v)),), rng.randint(1, 5))
-    return f
-
-
-def pigeon_wcnf(seed, holes=3, surplus=1):
-    """Soft "pigeon i sits somewhere" clauses, hard at-most-one per hole."""
-    rng = random.Random(seed)
-    pigeons = holes + surplus
-    f = WCNF(num_vars=pigeons * holes)
-    for j in range(holes):
-        for i in range(pigeons):
-            for k in range(i + 1, pigeons):
-                f.add_hard((-(i * holes + j + 1), -(k * holes + j + 1)))
-    for i in range(pigeons):
-        f.add_soft([i * holes + j + 1 for j in range(holes)],
-                   rng.randint(1, 9))
-    return f
 
 
 @pytest.mark.parametrize("config", CONFIGS)

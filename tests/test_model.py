@@ -13,11 +13,10 @@ from labelmax.model import (
     clause,
     clause_satisfied,
     cost_of_labels,
-    induced_subformula,
     is_tautology,
-    lclause,
     lcnf_from_wcnf,
 )
+from support import induced_subformula, labelled_example, lclause
 
 
 def test_clause_canonical_form():
@@ -119,17 +118,8 @@ def test_labelled_clause_hashes_as_its_fields():
         assert hash(LabelledClause(lits, labels)) == hash((lits, labels))
 
 
-def example_two():
-    """Labelled formula used across the test-suite; optimum removes {2, 3}."""
-    return LCNF(frozenset([
-        lclause([-1]), lclause([3]),
-        lclause([1, 2], [1]), lclause([1, -2], [1, 2]),
-        lclause([1], [2]), lclause([-3], [3]),
-    ]), {1: 1, 2: 1, 3: 1})
-
-
 def test_induced_subformula_keeps_contained_label_sets():
-    phi = example_two()
+    phi = labelled_example()
     sub = induced_subformula(phi, {1})
     assert sub.clauses == frozenset([
         lclause([-1]), lclause([3]), lclause([1, 2], [1]),
@@ -139,7 +129,7 @@ def test_induced_subformula_keeps_contained_label_sets():
 
 
 def test_induced_subformula_full_and_empty():
-    phi = example_two()
+    phi = labelled_example()
     assert induced_subformula(phi, phi.labels()).clauses == phi.clauses
     assert induced_subformula(phi, set()).clauses == frozenset(
         [lclause([-1]), lclause([3])])
@@ -148,7 +138,7 @@ def test_induced_subformula_full_and_empty():
 @given(st.data())
 def test_induced_subformula_monotone(data):
     """m1 <= m2 implies induced(m1) is a subset of induced(m2)."""
-    phi = example_two()
+    phi = labelled_example()
     labels = sorted(phi.labels())
     m2 = data.draw(st.sets(st.sampled_from(labels)))
     m1 = data.draw(st.sets(st.sampled_from(sorted(m2)))) if m2 else set()
@@ -170,7 +160,7 @@ def test_lcnf_from_wcnf_labels_soft_by_position():
 
 
 def test_cost_of_labels_checked():
-    phi = example_two()
+    phi = labelled_example()
     assert cost_of_labels(phi, [2, 3]) == 2
     assert cost_of_labels(phi, []) == 0
     with pytest.raises(KeyError):

@@ -9,37 +9,14 @@ import pytest
 
 import labelmax
 from labelmax.model import (LCNF, MAX_WEIGHT_SUM, WCNF, MaxSatSolution,
-                            clause_satisfied, induced_subformula, lclause)
-from labelmax.oracle import (
-    brute_force_lcnf_maxsat,
-    brute_force_maxsat,
-    check_hitting_duality,
-    enumerate_mcs,
-    enumerate_mcs_labels,
-    enumerate_mus,
-    enumerate_mus_labels,
-    minimal_hitting_sets,
-    random_cnf,
-    random_lcnf,
-    random_wcnf,
-    truth_table_sat,
-)
-
-
-def unit_soft_formula():
-    """Six unit-weight soft clauses; optimum falsifies exactly two."""
-    f = WCNF()
-    for lits in [(1,), (-1,), (1, 2), (1, -2), (3,), (-3,)]:
-        f.add_soft(lits, 1)
-    return f
-
-
-def labelled_example():
-    return LCNF(frozenset([
-        lclause([-1]), lclause([3]),
-        lclause([1, 2], [1]), lclause([1, -2], [1, 2]),
-        lclause([1], [2]), lclause([-3], [3]),
-    ]), {1: 1, 2: 1, 3: 1})
+                            clause_satisfied)
+from labelmax.oracle import brute_force_maxsat, random_wcnf
+from support import (brute_force_lcnf_maxsat, check_hitting_duality,
+                     enumerate_mcs, enumerate_mcs_labels, enumerate_mus,
+                     enumerate_mus_labels, induced_subformula,
+                     labelled_example, lclause, minimal_hitting_sets,
+                     random_cnf, random_lcnf, truth_table_sat,
+                     unit_soft_formula)
 
 
 def test_truth_table_sat_finds_lex_least_model():
@@ -304,7 +281,7 @@ def test_random_wcnf_hard_part_satisfiable():
         assert truth_table_sat(f.hard, f.num_vars) is not None
         for _, w in f.soft:
             assert 1 <= w <= 5
-        for c in f.all_clauses():
+        for c in f.hard + [c for c, _ in f.soft]:
             assert 1 <= len(c) <= 4
 
 

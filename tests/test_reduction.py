@@ -1,16 +1,9 @@
-from labelmax.model import (LCNF, cost_of_labels, induced_subformula, lclause,
-                            lcnf_satisfied)
-from labelmax.oracle import (brute_force_lcnf_maxsat, brute_force_maxsat,
-                             random_lcnf, truth_table_sat)
+from labelmax.model import LCNF, cost_of_labels
+from labelmax.oracle import brute_force_maxsat
 from labelmax.reduction import lcnf_to_wcnf, lift_reduction_solution
-
-
-def labelled_example():
-    return LCNF(frozenset([
-        lclause([-1]), lclause([3]),
-        lclause([1, 2], [1]), lclause([1, -2], [1, 2]),
-        lclause([1], [2]), lclause([-3], [3]),
-    ]), {1: 1, 2: 1, 3: 1})
+from support import (brute_force_lcnf_maxsat, induced_subformula,
+                     labelled_example, lclause, lcnf_satisfied, random_lcnf,
+                     truth_table_sat)
 
 
 def test_encoding_of_labelled_example():

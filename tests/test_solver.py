@@ -6,28 +6,15 @@ import pytest
 
 from labelmax import solver
 from labelmax.engine import CdclSolver, SolveOutcome, encode
-from labelmax.model import (LCNF, WCNF, LabelledClause, cost_of_labels,
-                            induced_subformula, lclause, lcnf_from_wcnf,
-                            lcnf_satisfied)
-from labelmax.oracle import (brute_force_lcnf_maxsat, brute_force_maxsat,
-                             minimal_hitting_sets, random_lcnf, random_wcnf)
+from labelmax.lcnf_prep import preprocess_lcnf
+from labelmax.model import (LCNF, WCNF, MaxSatSolution, cost_of_labels,
+                            lcnf_from_wcnf, reconstruct)
+from labelmax.oracle import brute_force_maxsat, random_wcnf
 from labelmax.solver import (CoreLabels, _min_cost_hitting_set,
                              extract_core_labels, solve_lcnf)
-
-
-def unit_soft_formula():
-    f = WCNF()
-    for lits in [(1,), (-1,), (1, 2), (1, -2), (3,), (-3,)]:
-        f.add_soft(lits, 1)
-    return f
-
-
-def labelled_example():
-    return LCNF(frozenset([
-        lclause([-1]), lclause([3]),
-        lclause([1, 2], [1]), lclause([1, -2], [1, 2]),
-        lclause([1], [2]), lclause([-3], [3]),
-    ]), {1: 1, 2: 1, 3: 1})
+from support import (brute_force_lcnf_maxsat, induced_subformula,
+                     labelled_example, lclause, lcnf_satisfied,
+                     minimal_hitting_sets, random_lcnf, unit_soft_formula)
 
 
 def optimum(phi, algorithm, mode):
@@ -187,6 +174,26 @@ def test_random_lcnf_agreement(mode):
         sol = optimum(phi, "wmsu1", mode)
         assert sol.cost == expect.cost, seed
         assert_valid(phi, sol)
+
+
+@pytest.mark.parametrize("mode", ["noninc", "inc"])
+def test_many_labels_agree_with_and_without_preprocessing(mode):
+    # 12-16 labels in use and label sets of up to 5: the oracle's scan
+    # stays within its 16-label cap
+    for seed in range(60):
+        phi = random_lcnf(seed, nvars=8, nclauses=36, nlabels=12 + seed % 5,
+                          max_labelset=5)
+        assert 12 <= len(phi.labels()) <= 16, seed
+        expect = brute_force_lcnf_maxsat(phi)
+        sol = optimum(phi, "wmsu1", mode)
+        assert sol.cost == expect.cost, seed
+        assert_valid(phi, sol)
+        reduced, stack = preprocess_lcnf(phi)
+        red = optimum(reduced, "wmsu1", mode)
+        assert red.cost == expect.cost, seed
+        # the lifted model fits the input's hard and retained clauses
+        tau = reconstruct(stack, red.model, removed=red.falsified)
+        assert_valid(phi, MaxSatSolution(tau, red.cost, red.falsified))
 
 
 def test_unit_weight_instances_agree_across_algorithms():
