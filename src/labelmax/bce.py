@@ -17,9 +17,9 @@ is linear time.
 
 Blockedness is decided over the clause *set* (hard and soft together,
 weights ignored, duplicates collapsed); removing a clause removes every
-weighted occurrence at once, and pushes one entry.  Tautological
-clauses are swept first: they are satisfied under every assignment, so
-dropping them keeps every MUS and never triggers a reconstruction flip.
+weighted occurrence at once, and pushes one entry.  Tautologies are
+dropped on entry and push no entry: they hold under every assignment,
+so dropping them keeps every MUS and no lift needs them.
 """
 
 from __future__ import annotations
@@ -31,24 +31,14 @@ from .model import (ClauseT, LabelledClause, Stack, StackEntry, WCNF,
                     is_tautology)
 
 
-def _resolvent_tautological(c: ClauseT, l: int, other: ClauseT) -> bool:
-    res: Set[int] = set()
-    for q in c:
-        if q != l:
-            res.add(q)
-    for q in other:
-        if q != -l:
-            res.add(q)
-    return any(-q in res for q in res)
-
-
 def is_blocked(f: Iterable[ClauseT], c: ClauseT, l: int) -> bool:
     """True iff every resolvent of c on l with a clause of f is a
     tautology; vacuously true when no clause of f contains -l."""
     if l not in c:
         raise ValueError(f"literal {l} not in clause {c}")
     for other in f:
-        if -l in other and not _resolvent_tautological(c, l, other):
+        if -l in other and not is_tautology(
+                [q for q in c if q != l] + [q for q in other if q != -l]):
             return False
     return True
 
@@ -70,23 +60,17 @@ def _blocked_in(c: ClauseT, l: int, others: Iterable[ClauseT]) -> bool:
     return True
 
 
-def _blocking_lit_of_tautology(c: ClauseT) -> int:
-    # positive literal of the smallest complementary pair
-    s = set(c)
-    return min(l for l in s if l > 0 and -l in s)
-
-
 def bce_fixpoint(f: WCNF) -> Tuple[WCNF, Stack]:
-    """Remove tautologies, then blocked clauses to fixpoint.
+    """Drop tautologies, then remove blocked clauses to fixpoint.
 
     Returns the reduced formula and the elimination record, one stack
-    entry per distinct removed clause.  Clauses are tried in sorted
-    order, and a removal queues the clauses sharing a variable with the
-    removed one.  The surviving clauses do not depend on that order
-    (confluence); the record does.
+    entry per distinct blocked clause removed.  Clauses are tried in
+    sorted order, and a removal queues the clauses sharing a variable
+    with the removed one.  The surviving clauses do not depend on that
+    order (confluence); the record does.
     """
-    present: Set[ClauseT] = set(f.hard)
-    present.update(c for c, _ in f.soft)
+    present = {c for c in f.hard if not is_tautology(c)}
+    present.update(c for c, _ in f.soft if not is_tautology(c))
     by_lit: Dict[int, Set[ClauseT]] = {}
     for c in present:
         for l in c:
@@ -101,19 +85,13 @@ def bce_fixpoint(f: WCNF) -> Tuple[WCNF, Stack]:
         record.append(StackEntry(
             abs(lit), frozenset([LabelledClause(c, frozenset())])))
 
-    order = sorted(present)
-    for c in order:
-        if is_tautology(c):
-            remove(c, _blocking_lit_of_tautology(c))
-
-    queue = deque(c for c in order if c in present)
+    queue = deque(sorted(present))
     queued: Set[ClauseT] = set(queue)
     while queue:
         c = queue.popleft()
         queued.discard(c)
         if c not in present:
             continue
-        # the sweep removed every tautology
         for l in c:
             if _blocked_in(c, l, by_lit.get(-l, ())):
                 remove(c, l)

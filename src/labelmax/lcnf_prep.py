@@ -8,6 +8,12 @@ and ``model.reconstruct`` undoes the eliminations per solution.
 ``preprocess_lcnf`` runs at most ``MAX_ROUNDS`` rounds, and BVE never
 creates a clause with more than ``MAX_LABELSET`` labels.
 
+``preprocess_lcnf`` drops the tautologies of its input on entry and
+records nothing for them: one holds under every assignment, so no lift
+needs it.  No pass makes one (SUB only removes clauses, SSR shortens a
+non-tautology, BVE adds only non-tautological resolvents), so the
+passes and their fast paths assume none.
+
 Weight entries of labels whose clauses disappear are deliberately kept in
 the weight map: downstream cost accounting may still mention them, and a
 label without clauses can never be charged.
@@ -139,17 +145,16 @@ def l_ssr(phi: LCNF, c1: LabelledClause, c2: LabelledClause) -> LCNF:
 #
 # The passes share one mutable clause store with per-literal occurrence
 # lists (backward subsumption and strengthening as in Een & Biere, SAT
-# 2005).  Each pass gives exactly the clause set, and BVE exactly the
-# record, of applying the rules above one at a time in the order given in
-# its docstring; the tests check this against such a rule-by-rule
-# schedule built from l_sub, l_ssr and l_bve.
+# 2005).  On a formula without tautologies, each pass gives exactly the
+# clause set, and BVE exactly the record, of applying the rules above one
+# at a time in the order given in its docstring; the tests check this
+# against such a rule-by-rule schedule built from l_sub, l_ssr and l_bve.
 #
 # The per-pair tests use built-in set operations instead of building
 # clauses or sets per pair, and each is tested against its spec:
-# ``_ssr_partner`` decides a pair as ``_ssr_pivot`` does, and
+# ``_ssr_partner`` decides a pair as ``l_ssr`` does, and
 # ``_new_resolvents`` decides an elimination as ``l_bve`` does and
-# returns what ``l_ve`` puts in place of x's clauses.  The store tracks
-# its tautologies, which resolve to nothing in BVE.
+# returns what ``l_ve`` puts in place of x's clauses.
 #
 # After its first run each pass re-examines only what changed since its
 # last one (touched sets, as in SatELite): SUB and SSR start from the
@@ -170,9 +175,6 @@ class _ClauseStore:
     def __init__(self, clauses: Iterable[LabelledClause]) -> None:
         self.clauses: Set[LabelledClause] = set()
         self.occ: Dict[int, Set[LabelledClause]] = defaultdict(set)
-        # the tautological members, so the passes test membership
-        # instead of scanning a clause's literals again
-        self.tautologies: Set[LabelledClause] = set()
         self.edits = 0
         self.log: List[LabelledClause] = []
         # where in the log SUB and SSR last reached their fixpoints
@@ -183,19 +185,13 @@ class _ClauseStore:
         for c in clauses:
             self.add(c)
 
-    def add(self, c: LabelledClause, tautology: Optional[bool] = None
-            ) -> bool:
-        """Insert ``c``; False if it was already present.  ``tautology``
-        spares the test when the caller knows the answer."""
+    def add(self, c: LabelledClause) -> bool:
+        """Insert ``c``; False if it was already present."""
         if c in self.clauses:
             return False
         self.clauses.add(c)
         for l in c.lits:
             self.occ[l].add(c)
-        if tautology is None:
-            tautology = is_tautology(c.lits)
-        if tautology:
-            self.tautologies.add(c)
         self.log.append(c)
         self.edits += 1
         return True
@@ -204,7 +200,6 @@ class _ClauseStore:
         self.clauses.remove(c)
         for l in c.lits:
             self.occ[l].discard(c)
-        self.tautologies.discard(c)
         self.edits += 1
 
     def mentioning(self, x: int) -> Set[LabelledClause]:
@@ -288,29 +283,18 @@ def _subsumed_by_older(store: _ClauseStore, c2: LabelledClause,
     return False
 
 
-def _ssr_pivot(c1: LabelledClause, c2: LabelledClause) -> Optional[int]:
-    """The literal on which ``l_ssr(phi, c1, c2)`` strengthens c2, or None."""
-    if len(c2.lits) <= len(c1.lits) or not c1.labels <= c2.labels:
-        return None
-    s1, s2 = set(c1.lits), set(c2.lits)
-    for l in c1.lits:
-        if -l in s2 and s1 - {l} < s2 - {-l}:
-            return l
-    return None
-
-
 def _ssr_partner(store: _ClauseStore, c1: LabelledClause,
                  key: Callable[[LabelledClause], Tuple]
                  ) -> Optional[Tuple[LabelledClause, int]]:
     """The first clause in ``key`` order that c1 strengthens, and the
-    pivot ``_ssr_pivot`` gives for it; None if there is no such clause.
+    literal l on which it does; None if there is no such clause.
 
-    Decides each candidate c2 as ``_ssr_pivot(c1, c2) is not None``
-    does.  c2 came up on the scan of l because it holds -l; then c1
-    minus l lies in c2 minus -l iff -l is not in c1 and c1 minus l lies
-    in c2.  c2 is longer than c1, so the inclusion is strict.  The
-    literals of c1 are scanned in order, so the first l that accepts
-    c2 is its pivot.
+    Decides each candidate c2 as ``l_ssr`` does, for c1 and c2 without
+    tautologies.  c2 came up on the scan of l because it holds -l; then
+    c1 minus l lies in c2 minus -l iff c1 minus l lies in c2, since -l
+    is not in c1.  c2 is longer than c1, so the inclusion is strict.  A
+    second such l' would put both l' and -l' in c2, so l is the only
+    pivot, the one ``l_ssr`` finds.
     """
     lits1 = c1.lits
     n1 = len(lits1)
@@ -318,8 +302,6 @@ def _ssr_partner(store: _ClauseStore, c1: LabelledClause,
     best = None
     k2: Optional[Tuple] = None
     for l in lits1:
-        if -l in lits1:
-            continue
         rest = None
         for c in store.occ.get(-l, ()):
             if len(c.lits) <= n1 or not labels1 <= c.labels:
@@ -421,26 +403,22 @@ def _strengtheners(store: _ClauseStore, new: Set[LabelledClause]
 def _new_resolvents(store: _ClauseStore, x: int, limit: int,
                     max_labelset: int) -> Optional[List[LabelledClause]]:
     """The resolvents that eliminating ``x`` puts in place of its
-    clauses, one per non-tautological pair of non-tautological clauses;
-    None once ``limit`` pairs give a resolvent, or one resolvent carries
-    more than ``max_labelset`` labels.
+    clauses, one per non-tautological pair; None once ``limit`` pairs
+    give a resolvent, or one resolvent carries more than
+    ``max_labelset`` labels.
 
     Reads only the clauses mentioning x.  Resolvents repeated, or
     already in the store, are left for ``store.add`` to collapse.
     """
     # each negative clause's complements without x: a pair resolves to a
     # tautology iff the positive clause meets them
-    tautologies = store.tautologies
     neg = []
     for b in store.occ[-x]:
-        if b not in tautologies:
-            comp = {-m for m in b.lits}
-            comp.discard(x)
-            neg.append((comp, b, b.labels))
+        comp = {-m for m in b.lits}
+        comp.discard(x)
+        neg.append((comp, b, b.labels))
     pairs = []
     for a in store.occ[x]:
-        if a in tautologies:
-            continue
         a_lits, a_labels = a.lits, a.labels
         for comp, b, b_labels in neg:
             if not comp.isdisjoint(a_lits):
@@ -481,11 +459,6 @@ def _bve_sweep(store: _ClauseStore, record: Stack,
         if cs:
             v = abs(l)
             counts[v] = counts.get(v, 0) + len(cs)
-    # a tautology on v is in both of v's lists but mentions v once
-    for t in store.tautologies:
-        for l in t.lits:
-            if l > 0 and -l in t.lits:
-                counts[l] -= 1
     refused = store.bve_refused
     for x in sorted(counts, key=lambda v: (counts[v], v)):
         group = store.mentioning(x)
@@ -499,18 +472,19 @@ def _bve_sweep(store: _ClauseStore, record: Stack,
         for c in group:
             store.remove(c)
         for r in new:
-            store.add(r, tautology=False)
+            store.add(r)
 
 
 def preprocess_lcnf(phi: LCNF) -> Tuple[LCNF, Stack]:
     """Rounds of (subsumption fixpoint, SSR fixpoint, one BVE sweep
     capped at ``MAX_LABELSET`` labels).
 
-    Stops when a full round leaves the clause set unchanged or after
-    ``MAX_ROUNDS``.  Returns the reduced formula and the elimination
-    record needed to rebuild assignments over the original variables.
+    Tautologies are dropped first.  Stops when a full round leaves the
+    clause set unchanged or after ``MAX_ROUNDS``.  Returns the reduced
+    formula and the elimination record needed to rebuild assignments
+    over the original variables.
     """
-    store = _ClauseStore(phi.clauses)
+    store = _ClauseStore(c for c in phi.clauses if not is_tautology(c.lits))
     record: Stack = []
     for _ in range(MAX_ROUNDS):
         # no round can undo its own edits: SUB and SSR only lower the

@@ -73,9 +73,11 @@ def test_fixpoint_cascades():
 
 
 def test_fixpoint_removes_tautologies_first():
-    f = wcnf_of([(1, -1, 2), (2,), (-2,)])
+    # dropped on entry with no stack entry: no lift needs a tautology
+    f = wcnf_of([(1, -1, 2), (2,), (-2,)], hard_clauses=[(3, -3)])
     out, record = bce_fixpoint(f)
-    assert record[0] == entry((-1, 1, 2), 1)
+    assert record == []
+    assert out.hard == []
     assert out.soft == [((2,), 1), ((-2,), 1)]
 
 

@@ -8,10 +8,13 @@ import pytest
 
 import labelmax
 from labelmax import cli, solver
+from labelmax.bce import bce_fixpoint
 from labelmax.cli import PREPS, PipelineError, main, run_pipeline
 from labelmax.dimacs import parse_wcnf, write_wcnf
+from labelmax.lcnf_prep import preprocess_lcnf
 from labelmax.model import (WCNF, MaxSatSolution, StackEntry,
-                            clause_satisfied, reconstruct)
+                            clause_satisfied, is_tautology, lcnf_from_wcnf,
+                            reconstruct)
 from labelmax.oracle import brute_force_maxsat, random_wcnf
 from labelmax.reduction import lift_reduction_solution
 from labelmax.solver import MODES
@@ -101,10 +104,25 @@ def test_pipeline_stats_carry_prep_counts():
             "bve_eliminated"} <= set(res.stats)
 
 
+def tautology_wcnf(seed):
+    """``random_wcnf(seed)`` plus one to three tautologies, hard or soft
+    with weights 1-5, some with a third literal."""
+    f = random_wcnf(seed)
+    rng = random.Random(seed)
+    for _ in range(rng.randint(1, 3)):
+        v, w = rng.sample(range(1, f.num_vars + 1), 2)
+        lits = [v, -v] + [rng.choice([w, -w])] * rng.randint(0, 1)
+        if rng.random() < 0.3:
+            f.add_hard(lits)
+        else:
+            f.add_soft(lits, rng.randint(1, 5))
+    return f
+
+
 def test_pipeline_cost_independent_of_flags_on_random_instances():
     # the headline invariant: answers never depend on prep/mode/alg
-    for seed in range(40):
-        f = random_wcnf(seed)
+    tautological = [tautology_wcnf(seed) for seed in range(40)]
+    for f in [random_wcnf(seed) for seed in range(40)] + tautological:
         expect = brute_force_maxsat(f)
         for prep in PREPS:
             for mode in ("noninc", "inc"):
@@ -113,9 +131,16 @@ def test_pipeline_cost_independent_of_flags_on_random_instances():
                     assert res.status == "unsat-hard"
                     continue
                 assert res.status == "optimum"
-                assert res.solution.cost == expect.cost, (seed, prep, mode)
+                assert res.solution.cost == expect.cost, (f, prep, mode)
                 # run_pipeline already re-checked the model; check again here
                 assert f.cost_of(res.solution.model) == expect.cost
+    # each preprocessor drops them on entry, with no stack entry
+    for f in tautological:
+        out, record = bce_fixpoint(f)
+        assert not any(map(is_tautology, out.hard + [c for c, _ in out.soft]))
+        assert not any(is_tautology(c.lits) for e in record for c in e.group)
+        out, _ = preprocess_lcnf(lcnf_from_wcnf(f))
+        assert not any(is_tautology(c.lits) for c in out.clauses)
 
 
 def test_pipeline_cost_independent_of_flags_with_large_weights():
@@ -465,7 +490,8 @@ def test_emitted_wcnf_solution_lifts_through_the_sidecar(tmp_path, capsys):
                  [tseitin_wcnf(seed, 8, 30) for seed in range(3)] +
                  [pigeon_wcnf(0, 3, 1), pigeon_wcnf(1, 3, 2),
                   pigeon_wcnf(2, 4, 1)] +
-                 [unit_pairs_wcnf(seed) for seed in range(6)])
+                 [unit_pairs_wcnf(seed) for seed in range(6)] +
+                 [tautology_wcnf(seed) for seed in range(20)])
     src, enc = tmp_path / "in.wcnf", tmp_path / "enc.wcnf"
     sidecar = tmp_path / "enc.wcnf.sidecar.json"
     lifted = 0
