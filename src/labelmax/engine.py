@@ -103,8 +103,9 @@ def encode(lits: Iterable[int]) -> Encoded:
     s = set(lits)
     if not s.isdisjoint([-l for l in s]):
         return None
-    # one literal per variable, so index order is variable order
-    return sorted(map(_lit_idx, s))
+    # one literal per variable, so index order is variable order; the
+    # indices are _lit_idx's, computed inline
+    return sorted([l << 1 if l > 0 else -l << 1 | 1 for l in s])
 
 
 class CdclSolver:

@@ -10,37 +10,44 @@ minimum keeps its original clauses and sprouts a cheaper twin label that
 carries the relaxed copies.
 
 The loop runs in rounds; each round yields the cores that are then
-relaxed one after another, in the order found.  It owns one SAT solver
+relaxed one after another, in the order found.  A round takes its free
+cores first: every assignment falsifies a working clause without
+literals, so its labels are a core without a SAT call.  It takes them in
+entry order, each one whose labels are disjoint from those already
+taken, then makes its mode's SAT calls.  The loop owns one SAT solver
 at a time, which loads every labelled clause with one negated selector
 per label and assumes the selectors positively.  The hard check solves
 the hard clauses alone in a fresh solver.  The modes differ in when a
 solver is built and whether a round goes on after a core:
 
 * ``noninc`` — a fresh solver per round, loaded with the whole working
-  formula.  After each unsatisfiable call the core's selectors are
-  dropped from the assumptions and the same solver is asked again, until
-  it answers SAT or no selector is left, so the cores of one round are
-  label-disjoint (Davies & Bacchus, CP 2011).  A core refutes only the
-  clauses whose labels it contains, so relaxing an earlier core of the
-  round leaves a later one a core: the round does what one iteration per
-  core would.
-* ``inc`` — the hard check's solver for the whole run and one core per
-  round.  Relaxing a label in place gives it a new selector: a unit
-  clause finalizes the old one (which deactivates every loaded copy
-  carrying it) and fresh copies are loaded under the new one.  Nothing
-  is ever reloaded.
+  formula, assuming the selectors of the labels the free cores left; no
+  solver when they left none.  After each unsatisfiable call the core's
+  selectors are dropped from the assumptions and the same solver is
+  asked again, until it answers SAT or no selector is left, so the
+  cores of one round are label-disjoint (Davies & Bacchus, CP 2011).  A
+  core refutes only the clauses whose labels it contains, so relaxing an
+  earlier core of the round leaves a later one a core: the round does
+  what one iteration per core would.
+* ``inc`` — the hard check's solver for the whole run, no SAT call in a
+  round with free cores, and otherwise one core per round.  Relaxing a
+  label in place gives it a new selector: a unit clause finalizes the
+  old one (which deactivates every loaded copy carrying it) and fresh
+  copies are loaded under the new one.  Nothing is ever reloaded.
 
 The loop keeps each working clause with its encoding, in entry order,
-and files it under its labels when it enters.  A clause keeps its
-selectors while it stays, since relaxing a label in place replaces
-every clause that carries it.  The new clauses of each relaxed core form
-one batch, in ``sort_key`` order, which ``inc`` loads into its live
+and files it under its labels when it enters, and under ``empty`` when
+it has no literals.  A clause keeps its selectors while it stays, since
+relaxing a label in place replaces every clause that carries it; so a
+relaxed copy's encoding is its parent's with one selector swapped and
+the relaxation variable added.  The new clauses of each relaxed core
+form one batch, in ``sort_key`` order, which ``inc`` loads into its live
 solver; ``noninc``'s next fresh solver loads the working formula whole.
 
-Only the answer of a round's first call can be final: when it is SAT,
-the accumulated lower bound is the cost.  Before reporting, the final
-model is charged independently (cheapest label removal covering its
-falsified clauses) and the two numbers must agree.
+Only a round without cores can end the search: when its first call is
+SAT, the accumulated lower bound is the cost.  Before reporting, the
+final model is charged independently (cheapest label removal covering
+its falsified clauses) and the two numbers must agree.
 """
 
 from __future__ import annotations
@@ -72,6 +79,8 @@ class CoreLabels:
 
 # the working formula in entry order: clause -> encoding with selectors
 Working = Dict[LabelledClause, Encoded]
+# its clauses without literals, in entry order (a dict as ordered set)
+Empty = Dict[LabelledClause, None]
 
 
 @dataclass
@@ -102,12 +111,6 @@ def extract_core_labels(outcome: SolveOutcome,
 # SAT calls
 
 
-def _encode_labelled(c: LabelledClause,
-                     selectors: Dict[int, int]) -> Encoded:
-    """A clause with one negated selector per label, for ``load``."""
-    return encode(c.lits + tuple(-selectors[m] for m in c.labels))
-
-
 def _fresh_solver(nv_orig: int, stats: Dict[str, int],
                   batch: List[Encoded]) -> CdclSolver:
     eng = CdclSolver()
@@ -123,28 +126,60 @@ def _count(stats: Dict[str, int], eng: CdclSolver) -> None:
         stats[k] += eng.stats[k]
 
 
+def _free_cores(empty: Empty, selectors: Dict[int, int]
+                ) -> List[CoreLabels]:
+    """The round's free cores: the labels of each working clause without
+    literals, in entry order, when disjoint from those already taken.
+    Such a clause is loaded as its negated selectors alone, so its core
+    is the failed assumptions a SAT call would report, and it goes
+    through ``extract_core_labels`` as one."""
+    cores: List[CoreLabels] = []
+    taken: Set[int] = set()
+    for c in empty:
+        if taken.isdisjoint(c.labels):
+            taken |= c.labels
+            label_of = {selectors[m]: m for m in c.labels}
+            failed = SolveOutcome("UNSAT",
+                                  failed_assumptions=frozenset(label_of))
+            cores.append(extract_core_labels(failed, label_of))
+    return cores
+
+
+def _left_to_ask(selectors: Dict[int, int], free: List[CoreLabels],
+                 incremental: bool) -> Optional[Dict[int, int]]:
+    """The selectors a round's SAT calls assume after its free cores, or
+    None when it makes no call: ``inc`` makes none after free cores, and
+    ``noninc`` asks about the labels they leave, if any."""
+    if not free:
+        return selectors
+    if incremental:
+        return None
+    taken = set().union(*(k.labels for k in free))
+    left = {l: s for l, s in selectors.items() if l not in taken}
+    return left or None
+
+
 def _solve_round(eng: CdclSolver, selectors: Dict[int, int],
-                 budget: Optional[int], disjoint: bool
-                 ) -> Tuple[List[CoreLabels], Optional[Assignment]]:
-    """One round's SAT calls under the live selectors (``selectors``
-    iterates in ascending label order, the assumption order).  Returns
-    the round's cores in the order found, and the model when its first
-    call was already satisfiable (then there are no cores).  With
+                 budget: Optional[int], disjoint: bool,
+                 cores: List[CoreLabels]) -> Optional[Assignment]:
+    """One round's SAT calls under ``selectors`` (ascending label order,
+    the assumption order), after the round's free cores in ``cores``.
+    Appends the cores found, in order, and returns the model when the
+    first call was satisfiable and the round has no core at all.  With
     ``disjoint`` the solver is asked again without the failed selectors
     until it answers SAT or none is left; without, the round stops at
     its first core."""
     label_of = {s: l for l, s in selectors.items()}
-    cores: List[CoreLabels] = []
     assumptions = list(selectors.values())
     while True:
         out = eng.solve(assumptions, budget)
         if out.sat:
-            return cores, None if cores else out.model
+            return None if cores else out.model
         cores.append(extract_core_labels(out, label_of))
         failed = out.failed_assumptions
         assumptions = [a for a in assumptions if a not in failed]
         if not (disjoint and assumptions):
-            return cores, None
+            return None
 
 
 # ---------------------------------------------------------------------------
@@ -225,18 +260,42 @@ def _certify(orig: LCNF, tau: Dict[int, int], lb: int) -> MaxSatSolution:
     return MaxSatSolution(model=tau, cost=lb, falsified=removed)
 
 
+# a clause with its encoding, as ``_enter`` takes it
+Entry = Tuple[LabelledClause, Encoded]
+
+
+def _encoded(clauses: Iterable[LabelledClause],
+             selectors: Dict[int, int]) -> List[Entry]:
+    """Clauses in ``sort_key`` order, each encoded for ``load`` with one
+    negated selector per label."""
+    return [(c, encode(c.lits + tuple(-selectors[m] for m in c.labels)))
+            for c in sorted(clauses, key=LabelledClause.sort_key)]
+
+
+def _relaxed(enc: Encoded, old: int, tail: List[int]) -> Encoded:
+    """A relaxed copy's encoding from its parent's: the old selector's
+    index out, and those of r and the copy's selector, above every
+    variable there, appended."""
+    return None if enc is None else [i for i in enc if i != old] + tail
+
+
 def _enter(working: Working, carrying: Dict[int, Set[LabelledClause]],
-           clauses: Iterable[LabelledClause],
-           selectors: Dict[int, int]) -> List[Encoded]:
-    """Put clauses into the working formula in ``sort_key`` order, each
-    encoded under the live selectors and filed in ``carrying`` under its
-    labels, and return their encodings in that order."""
+           empty: Empty, entries: List[Entry]) -> List[Encoded]:
+    """Put clauses with their encodings, given in ``sort_key`` order,
+    into the working formula, each filed in ``carrying`` under its
+    labels and, without literals, in ``empty``; return the encodings in
+    that order."""
     batch = []
-    for c in sorted(clauses, key=LabelledClause.sort_key):
-        enc = working[c] = _encode_labelled(c, selectors)
+    for c, enc in entries:
+        working[c] = enc
         batch.append(enc)
         for m in c.labels:
-            carrying.setdefault(m, set()).add(c)
+            if m in carrying:
+                carrying[m].add(c)
+            else:
+                carrying[m] = {c}
+        if not c.lits:
+            empty[c] = None
     return batch
 
 
@@ -257,9 +316,9 @@ def solve_lcnf(phi: LCNF, algorithm: str = "wmsu1", mode: str = "noninc",
     if algorithm == "fumalik" and any(phi.label_weights[l] != 1 for l in used):
         raise ValueError("fumalik requires all label weights equal to 1")
 
-    stats = {"iterations": 0, "rounds": 0, "load_events": 0,
-             "clauses_loaded": 0, "solves": 0, "conflicts": 0,
-             "restarts": 0, "minimized_literals": 0}
+    stats = {"iterations": 0, "rounds": 0, "free_cores": 0,
+             "load_events": 0, "clauses_loaded": 0, "solves": 0,
+             "conflicts": 0, "restarts": 0, "minimized_literals": 0}
     nv_orig = phi.max_var()
     variables = count(nv_orig + 1)
     label_ids = count(max(phi.label_weights, default=0) + 1)
@@ -272,9 +331,10 @@ def solve_lcnf(phi: LCNF, algorithm: str = "wmsu1", mode: str = "noninc",
     working: Working = {}
     # label -> the working clauses that carry it
     carrying: Dict[int, Set[LabelledClause]] = {}
-    eng = _fresh_solver(nv_orig, stats,
-                        _enter(working, carrying,
-                               [c for c in phi.clauses if c.hard], selectors))
+    empty: Empty = {}
+    eng = _fresh_solver(nv_orig, stats, _enter(
+        working, carrying, empty,
+        _encoded([c for c in phi.clauses if c.hard], selectors)))
 
     def finish(status: str, solution=None) -> SolveReport:
         _count(stats, eng)
@@ -286,8 +346,9 @@ def solve_lcnf(phi: LCNF, algorithm: str = "wmsu1", mode: str = "noninc",
     except BudgetExceededError:
         return finish("unknown")
     # the soft clauses are the first batch; only ``inc`` loads batches
-    batch = _enter(working, carrying,
-                   [c for c in phi.clauses if not c.hard], selectors)
+    batch = _enter(working, carrying, empty,
+                   _encoded([c for c in phi.clauses if not c.hard],
+                            selectors))
     if incremental:
         eng.load(batch)
 
@@ -296,26 +357,34 @@ def solve_lcnf(phi: LCNF, algorithm: str = "wmsu1", mode: str = "noninc",
 
     while True:
         stats["rounds"] += 1
-        if not incremental:
-            # release the last solver before building the next: building
-            # while the old one is still alive measurably slows the run
-            _count(stats, eng)
-            del eng
-            eng = _fresh_solver(nv_orig, stats, list(working.values()))
-        try:
-            cores, model = _solve_round(eng, selectors, conflict_budget,
-                                        not incremental)
-        except BudgetExceededError:
-            return finish("unknown")
+        cores = _free_cores(empty, selectors)
+        free = len(cores)
+        stats["free_cores"] += free
+        asked = _left_to_ask(selectors, cores, incremental)
+        model = None
+        if asked is not None:
+            if not incremental:
+                # release the last solver before building the next:
+                # building while the old one is still alive measurably
+                # slows the run
+                _count(stats, eng)
+                del eng
+                eng = _fresh_solver(nv_orig, stats, list(working.values()))
+            try:
+                model = _solve_round(eng, asked, conflict_budget,
+                                     not incremental, cores)
+            except BudgetExceededError:
+                return finish("unknown")
 
-        for core in cores:
+        for k, core in enumerate(cores):
             stats["iterations"] += 1
-            w_min = min(weight[l] for l in core.labels)
+            w_min = min([weight[l] for l in core.labels])
             lb = add_weights(lb, w_min)
             if lb > total:
                 raise RuntimeError("bound exceeded total weight")
             if trace is not None:
-                trace(f"iteration {stats['iterations']}: core "
+                kind = "free core" if k < free else "core"
+                trace(f"iteration {stats['iterations']}: {kind} "
                       f"{len(core.labels)}, min weight {w_min}, "
                       f"lower bound {lb}")
 
@@ -325,33 +394,42 @@ def solve_lcnf(phi: LCNF, algorithm: str = "wmsu1", mode: str = "noninc",
                 r = next(variables)
                 relaxation_vars.append(r)
                 carried = carrying[l]
+                old = selectors[l]
                 if weight[l] > w_min:
                     # split: the label keeps its clauses at reduced weight;
                     # a twin label worth w_min owns the relaxed copies
                     nl = next(label_ids)
                     weight[l] -= w_min
                     weight[nl] = w_min
-                    selectors[nl] = next(variables)
-                    relaxed = [LabelledClause.make((r,) + c.lits,
-                                                   (c.labels - {l}) | {nl})
-                               for c in carried]
                 else:
-                    relaxed = [LabelledClause.make((r,) + c.lits, c.labels)
-                               for c in carried]
+                    nl = l
+                selectors[nl] = next(variables)
+                # the old selector, r and the new one are numbered in that
+                # order, so ``encode`` gives their indices in that order
+                unit, *tail = encode((-old, r, -selectors[nl]))
+                # r is fresh, so each copy's literals stay canonical
+                copies = [(LabelledClause(c.lits + (r,), c.labels if nl == l
+                                          else c.labels - {l} | {nl}),
+                           _relaxed(working[c], unit, tail))
+                          for c in carried]
+                if nl == l:
                     carrying[l] = set()
                     for c in carried:
                         del working[c]
                         for m in c.labels:
                             carrying[m].discard(c)
+                        if not c.lits:
+                            del empty[c]
                     # the unit finalizes the old selector
-                    batch.append(encode([-selectors[l]]))
-                    selectors[l] = next(variables)
-                batch += _enter(working, carrying, relaxed, selectors)
+                    batch.append([unit])
+                if len(copies) > 1:
+                    copies.sort(key=lambda e: e[0].sort_key())
+                batch += _enter(working, carrying, empty, copies)
 
-            enc = encode_equals1(relaxation_vars)
-            batch += _enter(working, carrying,
-                            [LabelledClause(c, frozenset())
-                             for c in enc.clauses], selectors)
+            # exactly-one clauses are hard: lits order is sort_key order
+            batch += _enter(working, carrying, empty, [
+                (LabelledClause(c, frozenset()), encode(c))
+                for c in sorted(encode_equals1(relaxation_vars).clauses)])
             if incremental:
                 eng.load(batch)
 

@@ -26,7 +26,7 @@ from labelmax.engine import CdclSolver
 from labelmax.model import (LCNF, Assignment, ClauseT, LabelledClause,
                             MaxSatSolution, WCNF, clause_satisfied)
 from labelmax.oracle import (_TruthTables, _force_satisfied,
-                             _index_assignment, _random_clause)
+                             _index_assignment, _random_clause, random_wcnf)
 
 MAX_ENUM_SETS = 16
 
@@ -228,6 +228,32 @@ def random_lcnf(seed: int, nvars: int = 8, nclauses: int = 12, nlabels: int = 6,
             out.append(LabelledClause(c, ls))
     used = set().union(*(c.labels for c in out)) if out else set()
     return LCNF(frozenset(out), {l: w for l, w in weights.items() if l in used})
+
+
+def unit_pairs_wcnf(seed: int, pairs: int) -> WCNF:
+    """Soft units x and -x on each of ``pairs`` variables, weights 1-5.
+    BVE merges each pair into one clause without literals, so the core
+    loop finds every core among them up front."""
+    rng = random.Random(seed)
+    f = WCNF(num_vars=pairs)
+    for v in range(1, pairs + 1):
+        f.add_soft([v], rng.randint(1, 5))
+        f.add_soft([-v], rng.randint(1, 5))
+    return f
+
+
+def with_unit_pairs(seed: int) -> WCNF:
+    """``random_wcnf(seed)`` plus one to three pairs of complementary soft
+    units, weights 1-5, on its own variables or on fresh ones; BVE makes
+    a clause without literals of each pair whose variable occurs nowhere
+    else."""
+    f = random_wcnf(seed)
+    rng = random.Random(seed)
+    for _ in range(rng.randint(1, 3)):
+        v = rng.randint(1, f.num_vars + 2)
+        f.add_soft([v], rng.randint(1, 5))
+        f.add_soft([-v], rng.randint(1, 5))
+    return f
 
 
 def tseitin_wcnf(seed, n_inputs=5, n_gates=12):

@@ -18,7 +18,8 @@ from labelmax.model import (WCNF, MaxSatSolution, StackEntry,
 from labelmax.oracle import brute_force_maxsat, random_wcnf
 from labelmax.reduction import lift_reduction_solution
 from labelmax.solver import MODES
-from support import lclause, pigeon_wcnf, tseitin_wcnf, unit_soft_formula
+from support import (lclause, pigeon_wcnf, tseitin_wcnf, unit_soft_formula,
+                     with_unit_pairs)
 
 EXAMPLE1 = """\
 p wcnf 3 6 7
@@ -122,7 +123,12 @@ def tautology_wcnf(seed):
 def test_pipeline_cost_independent_of_flags_on_random_instances():
     # the headline invariant: answers never depend on prep/mode/alg
     tautological = [tautology_wcnf(seed) for seed in range(40)]
-    for f in [random_wcnf(seed) for seed in range(40)] + tautological:
+    # BVE turns soft x/-x pairs into clauses without literals, whose
+    # labels the core loop takes as cores without a SAT call
+    paired = [with_unit_pairs(seed) for seed in range(40)]
+    free = 0
+    for f in [random_wcnf(seed) for seed in range(40)] + tautological + \
+            paired:
         expect = brute_force_maxsat(f)
         for prep in PREPS:
             for mode in ("noninc", "inc"):
@@ -134,6 +140,10 @@ def test_pipeline_cost_independent_of_flags_on_random_instances():
                 assert res.solution.cost == expect.cost, (f, prep, mode)
                 # run_pipeline already re-checked the model; check again here
                 assert f.cost_of(res.solution.model) == expect.cost
+                if "rs" not in prep:  # no input has such a clause
+                    assert res.stats["free_cores"] == 0
+                free += res.stats["free_cores"]
+    assert free >= 100, free
     # each preprocessor drops them on entry, with no stack entry
     for f in tautological:
         out, record = bce_fixpoint(f)
@@ -317,6 +327,20 @@ def test_solve_trace_lines_precede_solution(tmp_path, capsys):
     assert any(l.startswith("c stat restarts ") for l in lines)
     assert any(l.startswith("c stat minimized_literals ") for l in lines)
     assert lines[-3] == "o 2"
+
+
+@pytest.mark.parametrize("prep, free", [("none", 0), ("rs", 1)])
+def test_solve_trace_names_free_cores(prep, free, tmp_path, capsys):
+    # x and -x, soft: BVE merges them into one clause without literals,
+    # whose labels are a core the loop takes without a SAT call
+    path = tmp_path / "units.wcnf"
+    path.write_text("p wcnf 1 2 5\n1 1 0\n1 -1 0\n")
+    assert main(["solve", "--trace", f"--prep={prep}", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    kind = "free core" if free else "core"
+    assert f"c iteration 1: {kind} 2, min weight 1, lower bound 1" in lines
+    assert f"c stat free_cores {free}" in lines
+    assert "o 1" in lines
 
 
 def test_second_main_call_starts_from_the_defaults(tmp_path, capsys,

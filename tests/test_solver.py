@@ -5,6 +5,7 @@ import zlib
 import pytest
 
 from labelmax import solver
+from labelmax.cli import run_pipeline
 from labelmax.engine import CdclSolver, SolveOutcome, encode
 from labelmax.lcnf_prep import preprocess_lcnf
 from labelmax.model import (LCNF, WCNF, MaxSatSolution, cost_of_labels,
@@ -14,7 +15,8 @@ from labelmax.solver import (CoreLabels, _min_cost_hitting_set,
                              extract_core_labels, solve_lcnf)
 from support import (brute_force_lcnf_maxsat, induced_subformula,
                      labelled_example, lclause, lcnf_satisfied,
-                     minimal_hitting_sets, random_lcnf, unit_soft_formula)
+                     minimal_hitting_sets, random_lcnf, unit_pairs_wcnf,
+                     unit_soft_formula, with_unit_pairs)
 
 
 def optimum(phi, algorithm, mode):
@@ -240,63 +242,134 @@ class _RelaxationCounter:
 
 class _RunSpy:
     """Captures, from ``solver._enter``, the working formula, its label
-    index and the live selectors of a run: the same three dicts serve
-    the whole run."""
+    index and its clauses without literals, and from
+    ``solver._free_cores`` the live selectors and each round's cores:
+    the list ``_free_cores`` returns, which ``_solve_round`` extends.
+    The same dicts serve the whole run.  Each round's free cores must be
+    the labels of the working clauses without literals, taken in entry
+    order while disjoint from those already taken."""
 
     def __init__(self, monkeypatch):
-        self.working = self.carrying = self.selectors = None
+        self.working = self.carrying = self.empty = self.selectors = None
+        self.rounds = []  # (live labels, number of free cores, cores)
         enter = solver._enter
+        free_cores = solver._free_cores
 
-        def spy_enter(working, carrying, clauses, selectors):
+        def spy_enter(working, carrying, empty, entries):
             self.working, self.carrying = working, carrying
+            self.empty = empty
+            return enter(working, carrying, empty, entries)
+
+        def spy_free_cores(empty, selectors):
+            assert empty is self.empty
+            assert list(empty) == [c for c in self.working if not c.lits]
             self.selectors = selectors
-            return enter(working, carrying, clauses, selectors)
+            cores = free_cores(empty, selectors)
+            taken, want = set(), []
+            for c in self.working:
+                if not c.lits and not taken & c.labels:
+                    taken |= c.labels
+                    want.append(c.labels)
+            assert [k.labels for k in cores] == want
+            self.rounds.append((set(selectors), len(cores), cores))
+            return cores
 
         monkeypatch.setattr(solver, "_enter", spy_enter)
+        monkeypatch.setattr(solver, "_free_cores", spy_free_cores)
+
+
+def _with_empty_clauses(phi, seed):
+    """``phi`` plus one to three clauses without literals, each labelled
+    with one to three of its labels, or of label 1 when it uses none."""
+    rng = random.Random(seed)
+    labels = sorted(phi.labels()) or [1]
+    weights = dict(phi.label_weights) or {1: rng.randint(1, 4)}
+    empties = {lclause([], rng.sample(labels, min(len(labels),
+                                                  rng.randint(1, 3))))
+               for _ in range(rng.randint(1, 3))}
+    return LCNF(phi.clauses | empties, weights)
+
+
+def _free_core_instances(n):
+    """Labelled formulas whose runs take free cores: preprocessed
+    ``with_unit_pairs`` and ``unit_pairs_wcnf`` inputs, and random
+    labelled formulas with clauses without literals added, each with
+    its optimum from the oracle."""
+    out = []
+    for seed in range(n):
+        for f in (with_unit_pairs(seed), unit_pairs_wcnf(seed, 3)):
+            reduced, _ = preprocess_lcnf(lcnf_from_wcnf(f))
+            out.append((reduced, brute_force_maxsat(f)))
+        phi = _with_empty_clauses(
+            random_lcnf(seed, nvars=6, nclauses=24, nlabels=10,
+                        hard_fraction=0.1), seed)
+        out.append((phi, brute_force_lcnf_maxsat(phi)))
+    return out
 
 
 def test_noninc_loads_each_fresh_solver_with_fresh_encodings(monkeypatch):
     """Each fresh ``noninc`` solver gets one ``load`` batch: the working
     formula in entry order, each clause with one negated selector
     per label, exactly as encoding it from scratch gives, on runs that
-    both split labels and relax them in place."""
+    both split labels and relax them in place.  A round that begins with
+    free cores asks under the selectors of the labels they leave, and
+    builds no solver when they leave none."""
     loaded = []  # (solver, batch)
+    asked = []  # the rounds of the current run that built a solver
     relaxations = _RelaxationCounter()
     run = _RunSpy(monkeypatch)
     solve_round = solver._solve_round
     load = CdclSolver.load
+    seen = {"free, then asked": 0, "no solver": 0}
 
     def spy_load(eng, batch):
         loaded.append((eng, batch))
         return load(eng, batch)
 
-    def spy_round(eng, selectors, budget, disjoint):
-        assert selectors is run.selectors
-        relaxations.round(selectors)
+    def spy_round(eng, selectors, budget, disjoint, cores):
+        live, free, round_cores = run.rounds[-1]
+        assert cores is round_cores and len(cores) == free
+        taken = set().union(*(k.labels for k in cores))
+        assert selectors == {l: s for l, s in run.selectors.items()
+                             if l not in taken}
+        assert selectors or not cores
+        seen["free, then asked"] += bool(cores)
+        relaxations.round(run.selectors)
         want = [encode(list(c.lits) +
-                       [-selectors[m] for m in sorted(c.labels)])
+                       [-run.selectors[m] for m in sorted(c.labels)])
                 for c in run.working]
         # a fresh solver that took this one batch
         assert eng.stats["solves"] == 0
         assert [b for e, b in loaded if e is eng] == [want]
         loaded.clear()
-        return solve_round(eng, selectors, budget, disjoint)
+        asked.append(len(run.rounds))
+        return solve_round(eng, selectors, budget, disjoint, cores)
 
     monkeypatch.setattr(CdclSolver, "load", spy_load)
     monkeypatch.setattr(solver, "_solve_round", spy_round)
     phis = ([lcnf_from_wcnf(random_wcnf(seed, max_weight=4))
              for seed in range(40)] +
             [random_lcnf(seed, nlabels=8) for seed in range(40)])
-    for phi in phis:
-        expect = brute_force_lcnf_maxsat(phi)
+    cases = ([(phi, brute_force_lcnf_maxsat(phi)) for phi in phis] +
+             _free_core_instances(20))
+    for phi, expect in cases:
+        run.rounds.clear()
+        asked.clear()
         report = solve_lcnf(phi, mode="noninc")
         if expect is None:
             assert report.status == "unsat-hard"
         else:
             assert report.solution.cost == expect.cost
+            st = report.stats
+            # the hard check, then one solver per round that asked
+            assert st["load_events"] == 1 + len(asked)
+            assert st["rounds"] == len(run.rounds)
+            assert st["free_cores"] == sum(r[1] for r in run.rounds)
+            seen["no solver"] += st["rounds"] - len(asked)
         loaded.clear()
     assert min(relaxations.splits, relaxations.inplace) >= 20, \
         vars(relaxations)
+    assert min(seen.values()) >= 10, seen
 
 
 def _label_index(working):
@@ -315,53 +388,129 @@ def _refuted(clauses):
 
 def test_noninc_round_cores_are_disjoint_and_stay_cores(monkeypatch):
     """Each ``noninc`` round yields pairwise label-disjoint cores drawn
-    from the live labels, and relaxing the earlier cores of a round
-    leaves each later one a core: the hard clauses plus the working
-    clauses labelled within it stay unsatisfiable.  Costs equal the
-    oracle's on weighted instances that split labels."""
+    from the live labels, its free cores first, and relaxing the earlier
+    cores of a round leaves each later one a core: the hard clauses plus
+    the working clauses labelled within it stay unsatisfiable.  Costs
+    equal the oracle's on weighted instances that split labels, with and
+    without clauses that have no literals."""
     run = _RunSpy(monkeypatch)
     solve_round = solver._solve_round
     equals1 = solver.encode_equals1
-    pending = []  # (working formula, labels) of cores not yet relaxed
-    seen = {"multi": 0}
+    relaxed = {}  # round index -> cores of it relaxed so far
+    seen = {"multi": 0, "free": 0, "free and found": 0}
     relaxations = _RelaxationCounter()
 
-    def spy_round(eng, selectors, budget, disjoint):
-        assert selectors is run.selectors and disjoint
-        relaxations.round(selectors)
-        live = set(selectors)
+    def spy_round(eng, selectors, budget, disjoint, cores):
+        assert disjoint
+        relaxations.round(run.selectors)
         assert list(selectors) == sorted(selectors)
         assert run.carrying == _label_index(run.working)
-        cores, model = solve_round(eng, selectors, budget, disjoint)
+        model = solve_round(eng, selectors, budget, disjoint, cores)
         assert (model is None) == bool(cores)
-        for i, core in enumerate(cores):
-            assert core.labels <= live
-            assert all(not core.labels & c.labels for c in cores[:i])
-        seen["multi"] += len(cores) > 1
-        pending[:] = [(run.working, core.labels) for core in cores]
-        return cores, model
+        return model
 
     def spy_equals1(variables):
-        pending.pop(0)  # the core just relaxed
-        if pending:
-            working, labels = pending[0]
-            assert _refuted(c for c in working if c.labels <= labels)
+        k = len(run.rounds) - 1
+        live, free, cores = run.rounds[k]
+        i = relaxed[k] = relaxed.get(k, 0) + 1  # cores[i - 1] relaxed
+        if i == 1:  # the round's first relaxation: all its cores known
+            for j, core in enumerate(cores):
+                assert core.labels <= live
+                assert all(not core.labels & c.labels for c in cores[:j])
+            seen["multi"] += len(cores) > 1
+            seen["free"] += free > 0
+            seen["free and found"] += 0 < free < len(cores)
+        if i < len(cores):
+            labels = cores[i].labels
+            assert _refuted(c for c in run.working if c.labels <= labels)
         return equals1(variables)
+
+    def check(phi, expect):
+        run.rounds.clear()
+        relaxed.clear()
+        sol = optimum(phi, "wmsu1", "noninc")
+        assert sol.cost == expect.cost
+        # every core of every round was relaxed
+        assert [relaxed.get(k, 0) for k in range(len(run.rounds))] == \
+            [len(cores) for _, _, cores in run.rounds]
 
     monkeypatch.setattr(solver, "_solve_round", spy_round)
     monkeypatch.setattr(solver, "encode_equals1", spy_equals1)
     for seed in range(30):
         f = random_wcnf(seed, nvars=8, nclauses=30, max_weight=4,
                         hard_fraction=0.1)
-        sol = optimum(lcnf_from_wcnf(f), "wmsu1", "noninc")
-        assert sol.cost == brute_force_maxsat(f).cost, seed
+        check(lcnf_from_wcnf(f), brute_force_maxsat(f))
         phi = random_lcnf(seed, nvars=6, nclauses=30, nlabels=12,
                           hard_fraction=0.1)
-        sol = optimum(phi, "wmsu1", "noninc")
-        assert sol.cost == brute_force_lcnf_maxsat(phi).cost, seed
-        assert not pending
+        check(phi, brute_force_lcnf_maxsat(phi))
+    for phi, expect in _free_core_instances(30):
+        check(phi, expect)
     assert seen["multi"] >= 20 and relaxations.splits >= 20, \
         (seen, relaxations.splits)
+    assert min(seen.values()) >= 20, seen
+
+
+# ---------------------------------------------------------------------------
+# free cores: clauses without literals
+
+
+def _free_per_round(lines):
+    """Free cores per round, from a run's trace lines."""
+    out, free = [], 0
+    for line in lines:
+        if line.startswith("iteration "):
+            free += ": free core " in line
+        elif line.startswith("round "):
+            out.append(free)
+            free = 0
+    return out
+
+
+@pytest.mark.parametrize("mode", ["noninc", "inc"])
+@pytest.mark.parametrize("clauses, weights, cost, free", [
+    # one label, the only one of its clause: a core of its own
+    ([([], [1]), ([1], [2]), ([-1], [3])], {1: 4, 2: 1, 3: 2}, 5, 1),
+    # two share label 2: the first in entry order is taken, and relaxing
+    # label 2 in place replaces the second
+    ([([], [1, 2]), ([], [2, 3])], {1: 1, 2: 1, 3: 1}, 1, 1),
+    # label 2 splits in round 1, so the second survives as it was and
+    # is taken in round 2
+    ([([], [1, 2]), ([], [2, 3])], {1: 1, 2: 3, 3: 2}, 3, 2),
+], ids=["single-label", "shared-label", "survives-split"])
+def test_free_cores_agree_with_the_oracle(mode, clauses, weights, cost,
+                                          free):
+    phi = LCNF(frozenset(lclause(lits, labels) for lits, labels in clauses),
+               weights)
+    assert brute_force_lcnf_maxsat(phi).cost == cost
+    lines = []
+    report = solve_lcnf(phi, "wmsu1", mode, trace=lines.append)
+    assert report.solution.cost == cost
+    assert_valid(phi, report.solution)
+    assert report.stats["free_cores"] == free
+    per_round = _free_per_round(lines)
+    assert len(per_round) == report.stats["rounds"]
+    # one free core per round until they are gone; the last round asks
+    assert per_round == [1] * free + [0] * (len(per_round) - free)
+    if mode == "inc":  # no SAT call in a round with free cores
+        assert report.stats["solves"] == 1 + len(per_round) - free
+
+
+def test_inc_takes_every_unit_pair_core_in_one_round():
+    """Once BVE has merged each soft pair, ``inc`` takes every core in
+    round 1 without a SAT call and ends in round 2, as ``noninc`` does;
+    one core per round made this 1,501 rounds."""
+    f = unit_pairs_wcnf(0, 1500)
+    inc = run_pipeline(f, mode="inc")
+    noninc = run_pipeline(f, mode="noninc")
+    cost = sum(min(f.soft[i][1], f.soft[i + 1][1])
+               for i in range(0, len(f.soft), 2))
+    assert inc.solution.cost == noninc.solution.cost == cost
+    for res in (inc, noninc):
+        st = res.stats
+        assert st["rounds"] == 2
+        assert st["free_cores"] == st["iterations"] == 1500
+        # the hard check and the last round's call
+        assert st["solves"] == 2
 
 
 def _soft_pigeons(p, h):
