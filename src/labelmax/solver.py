@@ -10,25 +10,26 @@ minimum keeps its original clauses and sprouts a cheaper twin label that
 carries the relaxed copies.
 
 The loop runs in rounds; each round yields the cores that are then
-relaxed one after another, in the order found.  A round takes its free
-cores first: every assignment falsifies a working clause without
-literals, so its labels are a core without a SAT call.  It takes them in
-entry order, each one whose labels are disjoint from those already
-taken, then makes its mode's SAT calls.  The loop owns one SAT solver
+relaxed one after another, in the order found, unless they close the
+gap to the upper bound (below).  A round takes its free cores first:
+every assignment falsifies a working clause without literals, so its
+labels are a core without a SAT call.  It takes them in entry order,
+each one whose labels are disjoint from those already taken, then
+makes its mode's SAT calls.  The loop owns one SAT solver
 at a time, which loads every labelled clause with one negated selector
 per label and assumes the selectors positively.  The hard check solves
 the hard clauses alone in a fresh solver.  The modes differ in when a
 solver is built and whether a round goes on after a core:
 
-* ``noninc`` — a fresh solver per round, loaded with the whole working
-  formula, assuming the selectors of the labels the free cores left; no
-  solver when they left none.  After each unsatisfiable call the core's
-  selectors are dropped from the assumptions and the same solver is
-  asked again, until it answers SAT or no selector is left, so the
-  cores of one round are label-disjoint (Davies & Bacchus, CP 2011).  A
-  core refutes only the clauses whose labels it contains, so relaxing an
-  earlier core of the round leaves a later one a core: the round does
-  what one iteration per core would.
+* ``noninc`` — a fresh solver per round that asks, loaded with the
+  whole working formula, assuming the selectors of the labels the free
+  cores left; no solver when they left none.  After each unsatisfiable
+  call the core's selectors are dropped from the assumptions and the
+  same solver is asked again, until it answers SAT or no selector is
+  left, so the cores of one round are label-disjoint (Davies &
+  Bacchus, CP 2011).  A core refutes only the clauses whose labels it
+  contains, so relaxing an earlier core of the round leaves a later one
+  a core: the round does what one iteration per core would.
 * ``inc`` — the hard check's solver for the whole run, no SAT call in a
   round with free cores, and otherwise one core per round.  Relaxing a
   label in place gives it a new selector: a unit clause finalizes the
@@ -44,10 +45,19 @@ the relaxation variable added.  The new clauses of each relaxed core
 form one batch, in ``sort_key`` order, which ``inc`` loads into its live
 solver; ``noninc``'s next fresh solver loads the working formula whole.
 
-Only a round without cores can end the search: when its first call is
-SAT, the accumulated lower bound is the cost.  Before reporting, the
-final model is charged independently (cheapest label removal covering
-its falsified clauses) and the two numbers must agree.
+The run keeps the cheapest model it holds as its upper bound.  A model
+is charged independently, by the cheapest label removal that covers the
+clauses it falsifies; the search looks only below the upper bound.  Two
+are charged: the hard check's, and that of
+each round's last SAT call when it answers SAT (in ``inc`` only a round
+without cores makes one).  A round adds its cores' minimum weights to
+the lower bound; they are label-disjoint, so that is what relaxing them
+one after another adds.  The run ends as soon as the bounds meet and
+reports the cheapest model: it relaxes nothing more and builds or asks
+no other solver, and ``noninc`` builds none in a round whose free cores
+close the gap.  A round without cores answered SAT with every selector
+assumed, so its model costs the lower bound; a model below the lower
+bound, or such a round that leaves a gap, is an internal error.
 """
 
 from __future__ import annotations
@@ -164,17 +174,16 @@ def _solve_round(eng: CdclSolver, selectors: Dict[int, int],
                  cores: List[CoreLabels]) -> Optional[Assignment]:
     """One round's SAT calls under ``selectors`` (ascending label order,
     the assumption order), after the round's free cores in ``cores``.
-    Appends the cores found, in order, and returns the model when the
-    first call was satisfiable and the round has no core at all.  With
-    ``disjoint`` the solver is asked again without the failed selectors
-    until it answers SAT or none is left; without, the round stops at
-    its first core."""
+    Appends the cores found, in order, and returns the model of the
+    round's last call when it was satisfiable.  With ``disjoint`` the
+    solver is asked again without the failed selectors until it answers
+    SAT or none is left; without, the round stops at its first core."""
     label_of = {s: l for l, s in selectors.items()}
     assumptions = list(selectors.values())
     while True:
         out = eng.solve(assumptions, budget)
         if out.sat:
-            return None if cores else out.model
+            return out.model
         cores.append(extract_core_labels(out, label_of))
         failed = out.failed_assumptions
         assumptions = [a for a in assumptions if a not in failed]
@@ -187,13 +196,18 @@ def _solve_round(eng: CdclSolver, selectors: Dict[int, int],
 
 
 def _min_cost_hitting_set(families: Iterable[FrozenSet[int]],
-                          weights: Dict[int, int]) -> FrozenSet[int]:
-    """Cheapest label set intersecting every family.
+                          weights: Dict[int, int],
+                          cap: Optional[int] = None
+                          ) -> Optional[FrozenSet[int]]:
+    """Cheapest label set intersecting every family, or None when none
+    costs less than ``cap``.
 
     Families that share no label, directly or through others, are hit
     independently, so each such component gets its own branch and bound;
     a singleton family is a component of its own once supersets are
-    dropped.
+    dropped.  A component's search is capped at what the others leave of
+    ``cap``: the cheapest sets of those before it, and the lower bounds
+    of those after.
     """
     fams = sorted({frozenset(f) for f in families},
                   key=lambda f: (len(f), sorted(f)))
@@ -217,47 +231,87 @@ def _min_cost_hitting_set(families: Iterable[FrozenSet[int]],
     components: Dict[int, List[FrozenSet[int]]] = {}
     for f in mins:
         components.setdefault(root(min(f)), []).append(f)
+    floors = [_hitting_bound(comp, weights) for comp in components.values()]
+    rest, spent = sum(floors), 0
     out: Set[int] = set()
-    for comp in components.values():
-        out |= _component_hitting_set(comp, weights)
+    for comp, floor in zip(components.values(), floors):
+        rest -= floor
+        hit = _component_hitting_set(
+            comp, weights, floor, None if cap is None else cap - spent - rest)
+        if hit is None:
+            return None
+        out |= hit
+        spent += sum(weights[l] for l in hit)
     return frozenset(out)
 
 
+def _hitting_bound(families: Iterable[FrozenSet[int]],
+                   weights: Dict[int, int]) -> int:
+    """A lower bound on the cost of hitting ``families``: each family in
+    turn takes the least weight its labels have left, and that much is
+    taken from each of them.  A hitting set pays for every family it
+    hits out of its labels' weights, so it costs at least the sum."""
+    left: Dict[int, int] = {}
+    total = 0
+    for f in families:
+        d = min(left.get(l, weights[l]) for l in f)
+        total += d
+        for l in f:
+            left[l] = left.get(l, weights[l]) - d
+    return total
+
+
 def _component_hitting_set(mins: List[FrozenSet[int]],
-                           weights: Dict[int, int]) -> FrozenSet[int]:
-    """Depth-first branch and bound on an explicit stack: branch on the
-    first family not yet hit, cheapest label first; the first set found
-    at the optimal cost wins."""
+                           weights: Dict[int, int], floor: int,
+                           cap: Optional[int]) -> Optional[FrozenSet[int]]:
+    """Depth-first branch and bound on an explicit stack.  A node has
+    labels chosen and labels ruled out; it branches on the unhit family
+    with the fewest labels left, taking each in turn, cheapest first,
+    with those before it ruled out, so no set is reached twice.  A node
+    whose cost plus ``_hitting_bound`` of the families left reaches the
+    best cost so far, or ``cap``, is pruned; the first set found at the
+    optimal cost wins, and the search ends on one that costs ``floor``,
+    the bound at the root.  None when no set costs less than ``cap``."""
+    if len(mins) == 1:  # a lone family: its cheapest label, no search
+        l = min(mins[0], key=lambda x: (weights[x], x))
+        return frozenset([l]) if cap is None or weights[l] < cap else None
     best: Optional[FrozenSet[int]] = None
-    best_cost = 0
-    stack = [(frozenset(), 0)]
+    best_cost = cap
+    stack = [(frozenset(), frozenset(), 0)]
     while stack:
-        chosen, cost = stack.pop()
-        if best is not None and cost >= best_cost:
+        chosen, ruled_out, cost = stack.pop()
+        left = [f - ruled_out for f in mins if not f & chosen]
+        if not all(left) or best_cost is not None and \
+                cost + _hitting_bound(left, weights) >= best_cost:
             continue
-        f = next((f for f in mins if not f & chosen), None)
-        if f is None:
+        if not left:
             best, best_cost = chosen, cost
+            if cost == floor:
+                break
             continue
-        for l in sorted(f, key=lambda x: (weights[x], x), reverse=True):
-            stack.append((chosen | {l}, cost + weights[l]))
-    assert best is not None  # the union of all families always hits
+        f = min(left, key=len)
+        labels = sorted(f, key=lambda x: (weights[x], x))
+        for i in reversed(range(len(labels))):
+            stack.append((chosen | {labels[i]}, ruled_out | set(labels[:i]),
+                          cost + weights[labels[i]]))
     return best
 
 
-def _certify(orig: LCNF, tau: Dict[int, int], lb: int) -> MaxSatSolution:
+def _certify(orig: LCNF, tau: Dict[int, int],
+             cap: Optional[int] = None) -> Optional[MaxSatSolution]:
+    """A model's charge: the cheapest label removal that leaves every
+    clause it falsifies removed, or None when none costs less than
+    ``cap``."""
     falsified = [c for c in orig.clauses
                  if not clause_satisfied(c.lits, tau)]
     if any(c.hard for c in falsified):
         raise RuntimeError("model falsifies a hard clause")
     removed = _min_cost_hitting_set([c.labels for c in falsified],
-                                    orig.label_weights)
-    charged = cost_of_labels(orig, removed)
-    if charged != lb:
-        raise RuntimeError(
-            f"accumulated bound {lb} does not match the "
-            f"cheapest removal set of the final model ({charged})")
-    return MaxSatSolution(model=tau, cost=lb, falsified=removed)
+                                    orig.label_weights, cap)
+    if removed is None:
+        return None
+    return MaxSatSolution(model=tau, cost=cost_of_labels(orig, removed),
+                          falsified=removed)
 
 
 # a clause with its encoding, as ``_enter`` takes it
@@ -341,10 +395,11 @@ def solve_lcnf(phi: LCNF, algorithm: str = "wmsu1", mode: str = "noninc",
         return SolveReport(status, solution, stats)
 
     try:
-        if not eng.solve((), conflict_budget).sat:
-            return finish("unsat-hard")
+        hard = eng.solve((), conflict_budget)
     except BudgetExceededError:
         return finish("unknown")
+    if not hard.sat:
+        return finish("unsat-hard")
     # the soft clauses are the first batch; only ``inc`` loads batches
     batch = _enter(working, carrying, empty,
                    _encoded([c for c in phi.clauses if not c.hard],
@@ -352,17 +407,101 @@ def solve_lcnf(phi: LCNF, algorithm: str = "wmsu1", mode: str = "noninc",
     if incremental:
         eng.load(batch)
 
+    # every bound is a sum of these weights, so they must sum within the cap
+    add_weights(*(phi.label_weights[l] for l in used))
     lb = 0
-    total = add_weights(*(phi.label_weights[l] for l in used))
+    best: Optional[MaxSatSolution] = None
 
-    while True:
+    def charge(model: Assignment) -> None:
+        """Keep the model if its cheapest removal undercuts the best."""
+        nonlocal best
+        tau = {v: model.get(v, 0) for v in range(1, nv_orig + 1)}
+        sol = _certify(phi, tau, None if best is None else best.cost)
+        if sol is not None:
+            best = sol
+            if trace is not None:
+                trace(f"upper bound {sol.cost}")
+
+    def take(new: List[CoreLabels], kind: str) -> List[int]:
+        """Raise the bound by each core's minimum weight; return those."""
+        nonlocal lb
+        w_mins = []
+        for core in new:
+            stats["iterations"] += 1
+            w_min = min([weight[l] for l in core.labels])
+            w_mins.append(w_min)
+            lb = add_weights(lb, w_min)
+            if trace is not None:
+                trace(f"iteration {stats['iterations']}: {kind} "
+                      f"{len(core.labels)}, min weight {w_min}, "
+                      f"lower bound {lb}")
+        return w_mins
+
+    def relax(core: CoreLabels, w_min: int) -> None:
+        """Relax every clause of the core's labels, splitting off a twin
+        worth ``w_min`` from a heavier label, and add the exactly-one
+        constraint over the relaxation variables."""
+        relaxation_vars: List[int] = []
+        batch = []
+        for l in sorted(core.labels):
+            r = next(variables)
+            relaxation_vars.append(r)
+            carried = carrying[l]
+            old = selectors[l]
+            if weight[l] > w_min:
+                # split: the label keeps its clauses at reduced weight;
+                # a twin label worth w_min owns the relaxed copies
+                nl = next(label_ids)
+                weight[l] -= w_min
+                weight[nl] = w_min
+            else:
+                nl = l
+            selectors[nl] = next(variables)
+            # the old selector, r and the new one are numbered in that
+            # order, so ``encode`` gives their indices in that order
+            unit, *tail = encode((-old, r, -selectors[nl]))
+            # r is fresh, so each copy's literals stay canonical
+            copies = [(LabelledClause(c.lits + (r,), c.labels if nl == l
+                                      else c.labels - {l} | {nl}),
+                       _relaxed(working[c], unit, tail))
+                      for c in carried]
+            if nl == l:
+                carrying[l] = set()
+                for c in carried:
+                    del working[c]
+                    for m in c.labels:
+                        carrying[m].discard(c)
+                    if not c.lits:
+                        del empty[c]
+                # the unit finalizes the old selector
+                batch.append([unit])
+            if len(copies) > 1:
+                copies.sort(key=lambda e: e[0].sort_key())
+            batch += _enter(working, carrying, empty, copies)
+
+        # exactly-one clauses are hard: lits order is sort_key order
+        batch += _enter(working, carrying, empty, [
+            (LabelledClause(c, frozenset()), encode(c))
+            for c in sorted(encode_equals1(relaxation_vars).clauses)])
+        if incremental:
+            eng.load(batch)
+
+    charge(hard.model)
+    cores: List[CoreLabels] = []
+    w_mins: List[int] = []
+    while lb < best.cost:
+        # the last round's cores are label-disjoint, so relaxing one
+        # leaves the weights of the others' labels, and so their
+        # minimum, as taken
+        for core, w_min in zip(cores, w_mins):
+            relax(core, w_min)
         stats["rounds"] += 1
         cores = _free_cores(empty, selectors)
         free = len(cores)
         stats["free_cores"] += free
+        w_mins = take(cores, "free core")
         asked = _left_to_ask(selectors, cores, incremental)
-        model = None
-        if asked is not None:
+        if asked is not None and lb < best.cost:
             if not incremental:
                 # release the last solver before building the next:
                 # building while the old one is still alive measurably
@@ -375,67 +514,18 @@ def solve_lcnf(phi: LCNF, algorithm: str = "wmsu1", mode: str = "noninc",
                                      not incremental, cores)
             except BudgetExceededError:
                 return finish("unknown")
-
-        for k, core in enumerate(cores):
-            stats["iterations"] += 1
-            w_min = min([weight[l] for l in core.labels])
-            lb = add_weights(lb, w_min)
-            if lb > total:
-                raise RuntimeError("bound exceeded total weight")
-            if trace is not None:
-                kind = "free core" if k < free else "core"
-                trace(f"iteration {stats['iterations']}: {kind} "
-                      f"{len(core.labels)}, min weight {w_min}, "
-                      f"lower bound {lb}")
-
-            relaxation_vars: List[int] = []
-            batch = []
-            for l in sorted(core.labels):
-                r = next(variables)
-                relaxation_vars.append(r)
-                carried = carrying[l]
-                old = selectors[l]
-                if weight[l] > w_min:
-                    # split: the label keeps its clauses at reduced weight;
-                    # a twin label worth w_min owns the relaxed copies
-                    nl = next(label_ids)
-                    weight[l] -= w_min
-                    weight[nl] = w_min
-                else:
-                    nl = l
-                selectors[nl] = next(variables)
-                # the old selector, r and the new one are numbered in that
-                # order, so ``encode`` gives their indices in that order
-                unit, *tail = encode((-old, r, -selectors[nl]))
-                # r is fresh, so each copy's literals stay canonical
-                copies = [(LabelledClause(c.lits + (r,), c.labels if nl == l
-                                          else c.labels - {l} | {nl}),
-                           _relaxed(working[c], unit, tail))
-                          for c in carried]
-                if nl == l:
-                    carrying[l] = set()
-                    for c in carried:
-                        del working[c]
-                        for m in c.labels:
-                            carrying[m].discard(c)
-                        if not c.lits:
-                            del empty[c]
-                    # the unit finalizes the old selector
-                    batch.append([unit])
-                if len(copies) > 1:
-                    copies.sort(key=lambda e: e[0].sort_key())
-                batch += _enter(working, carrying, empty, copies)
-
-            # exactly-one clauses are hard: lits order is sort_key order
-            batch += _enter(working, carrying, empty, [
-                (LabelledClause(c, frozenset()), encode(c))
-                for c in sorted(encode_equals1(relaxation_vars).clauses)])
-            if incremental:
-                eng.load(batch)
-
+            w_mins += take(cores[free:], "core")
+            if model is not None:
+                charge(model)
         if trace is not None:
             trace(f"round {stats['rounds']}: {len(cores)} cores, "
                   f"lower bound {lb}")
-        if model is not None:
-            tau = {v: model.get(v, 0) for v in range(1, nv_orig + 1)}
-            return finish("optimum", _certify(phi, tau, lb))
+        if not cores:
+            break
+    # no model costs less than the bound, and a round without cores
+    # answered SAT with every selector assumed, at the bound's cost
+    if best.cost != lb:
+        raise RuntimeError(
+            f"accumulated bound {lb} does not match the cheapest "
+            f"removal set of a model ({best.cost})")
+    return finish("optimum", best)

@@ -327,10 +327,18 @@ def test_criterion_3_oracle_equivalence(wcnf_sweep):
 
 
 def test_criterion_7_mode_equivalence_and_load_counts(wcnf_sweep):
+    """Costs agree on every mode pair.  ``inc`` never makes more load
+    events than ``noninc``, and strictly fewer wherever ``noninc`` built
+    a solver after its hard check.  A ``noninc`` run builds none when
+    its hard check's model costs 0 (2,026 of the 4,812 pairs), or when
+    free cores alone raise the bound to that model's cost or leave no
+    label to ask about (803); the other 1,983 must be strictly fewer,
+    and at least 1,850 of them, about 6% below, so that the comparison
+    cannot go vacuous."""
     records = wcnf_sweep["records"]
     cost_diffs = []
     load_violations = []
-    n_pairs = 0
+    n_pairs = n_rebuilt = 0
     for rec in records:
         runs = rec["runs"]
         for (prep, mode, alg) in list(runs):
@@ -341,13 +349,19 @@ def test_criterion_7_mode_equivalence_and_load_counts(wcnf_sweep):
             n_pairs += 1
             if non.solution.cost != inc.solution.cost:
                 cost_diffs.append((rec["seed"], prep, alg))
-            if not inc.stats["load_events"] < non.stats["load_events"]:
+            loads = (inc.stats["load_events"], non.stats["load_events"])
+            rebuilt = loads[1] > 1
+            n_rebuilt += rebuilt
+            if not (loads[0] < loads[1] if rebuilt else loads[0] <= loads[1]):
                 load_violations.append((rec["seed"], prep, alg))
-    ok = not cost_diffs and not load_violations
+    ok = not cost_diffs and not load_violations and n_rebuilt >= 1850
     _report(7, ok, f"{n_pairs} mode pairs: costs identical, incremental "
-                   "load events strictly fewer in all of them")
+                   "load events never more, and strictly fewer in the "
+                   f"{n_rebuilt} where noninc built a solver after its "
+                   "hard check")
     assert not cost_diffs, cost_diffs[:10]
     assert not load_violations, load_violations[:10]
+    assert n_rebuilt >= 1850, n_rebuilt
 
 
 # ---------------------------------------------------------------------------

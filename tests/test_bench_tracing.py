@@ -18,8 +18,10 @@ TRACING = (pathlib.Path(__file__).resolve().parent.parent /
 # entry points the tracer wraps that src/ never calls (ROADMAP item 1)
 NEVER_CALLED = {"lcnf_prep.l_ve", "engine.add_clause"}
 
-# soft pigeonhole: the optimum needs cores under the default
-# preprocessing
+# soft pigeonhole: under the default preprocessing, BVE leaves one
+# clause without literals, a free core whose bound the hard check's model
+# meets; without preprocessing the optimum needs SAT cores and their
+# relaxation
 PIGEON = """\
 p wcnf 6 9 10
 1 1 2 0
@@ -60,18 +62,24 @@ def test_tracer_patches_resolve_and_record_cores(tmp_path, capsys):
     try:
         assert [dict(vars(o)) for o in owners] != before
         loads = {}
-        for mode in ("noninc", "inc"):
-            cores = len(tracer.core_sizes)
-            seen = tracer.counts["solver.load_events"]
-            assert cli.main(["solve", f"--mode={mode}", str(path)]) == 0
-            assert capsys.readouterr().out.startswith("o 1\n")
-            assert len(tracer.core_sizes) > cores
-            assert all(n > 0 for n in tracer.core_sizes)
-            loads[mode] = tracer.counts["solver.load_events"] - seen
+        for prep in ("bce,rs", "none"):
+            for mode in ("noninc", "inc"):
+                cores = len(tracer.core_sizes)
+                seen = tracer.counts["solver.load_events"]
+                assert cli.main(["solve", f"--prep={prep}", f"--mode={mode}",
+                                 str(path)]) == 0
+                assert capsys.readouterr().out.startswith("o 1\n")
+                assert len(tracer.core_sizes) > cores
+                assert all(n > 0 for n in tracer.core_sizes)
+                loads[prep, mode] = \
+                    tracer.counts["solver.load_events"] - seen
     finally:
         tracer.uninstall()
-    # ``inc`` keeps one solver; ``noninc`` builds one per round as well
-    assert loads["inc"] == 1 < loads["noninc"]
+    # ``inc`` keeps one solver and never loads more than ``noninc``; that
+    # builds one per round as well, except where the hard check's model
+    # meets the bound first, as the free core's bound does here
+    assert loads["bce,rs", "inc"] == loads["bce,rs", "noninc"] == 1
+    assert loads["none", "inc"] == 1 < loads["none", "noninc"]
     summary = tracer.summary()
     assert len(wrapped) >= 18
     for name in wrapped:

@@ -343,6 +343,29 @@ def test_solve_trace_names_free_cores(prep, free, tmp_path, capsys):
     assert "o 1" in lines
 
 
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("prep", PREPS)
+def test_solve_trace_upper_bounds_close_at_the_optimum(prep, mode, capsys):
+    """Each ``c upper bound`` line undercuts the one before it, and the
+    last equals the printed cost, which is also the last round's lower
+    bound when the run had rounds."""
+    golden = os.path.join(os.path.dirname(__file__), "golden")
+    for name in ("tautology.wcnf", "units.wcnf", "soft-empty-clause.wcnf",
+                 "basic.wcnf", "mixed.wcnf", "all-hard.wcnf"):
+        path = os.path.join(golden, name)
+        assert main(["solve", "--trace", f"--prep={prep}", f"--mode={mode}",
+                     path]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        cost = int(next(l for l in lines if l.startswith("o "))[2:])
+        uppers = [int(l.split()[-1]) for l in lines
+                  if l.startswith("c upper bound ")]
+        assert uppers and uppers[-1] == cost, name
+        assert all(a > b for a, b in zip(uppers, uppers[1:])), name
+        lower = [int(l.split()[-1]) for l in lines
+                 if l.startswith("c round ")]
+        assert lower[-1:] in ([], [cost]), name
+
+
 def test_second_main_call_starts_from_the_defaults(tmp_path, capsys,
                                                    monkeypatch):
     # the argument parser is built once per process and then reused
@@ -375,7 +398,7 @@ def _unfit_lift(stack, tau, removed=frozenset()):
 
 
 # each breaks one internal check: (owner, name, replacement, input,
-# message); the answer to the first input is x2 true at cost 0, to the
+# message, or a pair of messages without BVE and with it); the answer to the first input is x2 true at cost 0, to the
 # second cost 1
 INTERNAL_FAULTS = {
     # the lifted model sets every variable false, which falsifies the
@@ -386,11 +409,27 @@ INTERNAL_FAULTS = {
     "lift": (cli, "bve_reconstruct", _unfit_lift,
              "p wcnf 2 2 5\n5 1 2 0\n1 -1 0\n",
              "does not fit the record"),
-    # certification charges nothing for the final model
+    # certification charges nothing, so the hard check's model meets
+    # the bound 0 at once and the solver reports cost 0: the final
+    # check catches it, or after BVE (``rs``) the lift does, since no
+    # model fits the clause without literals BVE left unless a label is
+    # removed
     "certify": (solver, "_min_cost_hitting_set",
-                lambda families, weights: frozenset(),
+                lambda families, weights, cap=None: frozenset(),
                 "p wcnf 1 2 3\n1 1 0\n1 -1 0\n",
-                "accumulated bound 1 does not match"),
+                ("cost mismatch: solver reported 0",
+                 "does not fit the record")),
+    # certification charges every label for each model, so the last
+    # round, which finds no core, ends on a model above the bound
+    "overcharge": (solver, "_min_cost_hitting_set",
+                   lambda families, weights, cap=None: frozenset(weights),
+                   "p wcnf 1 2 3\n1 1 0\n1 -1 0\n",
+                   "accumulated bound 1 does not match"),
+    # the bound counts each core's weight twice, which passes the charge
+    # of the hard check's model
+    "bound": (solver, "add_weights", lambda *weights: 2 * sum(weights),
+              "p wcnf 1 2 3\n1 1 0\n1 -1 0\n",
+              "accumulated bound 2 does not match"),
 }
 
 
@@ -409,6 +448,8 @@ def test_solve_verification_failure_is_an_internal_error(tmp_path, capsys,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("internal error: ")
+    if isinstance(message, tuple):  # (without BVE, with it)
+        message = message["rs" in prep.split(",")]
     assert message in captured.err
     assert len(captured.err.splitlines()) == 1
 

@@ -218,7 +218,8 @@ def test_incremental_mode_loads_clauses_once():
     inc = solve_lcnf(phi, "wmsu1", "inc")
     assert noninc.solution.cost == inc.solution.cost
     assert inc.stats["load_events"] == 1
-    # hard check, then one fresh solver per round, the final one included
+    # the hard check, then one fresh solver per round: no round has free
+    # cores, and the hard check's model costs more than the optimum
     assert noninc.stats["load_events"] == 1 + noninc.stats["rounds"]
     assert noninc.stats["load_events"] > inc.stats["load_events"]
 
@@ -406,20 +407,15 @@ def test_noninc_round_cores_are_disjoint_and_stay_cores(monkeypatch):
         assert list(selectors) == sorted(selectors)
         assert run.carrying == _label_index(run.working)
         model = solve_round(eng, selectors, budget, disjoint, cores)
-        assert (model is None) == bool(cores)
+        # the round ends on SAT, or when its cores leave no selector
+        left = selectors.keys() - set().union(*(k.labels for k in cores))
+        assert (model is None) == (not left)
         return model
 
     def spy_equals1(variables):
         k = len(run.rounds) - 1
         live, free, cores = run.rounds[k]
         i = relaxed[k] = relaxed.get(k, 0) + 1  # cores[i - 1] relaxed
-        if i == 1:  # the round's first relaxation: all its cores known
-            for j, core in enumerate(cores):
-                assert core.labels <= live
-                assert all(not core.labels & c.labels for c in cores[:j])
-            seen["multi"] += len(cores) > 1
-            seen["free"] += free > 0
-            seen["free and found"] += 0 < free < len(cores)
         if i < len(cores):
             labels = cores[i].labels
             assert _refuted(c for c in run.working if c.labels <= labels)
@@ -430,9 +426,18 @@ def test_noninc_round_cores_are_disjoint_and_stay_cores(monkeypatch):
         relaxed.clear()
         sol = optimum(phi, "wmsu1", "noninc")
         assert sol.cost == expect.cost
-        # every core of every round was relaxed
+        for live, free, cores in run.rounds:
+            for j, core in enumerate(cores):
+                assert core.labels <= live
+                assert all(not core.labels & c.labels for c in cores[:j])
+            seen["multi"] += len(cores) > 1
+            seen["free"] += free > 0
+            seen["free and found"] += 0 < free < len(cores)
+        # every core of every round was relaxed but the last round's,
+        # whose cores close the gap to the cheapest model
         assert [relaxed.get(k, 0) for k in range(len(run.rounds))] == \
-            [len(cores) for _, _, cores in run.rounds]
+            [len(cores) for _, _, cores in run.rounds[:-1]] + [0] * bool(
+                run.rounds)
 
     monkeypatch.setattr(solver, "_solve_round", spy_round)
     monkeypatch.setattr(solver, "encode_equals1", spy_equals1)
@@ -489,7 +494,7 @@ def test_free_cores_agree_with_the_oracle(mode, clauses, weights, cost,
     assert report.stats["free_cores"] == free
     per_round = _free_per_round(lines)
     assert len(per_round) == report.stats["rounds"]
-    # one free core per round until they are gone; the last round asks
+    # one free core per round until they are gone
     assert per_round == [1] * free + [0] * (len(per_round) - free)
     if mode == "inc":  # no SAT call in a round with free cores
         assert report.stats["solves"] == 1 + len(per_round) - free
@@ -497,8 +502,9 @@ def test_free_cores_agree_with_the_oracle(mode, clauses, weights, cost,
 
 def test_inc_takes_every_unit_pair_core_in_one_round():
     """Once BVE has merged each soft pair, ``inc`` takes every core in
-    round 1 without a SAT call and ends in round 2, as ``noninc`` does;
-    one core per round made this 1,501 rounds."""
+    round 1 without a SAT call, as ``noninc`` does; one core per round
+    made this 1,501 rounds.  The hard check's model then costs the
+    bound, so the run ends in round 1, relaxing nothing."""
     f = unit_pairs_wcnf(0, 1500)
     inc = run_pipeline(f, mode="inc")
     noninc = run_pipeline(f, mode="noninc")
@@ -507,10 +513,12 @@ def test_inc_takes_every_unit_pair_core_in_one_round():
     assert inc.solution.cost == noninc.solution.cost == cost
     for res in (inc, noninc):
         st = res.stats
-        assert st["rounds"] == 2
+        assert st["rounds"] == 1
         assert st["free_cores"] == st["iterations"] == 1500
-        # the hard check and the last round's call
-        assert st["solves"] == 2
+        # the hard check's call, in its one solver
+        assert st["solves"] == st["load_events"] == 1
+    # no hard clause, and no solver after the hard check
+    assert noninc.stats["clauses_loaded"] == 0
 
 
 def _soft_pigeons(p, h):
@@ -553,22 +561,23 @@ INC_PINS = [
 
 # (kind, seed, cost, iterations, rounds, conflicts, solves, clauses
 # loaded, load events, CRC of the model) of the same instances in
-# ``noninc``, recorded with the same engine
+# ``noninc``, recorded with the same engine and with each run ending as
+# soon as a model it holds costs the lower bound
 NONINC_PINS = [
-    ("wcnf", 0, 9, 7, 4, 2, 12, 323, 5, 1796908317),
+    ("wcnf", 0, 9, 7, 3, 2, 11, 215, 4, 1796908317),
     ("wcnf", 1, 8, 5, 4, 3, 10, 300, 5, 1796908317),
-    ("wcnf", 2, 8, 6, 5, 4, 12, 585, 6, 2699443385),
-    ("wcnf", 3, 10, 7, 4, 2, 12, 261, 5, 2641720432),
-    ("wcnf", 4, 1, 1, 2, 0, 4, 96, 3, 2428972196),
+    ("wcnf", 2, 8, 6, 4, 4, 11, 372, 5, 2699443385),
+    ("wcnf", 3, 10, 7, 3, 2, 11, 185, 4, 2641720432),
+    ("wcnf", 4, 1, 1, 1, 0, 3, 42, 2, 2428972196),
     ("wcnf", 5, 12, 4, 2, 0, 7, 103, 3, 2861857501),
-    ("lcnf", 0, 5, 4, 5, 2, 10, 658, 6, 1617169556),
-    ("lcnf", 1, 5, 3, 3, 0, 7, 139, 4, 1211730713),
+    ("lcnf", 0, 5, 4, 4, 2, 9, 356, 5, 1638295203),
+    ("lcnf", 1, 5, 3, 2, 0, 6, 80, 3, 1211730713),
     ("lcnf", 2, 5, 2, 2, 0, 5, 71, 3, 2254829286),
-    ("lcnf", 3, 4, 3, 4, 0, 8, 371, 5, 1053362120),
+    ("lcnf", 3, 4, 3, 3, 0, 7, 211, 4, 3641350029),
     ("lcnf", 4, 1, 1, 2, 0, 4, 70, 3, 20624874),
     ("lcnf", 5, 2, 2, 2, 3, 5, 86, 3, 2275908817),
-    ("pigeon", 4, 2, 2, 3, 6, 6, 79, 4, 468213067),
-    ("pigeon", 5, 2, 2, 3, 23, 5, 175, 4, 3892840894),
+    ("pigeon", 4, 2, 2, 2, 6, 5, 49, 3, 705374049),
+    ("pigeon", 5, 2, 2, 2, 20, 4, 114, 3, 2605828263),
     ("pigeon", 6, 2, 2, 3, 93, 5, 316, 4, 3229588162),
     ("pigeon", 7, 2, 2, 3, 728, 5, 524, 4, 1063979363),
 ]
@@ -595,7 +604,9 @@ def test_inc_search_is_pinned(pin):
     assert (kind, seed, cost, st["iterations"], st["conflicts"],
             st["solves"], st["clauses_loaded"], crc) == pin
     assert st["load_events"] == 1
-    assert st["rounds"] == st["iterations"] + 1
+    # one core per round, and a last round without one unless a model
+    # met the bound first
+    assert st["rounds"] - st["iterations"] in (0, 1)
 
 
 @pytest.mark.parametrize("pin", NONINC_PINS, ids=lambda p: f"{p[0]}{p[1]}")
@@ -645,18 +656,101 @@ def test_trace_reports_monotone_lower_bound():
         bounds = [int(line.rsplit(" ", 1)[1]) for line in cores]
         assert bounds == sorted(bounds) and len(set(bounds)) == len(bounds)
         assert bounds[-1] == report.solution.cost
+        # the hard check's model first, then each cheaper one
+        uppers = [int(l.split()[-1]) for l in lines
+                  if l.startswith("upper bound ")]
+        assert lines[0].startswith("upper bound ")
+        assert uppers == sorted(uppers, reverse=True)
+        assert len(set(uppers)) == len(uppers)
+        assert uppers[-1] == report.solution.cost
         # one line per round, right after its cores: count and bound
         rounds = [(i, *map(int, m.groups())) for i, m in enumerate(
             re.fullmatch(r"round (\d+): (\d+) cores, lower bound (\d+)", l)
             for l in lines) if m]
         assert len(rounds) == report.stats["rounds"]
-        assert len(rounds) + len(cores) == len(lines)
+        assert len(rounds) + len(cores) + len(uppers) == len(lines)
         seen = 0
         for k, (i, number, n, b) in enumerate(rounds, start=1):
             seen += n
-            assert number == k and i == seen + k - 1
+            assert number == k
+            # after the cores and upper bounds so far
+            assert i == seen + k - 1 + sum(
+                l.startswith("upper bound ") for l in lines[:i])
             assert b == (bounds[seen - 1] if seen else 0)
-        assert seen == len(cores) and rounds[-1][2] == 0
+        # the last round's bound meets the last upper bound
+        assert seen == len(cores) and rounds[-1][3] == uppers[-1]
+
+
+def _stop_cases():
+    """Random weighted and labelled formulas, seeds 0-99, unit weights
+    at odd seeds, each with its optimum from the oracle and the
+    algorithms that apply to it."""
+    for seed in range(100):
+        w = 1 if seed % 2 else 4
+        f = random_wcnf(seed, max_weight=w)
+        phi = random_lcnf(seed, max_weight=w)
+        algs = ("wmsu1", "fumalik") if w == 1 else ("wmsu1",)
+        yield lcnf_from_wcnf(f), brute_force_maxsat(f).cost, algs
+        yield phi, brute_force_lcnf_maxsat(phi).cost, algs
+
+
+def test_run_ends_in_the_first_round_whose_bound_meets_a_charge(
+        monkeypatch):
+    """Every model ``_certify`` charges costs at least the optimum, the
+    cheapest is reported, and the run ends right after the hard check
+    or in the first round whose lower bound meets the cheapest charge so
+    far, never later."""
+    events = []  # ("charge", cost) from the spy, ("line", text) traced
+    certify = solver._certify
+
+    def spy_certify(orig, tau, cap=None):
+        # the charge in full, and what the capped search makes of it
+        full = certify(orig, tau).cost
+        sol = certify(orig, tau, cap)
+        assert (sol is None) == (cap is not None and full >= cap)
+        assert sol is None or sol.cost == full
+        events.append(("charge", full))
+        return sol
+
+    monkeypatch.setattr(solver, "_certify", spy_certify)
+    seen = {"fumalik": 0, "hard check": 0, "closing model": 0,
+            "round with cores": 0}
+    for phi, cost, algs in _stop_cases():
+        for alg in algs:
+            for mode in ("noninc", "inc"):
+                events.clear()
+                report = solve_lcnf(
+                    phi, alg, mode,
+                    trace=lambda line: events.append(("line", line)))
+                assert report.solution.cost == cost
+                assert_valid(phi, report.solution)
+                charges = [x for kind, x in events if kind == "charge"]
+                assert events[0][0] == "charge"  # the hard check's model
+                assert min(charges) == cost
+                assert len(charges) <= 1 + report.stats["rounds"]
+                # the hard check at bound 0, then each round's bound,
+                # against the cheapest charge so far
+                meets, ub, last = [], None, None
+                for kind, x in events:
+                    if kind == "charge":
+                        ub = x if ub is None else min(ub, x)
+                        if not meets:
+                            meets.append(ub == 0)
+                        continue
+                    m = re.fullmatch(
+                        r"round \d+: (\d+) cores, lower bound (\d+)", x)
+                    if m:
+                        last, lb = map(int, m.groups())
+                        assert lb <= ub
+                        meets.append(lb == ub)
+                assert meets.index(True) == len(meets) - 1
+                assert len(meets) == 1 + report.stats["rounds"]
+                seen["fumalik"] += alg == "fumalik"
+                seen["hard check"] += charges[0] == cost
+                # a later model closed the gap in a round with cores
+                seen["closing model"] += charges[0] > cost and bool(last)
+                seen["round with cores"] += bool(last)
+    assert min(seen.values()) >= 50, seen
 
 
 def test_budget_exhaustion_reports_unknown():
@@ -728,6 +822,44 @@ def test_min_cost_hitting_set_is_cheapest_on_random_families():
         best = min(sum(weights[l] for l in h)
                    for h in minimal_hitting_sets(fams))
         assert sum(weights[l] for l in hit) == best, seed
+        # capped: nothing at the optimum, the optimum just above it
+        assert _min_cost_hitting_set(fams, weights, best) is None, seed
+        hit = _min_cost_hitting_set(fams, weights, best + 1)
+        assert sum(weights[l] for l in hit) == best, seed
+
+
+def _chain(n):
+    """``(x_i)`` carries labels i and i + 1, as BVE's resolvents carry
+    both parents' labels, and ``(-x_i)`` a label of its own worth more
+    than covering the chain; with the cost of the cheapest cover of the
+    path 1 - 2 - ... - n + 1, which is the optimum."""
+    weights = {l: 1 + l % 3 for l in range(1, n + 2)}
+    weights.update({n + 1 + i: 10 for i in range(1, n + 1)})
+    phi = LCNF(frozenset([lclause([i], [i, i + 1]) for i in range(1, n + 1)]
+                         + [lclause([-i], [n + 1 + i])
+                            for i in range(1, n + 1)]), weights)
+    take, skip = weights[1], 0  # cheapest cover with and without v
+    for v in range(2, n + 2):
+        take, skip = weights[v] + min(take, skip), take
+    return phi, min(take, skip)
+
+
+def test_charge_of_a_model_falsifying_a_long_chain_of_overlapping_clauses():
+    """The all-false model falsifies every ``(x_i)`` of the chain, so its
+    charge hits n families that overlap pairwise.  Pruning on the cost
+    so far alone made that search exponential in n; the bound on the
+    families left keeps it small at n = 200.  The capped search gives
+    nothing at the cheapest cost, and both modes solve the formula."""
+    phi, cover = _chain(200)
+    tau = {v: 0 for v in range(1, 201)}
+    assert solver._certify(phi, tau).cost == cover
+    assert solver._certify(phi, tau, cover) is None
+    assert solver._certify(phi, tau, cover + 1).cost == cover
+    phi, cover = _chain(60)
+    for mode in ("noninc", "inc"):
+        sol = optimum(phi, "wmsu1", mode)
+        assert sol.cost == cover
+        assert_valid(phi, sol)
 
 
 @pytest.mark.parametrize("fams", [
