@@ -25,7 +25,7 @@ from .lcnf_prep import dump_lcnf, preprocess_lcnf
 from .model import (LCNF, LabelledClause, MaxSatSolution, Stack, WCNF,
                     clause_satisfied, lcnf_from_wcnf, reconstruct)
 from .reduction import lcnf_to_wcnf
-from .solver import ALGORITHMS, MODES, SolveReport, solve_lcnf
+from .solver import MODES, SolveReport, solve_lcnf
 
 PREPS = ("none", "bce", "rs", "bce,rs")
 
@@ -69,23 +69,19 @@ def _preprocess(f: WCNF, prep: str,
 
 
 def run_pipeline(f: WCNF, prep: str = "bce,rs", mode: str = "noninc",
-                 algorithm: str = "wmsu1",
                  conflict_budget: Optional[int] = None,
                  trace: Optional[Callable[[str], None]] = None
                  ) -> SolveReport:
     """Solve a weighted formula end to end.
 
     Preprocessing is sound but not free: the answer must not depend on
-    ``prep``, ``mode`` or ``algorithm``, only the work done may.  The
+    ``prep`` or ``mode``, only the work done may.  The
     returned model is total over variables 1..f.num_vars and has been
     re-evaluated against ``f`` itself: hard clauses satisfied, falsified
     soft weight equal to the cost.
     """
-    # checked on the input: preprocessing may drop every weighted clause
-    if algorithm == "fumalik" and any(w != 1 for _, w in f.soft):
-        raise ValueError("fumalik requires all label weights equal to 1")
     pre = _preprocess(f, prep, trace)
-    report = solve_lcnf(pre.lcnf, algorithm=algorithm, mode=mode,
+    report = solve_lcnf(pre.lcnf, mode=mode,
                         conflict_budget=conflict_budget, trace=trace)
     stats = dict(report.stats)
     stats["bce_removed"] = len(pre.bce_rec)
@@ -149,8 +145,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         def trace_cb(msg: str) -> None:
             print("c " + msg)
     res = run_pipeline(f, prep=args.prep, mode=args.mode,
-                       algorithm=args.alg, conflict_budget=args.budget,
-                       trace=trace_cb)
+                       conflict_budget=args.budget, trace=trace_cb)
     if args.trace:
         for k in sorted(res.stats):
             print(f"c stat {k} {res.stats[k]}")
@@ -267,8 +262,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ps.add_argument("file", help="input path, or - for stdin")
     ps.add_argument("--mode", default="noninc", choices=MODES,
                     help="rebuild the SAT solver per call, or reuse it")
-    ps.add_argument("--alg", default="wmsu1", choices=ALGORITHMS,
-                    help="fumalik requires unit weights")
     ps.add_argument("--budget", type=int, default=None,
                     help="conflict budget per SAT call")
     ps.add_argument("--trace", action="store_true",

@@ -9,7 +9,10 @@ Accepted input formats:
 * ``p wcnf <nv> <nc>`` (legacy, no top) -- every clause is soft.
 
 The 2022+ header-less format with ``h``-prefixed hard clauses is
-rejected with a pointer to the classic format.  Parsing is line-based:
+rejected with a pointer to the classic format, and so is a header that
+declares more than ``MAX_VARS`` variables: the ``v`` line lists every
+declared variable, so the header, not the formula, sets the size of the
+output and of the models built for it.  Parsing is line-based:
 one clause per line, terminated by a single ``0``.  Lines are read as
 whitespace-separated tokens, the header included; ``parse_auto`` takes
 the format from the header.
@@ -25,6 +28,8 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from .model import MaxSatSolution, WCNF, clause
+
+MAX_VARS = 1_000_000
 
 
 class ParseError(ValueError):
@@ -94,6 +99,9 @@ def _parse(text: str, fmt: Optional[str]) -> ParsedInstance:
     nv, nc, *rest = _int_tokens(header[2:], line_no)
     if nv < 0 or nc < 0:
         raise ParseError(line_no, "negative counts in header")
+    if nv > MAX_VARS:
+        raise ParseError(line_no, f"header declares {nv} variables, "
+                                  f"more than the cap of {MAX_VARS}")
     top: Optional[int] = rest[0] if rest else None
     if top is not None and top < 1:
         raise ParseError(line_no, f"top weight must be >= 1, got {top}")

@@ -329,8 +329,10 @@ def _ssr_fixpoint(store: _ClauseStore) -> None:
     strengthen more, are queued again.
 
     The last fixpoint left no clause that strengthens another, and
-    removals keep it so.  So the heap starts with the clauses added
-    since, and every older clause that strengthens one of them.
+    removals keep it so.  So the heap starts with those of the clauses
+    added since, and of the older clauses that strengthen one of them,
+    that strengthen some clause now: by the above, one that strengthens
+    none now never will.
     """
     keys: Dict[LabelledClause, Tuple] = {}
 
@@ -343,6 +345,7 @@ def _ssr_fixpoint(store: _ClauseStore) -> None:
     queued = store.added_since(store.ssr_mark)
     if len(queued) < len(store.clauses):
         queued |= _strengtheners(store, queued)
+    queued = {c for c in queued if _ssr_partner(store, c, key) is not None}
     # keys are distinct per clause, so the heap never compares clauses
     heap = [(key(c), c) for c in queued]
     heapq.heapify(heap)

@@ -1,13 +1,13 @@
 """Core-guided MaxSAT over labelled formulas.
 
-One loop serves both algorithms: solve, and while the answer is
+One loop, WMSU1 on labelled formulas: solve, and while the answer is
 unsatisfiable, map the failed selector assumptions to core labels, relax
 those labels with fresh relaxation variables, constrain the fresh
-variables to exactly one true, and raise the lower bound.  With unit
-weights this is the classic unweighted procedure; general weights add
-the minimum-weight split, where a label costing more than the core's
-minimum keeps its original clauses and sprouts a cheaper twin label that
-carries the relaxed copies.
+variables to exactly one true, and raise the lower bound.  A label
+costing more than the core's minimum keeps its original clauses and
+sprouts a twin label, worth that minimum, that carries the relaxed
+copies.  With unit weights no label is ever split, and the loop is Fu &
+Malik's algorithm (SAT 2006) as it stands.
 
 The loop runs in rounds; each round yields the cores that are then
 relaxed one after another, in the order found, unless they close the
@@ -41,9 +41,11 @@ and files it under its labels when it enters, and under ``empty`` when
 it has no literals.  A clause keeps its selectors while it stays, since
 relaxing a label in place replaces every clause that carries it; so a
 relaxed copy's encoding is its parent's with one selector swapped and
-the relaxation variable added.  The new clauses of each relaxed core
-form one batch, in ``sort_key`` order, which ``inc`` loads into its live
-solver; ``noninc``'s next fresh solver loads the working formula whole.
+the relaxation variable added.  The soft clauses, and then the new
+clauses of each relaxed core in ``sort_key`` order, go onto one pending
+batch.  Right before a round's SAT calls ``inc`` loads that batch into
+its live solver, and ``noninc`` builds its fresh solver from the working
+formula whole; a run that ends without another call loads neither.
 
 The run keeps the cheapest model it holds as its upper bound.  A model
 is charged independently, by the cheapest label removal that covers the
@@ -68,8 +70,7 @@ from typing import (Callable, Dict, FrozenSet, Iterable, List, Optional, Set,
                     Tuple)
 
 from .cardinality import encode_equals1
-from .engine import (BudgetExceededError, CdclSolver, Encoded, SolveOutcome,
-                     encode)
+from .engine import BudgetExceededError, CdclSolver, Encoded, encode
 from .model import (LCNF, Assignment, LabelledClause, MaxSatSolution,
                     add_weights, clause_satisfied, cost_of_labels)
 
@@ -79,7 +80,6 @@ __all__ = [
 ]
 
 MODES = ("noninc", "inc")
-ALGORITHMS = ("fumalik", "wmsu1")
 
 
 @dataclass(frozen=True)
@@ -100,7 +100,7 @@ class SolveReport:
     stats: Dict[str, int]
 
 
-def extract_core_labels(outcome: SolveOutcome,
+def extract_core_labels(failed: Iterable[int],
                         selector_map: Dict[int, int]) -> CoreLabels:
     """Failed selector assumptions mapped to their labels.
 
@@ -108,9 +108,7 @@ def extract_core_labels(outcome: SolveOutcome,
     legal runs rule that out before the loop starts, so it is reported
     as an internal error here.
     """
-    if outcome.status != "UNSAT":
-        raise ValueError("core extraction requires an unsatisfiable outcome")
-    labels = frozenset(selector_map[v] for v in outcome.failed_assumptions)
+    labels = frozenset(selector_map[v] for v in failed)
     if not labels:
         raise RuntimeError(
             "empty core although the hard part was satisfiable")
@@ -140,18 +138,15 @@ def _free_cores(empty: Empty, selectors: Dict[int, int]
                 ) -> List[CoreLabels]:
     """The round's free cores: the labels of each working clause without
     literals, in entry order, when disjoint from those already taken.
-    Such a clause is loaded as its negated selectors alone, so its core
-    is the failed assumptions a SAT call would report, and it goes
-    through ``extract_core_labels`` as one."""
+    Such a clause is loaded as its negated selectors alone, so its
+    selectors are the failed assumptions a SAT call would report."""
     cores: List[CoreLabels] = []
     taken: Set[int] = set()
     for c in empty:
         if taken.isdisjoint(c.labels):
             taken |= c.labels
             label_of = {selectors[m]: m for m in c.labels}
-            failed = SolveOutcome("UNSAT",
-                                  failed_assumptions=frozenset(label_of))
-            cores.append(extract_core_labels(failed, label_of))
+            cores.append(extract_core_labels(label_of.keys(), label_of))
     return cores
 
 
@@ -184,7 +179,7 @@ def _solve_round(eng: CdclSolver, selectors: Dict[int, int],
         out = eng.solve(assumptions, budget)
         if out.sat:
             return out.model
-        cores.append(extract_core_labels(out, label_of))
+        cores.append(extract_core_labels(out.failed_assumptions, label_of))
         failed = out.failed_assumptions
         assumptions = [a for a in assumptions if a not in failed]
         if not (disjoint and assumptions):
@@ -353,22 +348,17 @@ def _enter(working: Working, carrying: Dict[int, Set[LabelledClause]],
     return batch
 
 
-def solve_lcnf(phi: LCNF, algorithm: str = "wmsu1", mode: str = "noninc",
+def solve_lcnf(phi: LCNF, mode: str = "noninc",
                conflict_budget: Optional[int] = None,
                trace: Optional[Callable[[str], None]] = None) -> SolveReport:
     """Core-guided optimum of a weighted labelled formula.
 
-    ``algorithm="fumalik"`` insists on unit weights (it is the weighted
-    loop with the split degenerate).  ``conflict_budget`` bounds each
-    individual SAT call; exhaustion yields status ``unknown``.
+    ``conflict_budget`` bounds each individual SAT call; exhaustion
+    yields status ``unknown``.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    if algorithm not in ALGORITHMS:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
     used = phi.labels()
-    if algorithm == "fumalik" and any(phi.label_weights[l] != 1 for l in used):
-        raise ValueError("fumalik requires all label weights equal to 1")
 
     stats = {"iterations": 0, "rounds": 0, "free_cores": 0,
              "load_events": 0, "clauses_loaded": 0, "solves": 0,
@@ -400,12 +390,11 @@ def solve_lcnf(phi: LCNF, algorithm: str = "wmsu1", mode: str = "noninc",
         return finish("unknown")
     if not hard.sat:
         return finish("unsat-hard")
-    # the soft clauses are the first batch; only ``inc`` loads batches
-    batch = _enter(working, carrying, empty,
-                   _encoded([c for c in phi.clauses if not c.hard],
-                            selectors))
-    if incremental:
-        eng.load(batch)
+    # the clauses the live solver lacks, loaded by ``inc`` right before
+    # its next SAT call; the soft clauses come first
+    pending = _enter(working, carrying, empty,
+                     _encoded([c for c in phi.clauses if not c.hard],
+                              selectors))
 
     # every bound is a sum of these weights, so they must sum within the cap
     add_weights(*(phi.label_weights[l] for l in used))
@@ -440,9 +429,8 @@ def solve_lcnf(phi: LCNF, algorithm: str = "wmsu1", mode: str = "noninc",
     def relax(core: CoreLabels, w_min: int) -> None:
         """Relax every clause of the core's labels, splitting off a twin
         worth ``w_min`` from a heavier label, and add the exactly-one
-        constraint over the relaxation variables."""
+        constraint over the relaxation variables, all onto ``pending``."""
         relaxation_vars: List[int] = []
-        batch = []
         for l in sorted(core.labels):
             r = next(variables)
             relaxation_vars.append(r)
@@ -474,17 +462,15 @@ def solve_lcnf(phi: LCNF, algorithm: str = "wmsu1", mode: str = "noninc",
                     if not c.lits:
                         del empty[c]
                 # the unit finalizes the old selector
-                batch.append([unit])
+                pending.append([unit])
             if len(copies) > 1:
                 copies.sort(key=lambda e: e[0].sort_key())
-            batch += _enter(working, carrying, empty, copies)
+            pending.extend(_enter(working, carrying, empty, copies))
 
         # exactly-one clauses are hard: lits order is sort_key order
-        batch += _enter(working, carrying, empty, [
+        pending.extend(_enter(working, carrying, empty, [
             (LabelledClause(c, frozenset()), encode(c))
-            for c in sorted(encode_equals1(relaxation_vars).clauses)])
-        if incremental:
-            eng.load(batch)
+            for c in sorted(encode_equals1(relaxation_vars).clauses)]))
 
     charge(hard.model)
     cores: List[CoreLabels] = []
@@ -502,13 +488,16 @@ def solve_lcnf(phi: LCNF, algorithm: str = "wmsu1", mode: str = "noninc",
         w_mins = take(cores, "free core")
         asked = _left_to_ask(selectors, cores, incremental)
         if asked is not None and lb < best.cost:
-            if not incremental:
+            if incremental:
+                eng.load(pending)
+            else:
                 # release the last solver before building the next:
                 # building while the old one is still alive measurably
                 # slows the run
                 _count(stats, eng)
                 del eng
                 eng = _fresh_solver(nv_orig, stats, list(working.values()))
+            pending = []
             try:
                 model = _solve_round(eng, asked, conflict_budget,
                                      not incremental, cores)

@@ -62,7 +62,7 @@ p wcnf 6 9 10
 @pytest.mark.parametrize("mode", ["noninc", "inc"])
 def test_pipeline_example1_all_flag_combinations(prep, mode):
     f = unit_soft_formula()
-    res = run_pipeline(f, prep=prep, mode=mode, algorithm="fumalik")
+    res = run_pipeline(f, prep=prep, mode=mode)
     assert res.status == "optimum"
     assert res.solution.cost == 2
     assert set(res.solution.model) == {1, 2, 3}
@@ -121,7 +121,7 @@ def tautology_wcnf(seed):
 
 
 def test_pipeline_cost_independent_of_flags_on_random_instances():
-    # the headline invariant: answers never depend on prep/mode/alg
+    # the headline invariant: answers never depend on prep/mode
     tautological = [tautology_wcnf(seed) for seed in range(40)]
     # BVE turns soft x/-x pairs into clauses without literals, whose
     # labels the core loop takes as cores without a SAT call
@@ -274,6 +274,8 @@ def test_fuzz_with_no_instances_is_valid(capsys):
 @pytest.mark.parametrize("argv", [
     ["solve", "--mode=foo", "x.wcnf"],
     ["solve", "--budget=x", "x.wcnf"],
+    # one algorithm, so no option names one
+    ["solve", "--alg=wmsu1", "x.wcnf"],
     ["fuzz", "--n", "three"],
 ])
 def test_usage_errors_exit_2(capsys, argv):
@@ -286,33 +288,6 @@ def test_usage_errors_exit_2(capsys, argv):
 def test_solve_missing_file_exit_1(capsys):
     assert main(["solve", "/nonexistent/x.wcnf"]) == 1
     assert "error:" in capsys.readouterr().err
-
-
-def test_solve_fumalik_on_weighted_input_is_an_error(tmp_path, capsys):
-    path = tmp_path / "w.wcnf"
-    path.write_text("p wcnf 1 2 9\n4 1 0\n2 -1 0\n")
-    assert main(["solve", "--alg=fumalik", str(path)]) == 1
-    assert "error:" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("prep", PREPS)
-@pytest.mark.parametrize("mode", MODES)
-def test_fumalik_acceptance_does_not_depend_on_prep(tmp_path, capsys, prep,
-                                                    mode):
-    # BCE and BVE drop the weight-5 clause, so only a check on the input
-    # rejects it under every prep
-    path = tmp_path / "w.wcnf"
-    path.write_text("p wcnf 3 3 9\n1 1 0\n1 -1 0\n5 2 3 0\n")
-    argv = ["solve", "--alg=fumalik", f"--prep={prep}", f"--mode={mode}"]
-    assert main(argv + [str(path)]) == 1
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err == "error: fumalik requires all label weights equal to 1\n"
-    unit = parse_wcnf("p wcnf 3 3 9\n1 1 0\n1 -1 0\n1 2 3 0\n").wcnf
-    costs = {run_pipeline(unit, prep=prep, mode=mode,
-                          algorithm=alg).solution.cost
-             for alg in ("fumalik", "wmsu1")}
-    assert costs == {1}
 
 
 def test_solve_trace_lines_precede_solution(tmp_path, capsys):

@@ -7,6 +7,7 @@ import time
 import pytest
 
 from labelmax.dimacs import (
+    MAX_VARS,
     ParseError,
     parse_auto,
     parse_cnf,
@@ -151,6 +152,14 @@ def test_clause_count_mismatch_is_a_warning():
 def test_top_not_above_soft_sum_is_a_warning():
     inst = parse_wcnf("p wcnf 1 2 3\n2 1 0\n2 -1 0\n")
     assert any("top 3" in w for w in inst.warnings)
+
+
+def test_declared_variable_count_is_capped():
+    # the v line lists every declared variable, so the header sets its size
+    assert parse_cnf(f"p cnf {MAX_VARS} 1\n1 0\n").wcnf.num_vars == MAX_VARS
+    for header in (f"p cnf {MAX_VARS + 1} 1", f"p wcnf {10 ** 23} 1 5"):
+        with pytest.raises(ParseError, match="line 1: .* cap of"):
+            parse_auto(header + "\n1 0\n")
 
 
 def test_parse_auto_dispatches_on_header():

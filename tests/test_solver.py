@@ -6,7 +6,7 @@ import pytest
 
 from labelmax import solver
 from labelmax.cli import run_pipeline
-from labelmax.engine import CdclSolver, SolveOutcome, encode
+from labelmax.engine import CdclSolver, encode
 from labelmax.lcnf_prep import preprocess_lcnf
 from labelmax.model import (LCNF, WCNF, MaxSatSolution, cost_of_labels,
                             lcnf_from_wcnf, reconstruct)
@@ -19,8 +19,8 @@ from support import (brute_force_lcnf_maxsat, induced_subformula,
                      unit_soft_formula, with_unit_pairs)
 
 
-def optimum(phi, algorithm, mode):
-    report = solve_lcnf(phi, algorithm, mode)
+def optimum(phi, mode):
+    report = solve_lcnf(phi, mode)
     assert report.status == "optimum"
     return report.solution
 
@@ -37,18 +37,14 @@ def assert_valid(phi, sol):
 
 
 def test_extract_core_maps_selectors_to_labels():
-    out = SolveOutcome("UNSAT", failed_assumptions=frozenset([11, 12]))
-    core = extract_core_labels(out, {11: 2, 12: 3})
+    core = extract_core_labels(frozenset([11, 12]), {11: 2, 12: 3})
     assert core == CoreLabels(frozenset([2, 3]))
-    single = SolveOutcome("UNSAT", failed_assumptions=frozenset([14]))
-    assert extract_core_labels(single, {14: 1}).labels == frozenset([1])
+    assert extract_core_labels([14], {14: 1}).labels == frozenset([1])
 
 
-def test_extract_core_rejects_sat_and_empty():
-    with pytest.raises(ValueError):
-        extract_core_labels(SolveOutcome("SAT", model={}), {})
+def test_extract_core_rejects_an_empty_core():
     with pytest.raises(RuntimeError):
-        extract_core_labels(SolveOutcome("UNSAT"), {11: 1})
+        extract_core_labels(frozenset(), {11: 1})
 
 
 # ---------------------------------------------------------------------------
@@ -60,14 +56,14 @@ def test_one_of_two_contradicting_units_falls(mode):
     f = WCNF()
     f.add_soft([1], 1)
     f.add_soft([-1], 1)
-    sol = optimum(lcnf_from_wcnf(f), "fumalik", mode)
+    sol = optimum(lcnf_from_wcnf(f), mode)
     assert sol.cost == 1
 
 
 @pytest.mark.parametrize("mode", ["noninc", "inc"])
 def test_unit_soft_formula_costs_two(mode):
     phi = lcnf_from_wcnf(unit_soft_formula())
-    sol = optimum(phi, "fumalik", mode)
+    sol = optimum(phi, mode)
     assert sol.cost == 2
     assert_valid(phi, sol)
 
@@ -75,7 +71,7 @@ def test_unit_soft_formula_costs_two(mode):
 @pytest.mark.parametrize("mode", ["noninc", "inc"])
 def test_labelled_example_costs_two(mode):
     phi = labelled_example()
-    sol = optimum(phi, "fumalik", mode)
+    sol = optimum(phi, mode)
     assert sol.cost == 2
     assert sol.falsified == frozenset([2, 3])  # the unique cheapest removal
     assert_valid(phi, sol)
@@ -86,7 +82,7 @@ def test_weighted_picks_cheaper_unit(mode):
     f = WCNF()
     f.add_soft([1], 2)
     f.add_soft([-1], 3)
-    sol = optimum(lcnf_from_wcnf(f), "wmsu1", mode)
+    sol = optimum(lcnf_from_wcnf(f), mode)
     assert sol.cost == 2
 
 
@@ -95,7 +91,7 @@ def test_two_disjoint_contradictions(mode):
     f = WCNF()
     for lits in [(1,), (-1,), (3,), (-3,)]:
         f.add_soft(lits, 1)
-    sol = optimum(lcnf_from_wcnf(f), "wmsu1", mode)
+    sol = optimum(lcnf_from_wcnf(f), mode)
     assert sol.cost == 2
 
 
@@ -104,7 +100,7 @@ def test_hard_clause_forces_expensive_loss(mode):
     f = WCNF()
     f.add_hard([-1])
     f.add_soft([1], 5)
-    sol = optimum(lcnf_from_wcnf(f), "wmsu1", mode)
+    sol = optimum(lcnf_from_wcnf(f), mode)
     assert sol.cost == 5
     assert sol.model[1] == 0
 
@@ -115,7 +111,7 @@ def test_hard_unsat_reported_before_any_core(mode):
     f.add_hard([1])
     f.add_hard([-1])
     f.add_soft([2], 1)
-    report = solve_lcnf(lcnf_from_wcnf(f), "wmsu1", mode)
+    report = solve_lcnf(lcnf_from_wcnf(f), mode)
     assert report.status == "unsat-hard"
     assert report.solution is None
     assert report.stats["iterations"] == 0
@@ -131,24 +127,18 @@ def test_weighted_split_shares_clause_between_labels():
     expect = brute_force_lcnf_maxsat(phi)
     assert expect.cost == 3  # removing {1, 3} beats removing {2}
     for mode in ("noninc", "inc"):
-        sol = optimum(phi, "wmsu1", mode)
+        sol = optimum(phi, mode)
         assert sol.cost == 3
         assert_valid(phi, sol)
-
-
-def test_fumalik_rejects_weighted_input():
-    f = WCNF()
-    f.add_soft([1], 2)
-    with pytest.raises(ValueError):
-        solve_lcnf(lcnf_from_wcnf(f), "fumalik")
 
 
 def test_unknown_mode_and_algorithm_rejected():
     phi = lcnf_from_wcnf(unit_soft_formula())
     with pytest.raises(ValueError):
         solve_lcnf(phi, mode="parallel")
-    with pytest.raises(ValueError):
-        solve_lcnf(phi, algorithm="wmsu3")
+    # one algorithm: the loop takes no choice of one
+    with pytest.raises(TypeError):
+        solve_lcnf(phi, algorithm="wmsu1")
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +152,7 @@ def test_random_wcnf_agreement(mode):
         phi = lcnf_from_wcnf(f)
         expect = brute_force_maxsat(f)
         assert expect is not None  # generator plants a hard-part model
-        sol = optimum(phi, "wmsu1", mode)
+        sol = optimum(phi, mode)
         assert sol.cost == expect.cost, seed
         assert_valid(phi, sol)
         assert f.cost_of(sol.model) == sol.cost, seed
@@ -173,7 +163,7 @@ def test_random_lcnf_agreement(mode):
     for seed in range(80):
         phi = random_lcnf(seed)
         expect = brute_force_lcnf_maxsat(phi)
-        sol = optimum(phi, "wmsu1", mode)
+        sol = optimum(phi, mode)
         assert sol.cost == expect.cost, seed
         assert_valid(phi, sol)
 
@@ -187,23 +177,22 @@ def test_many_labels_agree_with_and_without_preprocessing(mode):
                           max_labelset=5)
         assert 12 <= len(phi.labels()) <= 16, seed
         expect = brute_force_lcnf_maxsat(phi)
-        sol = optimum(phi, "wmsu1", mode)
+        sol = optimum(phi, mode)
         assert sol.cost == expect.cost, seed
         assert_valid(phi, sol)
         reduced, stack = preprocess_lcnf(phi)
-        red = optimum(reduced, "wmsu1", mode)
+        red = optimum(reduced, mode)
         assert red.cost == expect.cost, seed
         # the lifted model fits the input's hard and retained clauses
         tau = reconstruct(stack, red.model, removed=red.falsified)
         assert_valid(phi, MaxSatSolution(tau, red.cost, red.falsified))
 
 
-def test_unit_weight_instances_agree_across_algorithms():
+def test_unit_weight_instances_agree_across_modes():
     for seed in range(40):
         f = random_wcnf(seed, max_weight=1)
         phi = lcnf_from_wcnf(f)
-        costs = {optimum(phi, "fumalik", m).cost for m in ("noninc", "inc")}
-        costs |= {optimum(phi, "wmsu1", m).cost for m in ("noninc", "inc")}
+        costs = {optimum(phi, m).cost for m in ("noninc", "inc")}
         assert len(costs) == 1, seed
         assert costs.pop() == brute_force_maxsat(f).cost, seed
 
@@ -214,8 +203,8 @@ def test_unit_weight_instances_agree_across_algorithms():
 
 def test_incremental_mode_loads_clauses_once():
     phi = labelled_example()
-    noninc = solve_lcnf(phi, "wmsu1", "noninc")
-    inc = solve_lcnf(phi, "wmsu1", "inc")
+    noninc = solve_lcnf(phi, "noninc")
+    inc = solve_lcnf(phi, "inc")
     assert noninc.solution.cost == inc.solution.cost
     assert inc.stats["load_events"] == 1
     # the hard check, then one fresh solver per round: no round has free
@@ -424,7 +413,7 @@ def test_noninc_round_cores_are_disjoint_and_stay_cores(monkeypatch):
     def check(phi, expect):
         run.rounds.clear()
         relaxed.clear()
-        sol = optimum(phi, "wmsu1", "noninc")
+        sol = optimum(phi, "noninc")
         assert sol.cost == expect.cost
         for live, free, cores in run.rounds:
             for j, core in enumerate(cores):
@@ -488,7 +477,7 @@ def test_free_cores_agree_with_the_oracle(mode, clauses, weights, cost,
                weights)
     assert brute_force_lcnf_maxsat(phi).cost == cost
     lines = []
-    report = solve_lcnf(phi, "wmsu1", mode, trace=lines.append)
+    report = solve_lcnf(phi, mode, trace=lines.append)
     assert report.solution.cost == cost
     assert_valid(phi, report.solution)
     assert report.stats["free_cores"] == free
@@ -592,7 +581,7 @@ def _pinned_run(kind, seed, mode):
                           hard_fraction=0.1)
     else:
         phi = lcnf_from_wcnf(_soft_pigeons(seed, seed - 2))
-    report = solve_lcnf(phi, "wmsu1", mode)
+    report = solve_lcnf(phi, mode)
     crc = zlib.crc32(repr(sorted(report.solution.model.items())).encode())
     return report.solution.cost, report.stats, crc
 
@@ -636,8 +625,8 @@ def test_budget_tripping_inside_a_round_reports_unknown():
                  (-2, -4), (-2, -6), (-4, -6)]:
         f.add_soft(lits, 1)
     phi = lcnf_from_wcnf(f)
-    assert optimum(phi, "wmsu1", "noninc").cost == 2
-    report = solve_lcnf(phi, "wmsu1", "noninc", conflict_budget=0)
+    assert optimum(phi, "noninc").cost == 2
+    report = solve_lcnf(phi, "noninc", conflict_budget=0)
     assert report.status == "unknown" and report.solution is None
     st = report.stats
     # the hard check and one round: both loads counted, nothing relaxed
@@ -649,7 +638,7 @@ def test_budget_tripping_inside_a_round_reports_unknown():
 def test_trace_reports_monotone_lower_bound():
     for mode in ("noninc", "inc"):
         lines = []
-        report = solve_lcnf(labelled_example(), "wmsu1", mode,
+        report = solve_lcnf(labelled_example(), mode,
                             trace=lines.append)
         cores = [l for l in lines if l.startswith("iteration ")]
         assert len(cores) == report.stats["iterations"] >= 2
@@ -683,15 +672,13 @@ def test_trace_reports_monotone_lower_bound():
 
 def _stop_cases():
     """Random weighted and labelled formulas, seeds 0-99, unit weights
-    at odd seeds, each with its optimum from the oracle and the
-    algorithms that apply to it."""
+    at odd seeds, each with its optimum from the oracle."""
     for seed in range(100):
         w = 1 if seed % 2 else 4
         f = random_wcnf(seed, max_weight=w)
         phi = random_lcnf(seed, max_weight=w)
-        algs = ("wmsu1", "fumalik") if w == 1 else ("wmsu1",)
-        yield lcnf_from_wcnf(f), brute_force_maxsat(f).cost, algs
-        yield phi, brute_force_lcnf_maxsat(phi).cost, algs
+        yield lcnf_from_wcnf(f), brute_force_maxsat(f).cost
+        yield phi, brute_force_lcnf_maxsat(phi).cost
 
 
 def test_run_ends_in_the_first_round_whose_bound_meets_a_charge(
@@ -713,43 +700,40 @@ def test_run_ends_in_the_first_round_whose_bound_meets_a_charge(
         return sol
 
     monkeypatch.setattr(solver, "_certify", spy_certify)
-    seen = {"fumalik": 0, "hard check": 0, "closing model": 0,
-            "round with cores": 0}
-    for phi, cost, algs in _stop_cases():
-        for alg in algs:
-            for mode in ("noninc", "inc"):
-                events.clear()
-                report = solve_lcnf(
-                    phi, alg, mode,
-                    trace=lambda line: events.append(("line", line)))
-                assert report.solution.cost == cost
-                assert_valid(phi, report.solution)
-                charges = [x for kind, x in events if kind == "charge"]
-                assert events[0][0] == "charge"  # the hard check's model
-                assert min(charges) == cost
-                assert len(charges) <= 1 + report.stats["rounds"]
-                # the hard check at bound 0, then each round's bound,
-                # against the cheapest charge so far
-                meets, ub, last = [], None, None
-                for kind, x in events:
-                    if kind == "charge":
-                        ub = x if ub is None else min(ub, x)
-                        if not meets:
-                            meets.append(ub == 0)
-                        continue
-                    m = re.fullmatch(
-                        r"round \d+: (\d+) cores, lower bound (\d+)", x)
-                    if m:
-                        last, lb = map(int, m.groups())
-                        assert lb <= ub
-                        meets.append(lb == ub)
-                assert meets.index(True) == len(meets) - 1
-                assert len(meets) == 1 + report.stats["rounds"]
-                seen["fumalik"] += alg == "fumalik"
-                seen["hard check"] += charges[0] == cost
-                # a later model closed the gap in a round with cores
-                seen["closing model"] += charges[0] > cost and bool(last)
-                seen["round with cores"] += bool(last)
+    seen = {"hard check": 0, "closing model": 0, "round with cores": 0}
+    for phi, cost in _stop_cases():
+        for mode in ("noninc", "inc"):
+            events.clear()
+            report = solve_lcnf(
+                phi, mode,
+                trace=lambda line: events.append(("line", line)))
+            assert report.solution.cost == cost
+            assert_valid(phi, report.solution)
+            charges = [x for kind, x in events if kind == "charge"]
+            assert events[0][0] == "charge"  # the hard check's model
+            assert min(charges) == cost
+            assert len(charges) <= 1 + report.stats["rounds"]
+            # the hard check at bound 0, then each round's bound,
+            # against the cheapest charge so far
+            meets, ub, last = [], None, None
+            for kind, x in events:
+                if kind == "charge":
+                    ub = x if ub is None else min(ub, x)
+                    if not meets:
+                        meets.append(ub == 0)
+                    continue
+                m = re.fullmatch(
+                    r"round \d+: (\d+) cores, lower bound (\d+)", x)
+                if m:
+                    last, lb = map(int, m.groups())
+                    assert lb <= ub
+                    meets.append(lb == ub)
+            assert meets.index(True) == len(meets) - 1
+            assert len(meets) == 1 + report.stats["rounds"]
+            seen["hard check"] += charges[0] == cost
+            # a later model closed the gap in a round with cores
+            seen["closing model"] += charges[0] > cost and bool(last)
+            seen["round with cores"] += bool(last)
     assert min(seen.values()) >= 50, seen
 
 
@@ -762,7 +746,7 @@ def test_budget_exhaustion_reports_unknown():
                  (-2, -4), (-2, -6), (-4, -6)]:
         f.add_soft(lits, 1)
     phi = lcnf_from_wcnf(f)
-    report = solve_lcnf(phi, "wmsu1", "noninc", conflict_budget=0)
+    report = solve_lcnf(phi, "noninc", conflict_budget=0)
     assert report.status == "unknown"
     assert report.solution is None
 
@@ -783,7 +767,7 @@ def test_budget_exhaustion_counts_the_live_solver(mode, hard):
         add(lits)
     f.add_soft([7], 1)
     phi = lcnf_from_wcnf(f)
-    report = solve_lcnf(phi, "wmsu1", mode, conflict_budget=0)
+    report = solve_lcnf(phi, mode, conflict_budget=0)
     assert report.status == "unknown" and report.solution is None
     st = report.stats
     if hard:  # nothing but the hard check's solver and its one call
@@ -800,7 +784,7 @@ def test_budget_exhaustion_counts_the_live_solver(mode, hard):
 def test_all_hard_satisfiable_costs_zero():
     phi = LCNF(frozenset([lclause([1, 2]), lclause([-1])]), {})
     for mode in ("noninc", "inc"):
-        sol = optimum(phi, "wmsu1", mode)
+        sol = optimum(phi, mode)
         assert sol.cost == 0
         assert sol.falsified == frozenset()
         assert lcnf_satisfied(phi, sol.model)
@@ -857,7 +841,7 @@ def test_charge_of_a_model_falsifying_a_long_chain_of_overlapping_clauses():
     assert solver._certify(phi, tau, cover + 1).cost == cover
     phi, cover = _chain(60)
     for mode in ("noninc", "inc"):
-        sol = optimum(phi, "wmsu1", mode)
+        sol = optimum(phi, mode)
         assert sol.cost == cover
         assert_valid(phi, sol)
 
