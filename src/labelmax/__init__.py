@@ -1,7 +1,7 @@
 """labelmax: weighted partial MaxSAT with sound preprocessing.
 
-The pipeline: monotone (blocked) clause elimination on the weighted
-formula, resolution-style preprocessing on its labelled form, then a
+The pipeline: the weighted formula's labelled form, monotone (blocked)
+clause elimination and resolution-style preprocessing on it, then a
 core-guided search, with model reconstruction mapping the answer back to
 the original formula.
 """
@@ -21,8 +21,7 @@ from .model import (
     lcnf_from_wcnf,
     reconstruct,
 )
-from .bce import bce_fixpoint
-from .lcnf_prep import preprocess_lcnf
+from .lcnf_prep import bce_fixpoint, preprocess_lcnf
 from .reduction import lcnf_to_wcnf, lift_reduction_solution
 from .solver import SolveReport, solve_lcnf
 from .cli import PipelineError, run_pipeline

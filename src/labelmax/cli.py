@@ -1,10 +1,10 @@
 """Command-line front end.
 
-Wires the full pipeline: blocked-clause elimination on the weighted
-formula, lift to labelled form, resolution/subsumption preprocessing,
-core-guided optimisation, then model reconstruction back to the input
-formula.  The printed cost is always checked against the input before
-anything reaches stdout.
+Wires the full pipeline: lift to labelled form, blocked-clause
+elimination, resolution/subsumption preprocessing, core-guided
+optimisation, then model reconstruction back to the input formula.
+The printed cost is always checked against the input before anything
+reaches stdout.
 
 Exit codes: 0 optimum found, 20 hard part unsatisfiable, 1 anything
 else (parse or I/O error, a negative count, budget exhaustion, a weight
@@ -19,9 +19,9 @@ import json
 import sys
 from typing import Callable, Dict, List, NamedTuple, Optional
 
-from .bce import bce_fixpoint
-from .dimacs import ParseError, parse_auto, write_solution, write_wcnf
-from .lcnf_prep import dump_lcnf, preprocess_lcnf
+from .dimacs import (MAX_VARS, ParseError, parse_auto, write_solution,
+                     write_wcnf)
+from .lcnf_prep import bce_fixpoint, dump_lcnf, preprocess_lcnf
 from .model import (LCNF, LabelledClause, MaxSatSolution, Stack, WCNF,
                     clause_satisfied, lcnf_from_wcnf, reconstruct)
 from .reduction import lcnf_to_wcnf
@@ -47,25 +47,26 @@ class Preprocessed(NamedTuple):
 def _preprocess(f: WCNF, prep: str,
                 trace: Optional[Callable[[str], None]] = None
                 ) -> Preprocessed:
-    """The preprocessing sequence of ``solve`` and ``preprocess``: BCE
-    on the weighted formula, the lift to labelled form, then SUB/SSR/BVE;
-    ``prep`` names the steps that run."""
+    """The preprocessing sequence of ``solve`` and ``preprocess``: the
+    lift to labelled form, which labels soft clause i with i, then BCE
+    and SUB/SSR/BVE; ``prep`` names the steps that run."""
     if prep not in PREPS:
         raise ValueError(f"unknown prep {prep!r}")
     steps = prep.split(",")
+    phi = lcnf_from_wcnf(f)
     bce_rec: Stack = []
     if "bce" in steps:
-        f, bce_rec = bce_fixpoint(f)
+        phi, bce_rec = bce_fixpoint(phi)
         if trace:
             trace(f"bce: removed {len(bce_rec)} clauses")
-    phi = phi_rs = lcnf_from_wcnf(f)
     bve_rec: Stack = []
     if "rs" in steps:
-        phi_rs, bve_rec = preprocess_lcnf(phi)
+        size = phi.size()
+        phi, bve_rec = preprocess_lcnf(phi)
         if trace:
-            trace(f"rs: {phi.size()} -> {phi_rs.size()} clauses, "
+            trace(f"rs: {size} -> {phi.size()} clauses, "
                   f"{len(bve_rec)} variables eliminated")
-    return Preprocessed(bce_rec, phi_rs, bve_rec)
+    return Preprocessed(bce_rec, phi, bve_rec)
 
 
 def run_pipeline(f: WCNF, prep: str = "bce,rs", mode: str = "noninc",
@@ -92,7 +93,7 @@ def run_pipeline(f: WCNF, prep: str = "bce,rs", mode: str = "noninc",
     inner = report.solution
     assert inner is not None
     tau = bve_reconstruct(pre.bve_rec, inner.model, removed=inner.falsified)
-    tau = bce_reconstruct(pre.bce_rec, tau)
+    tau = bce_reconstruct(pre.bce_rec, tau, removed=inner.falsified)
     model = {v: tau.get(v, 0) for v in range(1, f.num_vars + 1)}
 
     falsified = frozenset(
@@ -178,6 +179,11 @@ def _cmd_preprocess(args: argparse.Namespace) -> int:
     sidecar_path = None
     if args.emit_wcnf:
         enc, selectors = lcnf_to_wcnf(phi)
+        # ``solve`` would refuse the emitted header, so nothing is written
+        if enc.num_vars > MAX_VARS:
+            raise ValueError(f"the emitted WCNF would declare "
+                             f"{enc.num_vars} variables, more than the "
+                             f"cap of {MAX_VARS}")
         text = write_wcnf(enc)
         sidecar_path = args.sidecar or (args.out and
                                         args.out + ".sidecar.json")

@@ -1,18 +1,24 @@
-"""Resolution-based preprocessing on labelled formulas.
+"""Clause elimination and resolution on labelled formulas.
 
-Labelled variable elimination, subsumption and self-subsuming resolution,
-all of which preserve the label-level MCSes of the input — and therefore
-the optimum of the weighted problem.  Each eliminated variable goes onto
-the reconstruction stack as ``StackEntry(x, clauses that mentioned x)``,
-and ``model.reconstruct`` undoes the eliminations per solution.
-``preprocess_lcnf`` runs at most ``MAX_ROUNDS`` rounds, and BVE never
-creates a clause with more than ``MAX_LABELSET`` labels.
+Blocked-clause elimination, labelled variable elimination, subsumption
+and self-subsuming resolution, all of which preserve the label-level
+MCSes of the input — and therefore the optimum of the weighted problem.
+BCE ignores labels: a clause blocked in a formula is blocked in every
+subformula that holds it, so it removes on the lifted formula exactly
+the clauses it removes on the weighted one.  Each removed clause C,
+blocked on l, goes onto the reconstruction stack as
+``StackEntry(|l|, {C})``, and each eliminated variable as
+``StackEntry(x, clauses that mentioned x)``; ``model.reconstruct``
+undoes both per solution.  ``preprocess_lcnf`` runs at most
+``MAX_ROUNDS`` rounds, and BVE never creates a clause with more than
+``MAX_LABELSET`` labels.
 
-``preprocess_lcnf`` drops the tautologies of its input on entry and
-records nothing for them: one holds under every assignment, so no lift
-needs it.  No pass makes one (SUB only removes clauses, SSR shortens a
-non-tautology, BVE adds only non-tautological resolvents), so the
-passes and their fast paths assume none.
+``bce_fixpoint`` and ``preprocess_lcnf`` drop the tautologies of their
+input on entry and record nothing for them: one holds under every
+assignment, so no lift needs it.  No pass makes one (BCE and SUB only
+remove clauses, SSR shortens a non-tautology, BVE adds only
+non-tautological resolvents), so the passes and their fast paths assume
+none.
 
 Weight entries of labels whose clauses disappear are deliberately kept in
 the weight map: downstream cost accounting may still mention them, and a
@@ -22,14 +28,15 @@ label without clauses can never be charged.
 from __future__ import annotations
 
 import heapq
-from collections import defaultdict
+from collections import defaultdict, deque
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
-from .model import LCNF, LabelledClause, Stack, StackEntry, is_tautology
+from .model import (ClauseT, LCNF, LabelledClause, Stack, StackEntry,
+                    is_tautology)
 
 __all__ = [
-    "l_resolve", "l_ve", "l_bve", "l_sub", "l_ssr", "preprocess_lcnf",
-    "dump_lcnf",
+    "is_blocked", "l_resolve", "l_ve", "l_bve", "l_sub", "l_ssr",
+    "bce_fixpoint", "preprocess_lcnf", "dump_lcnf",
 ]
 
 
@@ -41,6 +48,18 @@ MAX_LABELSET = 32
 
 # ---------------------------------------------------------------------------
 # atomic rules
+
+
+def is_blocked(f: Iterable[ClauseT], c: ClauseT, l: int) -> bool:
+    """True iff every resolvent of c on l with a clause of f is a
+    tautology; vacuously true when no clause of f contains -l."""
+    if l not in c:
+        raise ValueError(f"literal {l} not in clause {c}")
+    for other in f:
+        if -l in other and not is_tautology(
+                [q for q in c if q != l] + [q for q in other if q != -l]):
+            return False
+    return True
 
 
 def l_resolve(c1: LabelledClause, c2: LabelledClause, x: int) -> LabelledClause:
@@ -143,15 +162,17 @@ def l_ssr(phi: LCNF, c1: LabelledClause, c2: LabelledClause) -> LCNF:
 # ---------------------------------------------------------------------------
 # pass schedule
 #
-# The passes share one mutable clause store with per-literal occurrence
+# Every pass works on a mutable clause store with per-literal occurrence
 # lists (backward subsumption and strengthening as in Een & Biere, SAT
-# 2005).  On a formula without tautologies, each pass gives exactly the
+# 2005): BCE on one, and SUB, SSR and BVE on one they share.  On a
+# formula without tautologies, each of the three gives exactly the
 # clause set, and BVE exactly the record, of applying the rules above one
 # at a time in the order given in its docstring; the tests check this
 # against such a rule-by-rule schedule built from l_sub, l_ssr and l_bve.
 #
 # The per-pair tests use built-in set operations instead of building
 # clauses or sets per pair, and each is tested against its spec:
+# ``_blocking_literal`` decides blockedness as ``is_blocked`` does,
 # ``_ssr_partner`` decides a pair as ``l_ssr`` does, and
 # ``_new_resolvents`` decides an elimination as ``l_bve`` does and
 # returns what ``l_ve`` puts in place of x's clauses.
@@ -209,6 +230,83 @@ class _ClauseStore:
         """The members added at log position ``mark`` or later."""
         clauses = self.clauses
         return {c for c in self.log[mark:] if c in clauses}
+
+
+def _blocking_literal(store: _ClauseStore,
+                      c: LabelledClause) -> Optional[int]:
+    """The first literal of c on which ``is_blocked`` holds over the
+    store's clauses, or None; for c and the store without tautologies.
+
+    A resolvent with a non-tautological clause can only pair a literal
+    of c other than l with its complement, so it is tautological iff
+    that clause meets the complements of c minus l.
+    """
+    occ = store.occ
+    comp = None  # the complements of c, less -l while l is tried
+    for l in c.lits:
+        others = occ.get(-l)
+        if not others:
+            return l
+        if comp is None:
+            comp = {-q for q in c.lits}
+        comp.discard(-l)
+        for other in others:
+            if comp.isdisjoint(other.lits):
+                break
+        else:
+            return l
+        comp.add(-l)
+    return None
+
+
+def bce_fixpoint(phi: LCNF) -> Tuple[LCNF, Stack]:
+    """Drop tautologies, then remove blocked clauses to fixpoint.
+
+    Returns the reduced formula and the elimination record, one stack
+    entry per labelled clause removed, carrying that clause's labels.
+    Labels and weights play no part: copies of a clause under other
+    labels are blocked when it is.
+
+    The first sweep tests every clause; a later one tests the clauses
+    of a touched literal.  Removing C, blocked on l, takes a resolution
+    partner only from the clauses holding -q for another literal q of
+    C, so those literals are touched.  (Its resolvents on l were
+    tautologies, so no clause holding -l gains.)  A sweep tests its
+    clauses before it removes any, then removes those blocked in
+    ``sort_key`` order: removals only block more, so each is still
+    blocked on its literal.  The surviving clauses do not depend on the
+    order (confluence); the record does, and this one is a function of
+    the clause set alone.
+    """
+    store = _ClauseStore(c for c in phi.clauses if not is_tautology(c.lits))
+    record: Stack = []
+    touched: deque = deque()
+    queued: Set[int] = set()
+
+    def sweep(candidates: Iterable[LabelledClause]) -> None:
+        blocked = []
+        for c in candidates:
+            l = _blocking_literal(store, c)
+            if l is not None:
+                blocked.append((c.sort_key(), c, l))
+        # keys are distinct per clause, so the sort never compares clauses
+        blocked.sort()
+        for _, c, l in blocked:
+            store.remove(c)
+            record.append(StackEntry(abs(l), frozenset([c])))
+            for q in c.lits:
+                if q != l and -q not in queued:
+                    queued.add(-q)
+                    touched.append(-q)
+
+    sweep(store.clauses)
+    while touched:
+        m = touched.popleft()
+        queued.discard(m)
+        sweep(store.occ.get(m, ()))
+    if len(store.clauses) == phi.size():  # no tautology, nothing blocked
+        return phi, record
+    return LCNF(frozenset(store.clauses), dict(phi.label_weights)), record
 
 
 def _sub_fixpoint(store: _ClauseStore) -> None:

@@ -234,9 +234,9 @@ def cost_of_labels(phi: LCNF, labels: Iterable[int]) -> int:
 class StackEntry(NamedTuple):
     """One entry of a reconstruction stack (Järvisalo, Heule & Biere,
     "Inprocessing Rules", IJCAR 2012): a variable and the recorded
-    clauses that mention it.  BCE pushes ``(|l|, {C})`` for a clause C
-    blocked on l, with no labels; BVE pushes an eliminated variable with
-    every labelled clause it occurred in."""
+    clauses that mention it.  BCE pushes ``(|l|, {C})`` for a labelled
+    clause C blocked on l; BVE pushes an eliminated variable with every
+    labelled clause it occurred in."""
 
     var: int
     group: FrozenSet[LabelledClause]

@@ -207,9 +207,13 @@ def _min_cost_hitting_set(families: Iterable[FrozenSet[int]],
     fams = sorted({frozenset(f) for f in families},
                   key=lambda f: (len(f), sorted(f)))
     mins: List[FrozenSet[int]] = []
+    # kept families filed under their least label: a kept subset of f is
+    # filed under a label of f, so f meets only the kept families there
+    kept: Dict[int, List[FrozenSet[int]]] = {}
     for f in fams:
-        if not any(g <= f for g in mins):
+        if not any(g <= f for l in f for g in kept.get(l, ())):
             mins.append(f)
+            kept.setdefault(min(f), []).append(f)
     # union-find over labels; each component keeps the order of ``mins``
     parent: Dict[int, int] = {}
 

@@ -33,12 +33,11 @@ import time
 
 import pytest
 
-from labelmax.bce import bce_fixpoint
 from labelmax.cli import PREPS, run_pipeline
 from labelmax.dimacs import ParseError, parse_cnf, parse_wcnf, write_wcnf
-from labelmax.lcnf_prep import l_bve, l_ssr, l_sub
+from labelmax.lcnf_prep import bce_fixpoint, l_bve, l_ssr, l_sub
 from labelmax.model import (WCNF, clause, clause_satisfied, is_tautology,
-                            reconstruct)
+                            lcnf_from_wcnf, reconstruct)
 from labelmax.oracle import brute_force_maxsat, random_wcnf
 from labelmax.reduction import lcnf_to_wcnf
 from labelmax.solver import solve_lcnf
@@ -138,8 +137,10 @@ def bce_suite():
         f = WCNF(num_vars=nv)
         for c in clauses:
             f.add_soft(c, 1)
-        out_full, rec = bce_fixpoint(f)
-        survivors = set(out_full.hard + [c for c, _ in out_full.soft])
+        out_full, rec = bce_fixpoint(lcnf_from_wcnf(f))
+        # the clauses are distinct, so each survives under one label
+        reduced = sorted(c.lits for c in out_full.clauses)
+        survivors = set(reduced)
 
         # monotonicity on five random sub-formulas
         rng = random.Random(i)
@@ -148,15 +149,14 @@ def bce_suite():
             for c in clauses:
                 if rng.random() < 0.7:
                     sub.add_soft(c, 1)
-            out_sub, _ = bce_fixpoint(sub)
-            kept = out_sub.hard + [c for c, _ in out_sub.soft]
-            if not set(kept) <= survivors:
+            out_sub, _ = bce_fixpoint(lcnf_from_wcnf(sub))
+            kept = {c.lits for c in out_sub.clauses}
+            if not kept <= survivors:
                 failures.append(("monotonicity", i))
 
         # MUS preservation on the in-cap unsatisfiable inputs
         if len(clauses) <= 12 and truth_table_sat(clauses, nv) is None:
             unsat_cnfs.append((clauses, nv))
-            reduced = [c for c, _ in out_full.soft]
             mus_f = {frozenset(clauses[j - 1] for j in m)
                      for m in enumerate_mus(clauses, nv)}
             mus_r = {frozenset(reduced[j - 1] for j in m)
@@ -167,7 +167,6 @@ def bce_suite():
 
         # reconstruction lifts every optimal model of the reduced
         # formula to one of the input at the same falsified weight
-        reduced = [c for c, _ in out_full.soft]
         best_r = best_o = None
         optimal = []
         for bits in itertools.product((0, 1), repeat=nv):

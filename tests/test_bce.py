@@ -1,14 +1,18 @@
 """Blocked clause elimination: blockedness, fixpoint, reconstruction."""
 
 import random
+from collections import defaultdict
 
 from hypothesis import given, settings, strategies as st
 
-from labelmax.bce import _blocked_in, bce_fixpoint, is_blocked
-from labelmax.model import (WCNF, StackEntry, clause, clause_satisfied,
-                            is_tautology, reconstruct)
+from labelmax import lcnf_prep
+from labelmax.lcnf_prep import (_blocking_literal, _ClauseStore,
+                                bce_fixpoint, is_blocked)
+from labelmax.model import (LCNF, WCNF, StackEntry, clause, clause_satisfied,
+                            is_tautology, lcnf_from_wcnf, reconstruct)
 from labelmax.oracle import brute_force_maxsat, random_wcnf
-from support import enumerate_mus, lclause, truth_table_sat
+from support import (brute_force_lcnf_maxsat, enumerate_mus, lclause,
+                     truth_table_sat, tseitin_wcnf)
 
 
 def wcnf_of(soft_clauses, hard_clauses=(), weights=None):
@@ -20,9 +24,14 @@ def wcnf_of(soft_clauses, hard_clauses=(), weights=None):
     return f
 
 
-def entry(lits, blocking_lit):
+def entry(lits, blocking_lit, labels=()):
     """The stack entry of a clause BCE removed as blocked on a literal."""
-    return StackEntry(abs(blocking_lit), frozenset([lclause(lits)]))
+    return StackEntry(abs(blocking_lit), frozenset([lclause(lits, labels)]))
+
+
+def survivors(phi):
+    """The literal tuples of a labelled formula, one per clause, sorted."""
+    return sorted(c.lits for c in phi.clauses)
 
 
 def test_is_blocked_pure_literal():
@@ -42,24 +51,24 @@ def test_is_blocked_tautological_resolvent():
 
 def test_fixpoint_leaves_core_example_unchanged():
     # no literal of any clause is blocked here
-    f = wcnf_of([(1,), (-1,), (1, 2), (1, -2), (3,), (-3,)])
-    out, record = bce_fixpoint(f)
-    assert out.soft == f.soft
+    phi = lcnf_from_wcnf(wcnf_of([(1,), (-1,), (1, 2), (1, -2), (3,), (-3,)]))
+    out, record = bce_fixpoint(phi)
+    assert out == phi
     assert record == []
 
 
 def test_fixpoint_removes_pure_literal_clause_and_cascades():
     # (1 2) is blocked on pure 1; once it is gone, (-2) is pure too,
     # so the fixpoint eliminates everything
-    f = wcnf_of([(1, 2), (-2,)])
-    out, record = bce_fixpoint(f)
-    assert out.soft == []
-    assert record == [entry((1, 2), 1), entry((-2,), -2)]
+    out, record = bce_fixpoint(lcnf_from_wcnf(wcnf_of([(1, 2), (-2,)])))
+    assert survivors(out) == []
+    # each entry keeps its clause's labels: soft clause i carries {i}
+    assert record == [entry((1, 2), 1, {1}), entry((-2,), -2, {2})]
 
 
 def test_fixpoint_empty_formula():
-    out, record = bce_fixpoint(WCNF())
-    assert out.soft == [] and out.hard == []
+    out, record = bce_fixpoint(LCNF())
+    assert out == LCNF()
     assert record == []
 
 
@@ -67,24 +76,25 @@ def test_fixpoint_cascades():
     # removing (1 2) on pure 1 makes 2 pure in (-2 3)... 2 occurs only
     # negatively from the start; whole formula melts away
     f = wcnf_of([(1, 2), (-2, 3), (-3,)])
-    out, record = bce_fixpoint(f)
-    assert out.soft == []
+    out, record = bce_fixpoint(lcnf_from_wcnf(f))
+    assert survivors(out) == []
     assert len(record) == 3
 
 
 def test_fixpoint_removes_tautologies_first():
     # dropped on entry with no stack entry: no lift needs a tautology
     f = wcnf_of([(1, -1, 2), (2,), (-2,)], hard_clauses=[(3, -3)])
-    out, record = bce_fixpoint(f)
+    out, record = bce_fixpoint(lcnf_from_wcnf(f))
     assert record == []
-    assert out.hard == []
-    assert out.soft == [((2,), 1), ((-2,), 1)]
+    assert out.clauses == {lclause((2,), {2}), lclause((-2,), {3})}
+    # the dropped tautology's label keeps its weight entry
+    assert out.label_weights == {1: 1, 2: 1, 3: 1}
 
 
 def test_fixpoint_hard_clauses_eligible_by_default():
     f = wcnf_of([], hard_clauses=[(1, 2)])
-    out, record = bce_fixpoint(f)
-    assert out.hard == []
+    out, record = bce_fixpoint(lcnf_from_wcnf(f))
+    assert survivors(out) == []
     assert record == [entry((1, 2), 1)]
 
 
@@ -92,10 +102,60 @@ def test_duplicate_soft_occurrences_removed_together():
     f = WCNF()
     f.add_soft([1, 2], 3)
     f.add_soft([1, 2], 5)
-    out, record = bce_fixpoint(f)
-    assert out.soft == []
-    # one entry per distinct clause: lifting it satisfies every occurrence
-    assert record == [entry((1, 2), 1)]
+    out, record = bce_fixpoint(lcnf_from_wcnf(f))
+    assert survivors(out) == []
+    # one entry per labelled clause, in ``sort_key`` order
+    assert record == [entry((1, 2), 1, {1}), entry((1, 2), 1, {2})]
+
+
+def test_copies_under_labels_and_hard_are_removed_together():
+    # (1 2) as a hard clause and under labels 1 and 2: (-1 -2) makes
+    # every resolvent on 1 a tautology, so all three copies are blocked
+    f = wcnf_of([(1, 2), (1, 2)], hard_clauses=[(1, 2), (-1, -2)])
+    out, record = bce_fixpoint(lcnf_from_wcnf(f))
+    assert survivors(out) == []
+    assert record == [entry((-1, -2), -1), entry((1, 2), 1),
+                      entry((1, 2), 1, {1}), entry((1, 2), 1, {2})]
+    # with units -1 and -2 no copy is blocked, so all three stay
+    f = wcnf_of([(1, 2), (1, 2), (-1,), (-2,)], hard_clauses=[(1, 2)])
+    phi = lcnf_from_wcnf(f)
+    out, record = bce_fixpoint(phi)
+    assert out == phi
+    assert record == []
+
+
+class _ShuffledSet(set):
+    """A set that iterates in a fresh random order each time."""
+
+    rng = random.Random(0)
+
+    def __iter__(self):
+        items = list(set.__iter__(self))
+        self.rng.shuffle(items)
+        return iter(items)
+
+
+class _ShuffledStore(_ClauseStore):
+    def __init__(self, clauses):
+        super().__init__(())
+        self.clauses = _ShuffledSet()
+        self.occ = defaultdict(_ShuffledSet)
+        clauses = list(clauses)
+        _ShuffledSet.rng.shuffle(clauses)
+        for c in clauses:
+            self.add(c)
+
+
+def test_record_depends_on_the_clause_set_alone(monkeypatch):
+    # the order sets iterate in may differ between Python versions; the
+    # record must not
+    phis = [lcnf_from_wcnf(tseitin_wcnf(seed)) for seed in range(6)]
+    want = [bce_fixpoint(phi) for phi in phis]
+    assert sum(len(rec) for _, rec in want) >= 20
+    monkeypatch.setattr(lcnf_prep, "_ClauseStore", _ShuffledStore)
+    for phi, expect in zip(phis, want):
+        for _ in range(3):
+            assert bce_fixpoint(phi) == expect
 
 
 def test_reconstruct_flips_blocking_literal():
@@ -140,11 +200,12 @@ def reference_bce(f, order_seed):
 def test_confluence_on_random_instances():
     for seed in range(40):
         f = random_wcnf(seed, nvars=8, nclauses=14, hard_fraction=0.25)
-        base, _ = bce_fixpoint(f)
+        phi = lcnf_from_wcnf(f)
+        base, _ = bce_fixpoint(phi)
         for order_seed in (1, 2, 3):
             left = reference_bce(f, order_seed)
-            assert base.hard == [c for c in f.hard if c in left]
-            assert base.soft == [(c, w) for c, w in f.soft if c in left]
+            # every labelled copy of a surviving clause survives
+            assert base.clauses == {c for c in phi.clauses if c.lits in left}
 
 
 def test_monotonicity_on_random_instances():
@@ -156,10 +217,9 @@ def test_monotonicity_on_random_instances():
         sub.hard = list(f.hard)
         sub.soft = [f.soft[i] for i in keep]
         # survivors of the sub-formula must survive in the super-formula
-        out_sub, _ = bce_fixpoint(sub)
-        out_full, _ = bce_fixpoint(f)
-        assert set(out_sub.hard + [c for c, _ in out_sub.soft]) <= \
-            set(out_full.hard + [c for c, _ in out_full.soft])
+        out_sub, _ = bce_fixpoint(lcnf_from_wcnf(sub))
+        out_full, _ = bce_fixpoint(lcnf_from_wcnf(f))
+        assert set(survivors(out_sub)) <= set(survivors(out_full))
 
 
 def test_mus_preservation_on_random_unsat_instances():
@@ -169,8 +229,8 @@ def test_mus_preservation_on_random_unsat_instances():
         clauses = [c for c, _ in f.soft]
         if truth_table_sat(clauses, f.num_vars) is not None:
             continue
-        reduced, _ = bce_fixpoint(f)
-        kept = [c for c, _ in reduced.soft]
+        reduced, _ = bce_fixpoint(lcnf_from_wcnf(f))
+        kept = survivors(reduced)
         before = {frozenset(clauses[i - 1] for i in m)
                   for m in enumerate_mus(clauses, f.num_vars)}
         after = {frozenset(kept[i - 1] for i in m)
@@ -184,14 +244,14 @@ def test_cost_preservation_and_lift():
     for seed in range(120):
         f = random_wcnf(seed, nvars=7, nclauses=12, hard_fraction=0.3)
         base = brute_force_maxsat(f)
-        reduced, record = bce_fixpoint(f)
-        after = brute_force_maxsat(reduced)
+        reduced, record = bce_fixpoint(lcnf_from_wcnf(f))
+        after = brute_force_lcnf_maxsat(reduced)
         if base is None:
             assert after is None
             continue
         assert after is not None
         assert after.cost == base.cost, seed
-        lifted = reconstruct(record, after.model)
+        lifted = reconstruct(record, after.model, removed=after.falsified)
         # the lift keeps all hard clauses and the exact optimal cost
         for c in f.hard:
             assert clause_satisfied(c, lifted)
@@ -206,11 +266,12 @@ CLAUSES = st.lists(st.sets(st.integers(-5, 5).filter(bool), max_size=4),
 @given(CLAUSES, CLAUSES)
 def test_fast_blocked_test_matches_is_blocked(hard, soft):
     # blockedness is asked after the tautology sweep
-    f = wcnf_of([sorted(c) for c in soft], [sorted(c) for c in hard])
-    formula = {c for c in f.hard + [c for c, _ in f.soft]
-               if not is_tautology(c)}
-    for c in formula:
-        for l in c:
-            others = [o for o in formula if -l in o]
-            assert (_blocked_in(c, l, others)
-                    == is_blocked(formula, c, l)), (c, l)
+    phi = lcnf_from_wcnf(wcnf_of([sorted(c) for c in soft],
+                                 [sorted(c) for c in hard]))
+    live = [c for c in phi.clauses if not is_tautology(c.lits)]
+    store = _ClauseStore(live)
+    formula = {c.lits for c in live}
+    for c in live:
+        first = next((l for l in c.lits if is_blocked(formula, c.lits, l)),
+                     None)
+        assert _blocking_literal(store, c) == first, c

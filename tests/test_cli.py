@@ -8,10 +8,9 @@ import pytest
 
 import labelmax
 from labelmax import cli, solver
-from labelmax.bce import bce_fixpoint
 from labelmax.cli import PREPS, PipelineError, main, run_pipeline
 from labelmax.dimacs import parse_wcnf, write_wcnf
-from labelmax.lcnf_prep import preprocess_lcnf
+from labelmax.lcnf_prep import bce_fixpoint, preprocess_lcnf
 from labelmax.model import (WCNF, MaxSatSolution, StackEntry,
                             clause_satisfied, is_tautology, lcnf_from_wcnf,
                             reconstruct)
@@ -146,8 +145,8 @@ def test_pipeline_cost_independent_of_flags_on_random_instances():
     assert free >= 100, free
     # each preprocessor drops them on entry, with no stack entry
     for f in tautological:
-        out, record = bce_fixpoint(f)
-        assert not any(map(is_tautology, out.hard + [c for c, _ in out.soft]))
+        out, record = bce_fixpoint(lcnf_from_wcnf(f))
+        assert not any(is_tautology(c.lits) for c in out.clauses)
         assert not any(is_tautology(c.lits) for e in record for c in e.group)
         out, _ = preprocess_lcnf(lcnf_from_wcnf(f))
         assert not any(is_tautology(c.lits) for c in out.clauses)
@@ -378,7 +377,8 @@ def _unfit_lift(stack, tau, removed=frozenset()):
 INTERNAL_FAULTS = {
     # the lifted model sets every variable false, which falsifies the
     # hard clause (1 2)
-    "verify": (cli, "bce_reconstruct", lambda record, tau: {},
+    "verify": (cli, "bce_reconstruct",
+               lambda record, tau, removed=frozenset(): {},
                "p wcnf 2 2 5\n5 1 2 0\n1 -1 0\n",
                "falsifies hard clause (1, 2)"),
     "lift": (cli, "bve_reconstruct", _unfit_lift,
@@ -497,6 +497,52 @@ def test_preprocess_emit_wcnf_stdout(tmp_path, capsys):
     assert main(["preprocess", "--emit-wcnf", str(path)]) == 0
     out = capsys.readouterr().out
     assert out.startswith("p wcnf ")
+
+
+def test_preprocess_labels_are_the_input_soft_clause_numbers(tmp_path,
+                                                             capsys):
+    # BCE removes soft clause 1, (3), on its pure literal; the others
+    # keep their numbers 2 and 3, as under every other prep
+    path = tmp_path / "in.wcnf"
+    path.write_text("p wcnf 3 3 100\n2 3 0\n5 1 0\n7 -1 0\n")
+    weights = ["c w 1 2", "c w 2 5", "c w 3 7"]
+    assert main(["preprocess", "--prep=bce", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "c bce removed 1", "c bve eliminated 0", *weights,
+        "1 | 2", "-1 | 3"]
+    for prep in ("none", "rs", "bce,rs"):
+        assert main(["preprocess", f"--prep={prep}", str(path)]) == 0
+        assert capsys.readouterr().out.splitlines()[2:5] == weights
+    out_path = tmp_path / "enc.wcnf"
+    assert main(["preprocess", "--prep=bce", "--emit-wcnf", "--out",
+                 str(out_path), str(path)]) == 0
+    sidecar = json.loads((tmp_path / "enc.wcnf.sidecar.json").read_text())
+    assert list(sidecar["selectors"]) == ["2", "3"]
+    assert sidecar["stack"] == [
+        {"var": 3, "group": [{"lits": [3], "labels": [1]}]}]
+
+
+@pytest.mark.parametrize("declared,ok", [(999_998, True), (1_000_000, False)])
+def test_preprocess_refuses_to_emit_a_header_above_the_cap(tmp_path, capsys,
+                                                          declared, ok):
+    # two selectors above the highest variable: at 1,000,000 the emitted
+    # header would declare 1,000,002, which solve refuses to read
+    path, out_path = tmp_path / "in.wcnf", tmp_path / "enc.wcnf"
+    path.write_text(f"p wcnf {declared} 3 10\n10 {declared} 0\n"
+                    f"3 -{declared} 2 0\n2 -2 0\n")
+    code = main(["preprocess", "--prep=none", "--emit-wcnf", "--out",
+                 str(out_path), str(path)])
+    captured = capsys.readouterr()
+    if ok:
+        assert code == 0
+        # at the cap: solve reads it
+        assert parse_wcnf(out_path.read_text()).wcnf.num_vars == 1_000_000
+        return
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == ("error: the emitted WCNF would declare 1000002 "
+                            "variables, more than the cap of 1000000\n")
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def unit_pairs_wcnf(seed, pairs=12):

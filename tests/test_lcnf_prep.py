@@ -5,10 +5,9 @@ from collections import Counter
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from labelmax.bce import bce_fixpoint
 from labelmax.lcnf_prep import (MAX_LABELSET, MAX_ROUNDS, _bve_sweep,
                                 _ClauseStore, _new_resolvents, _ssr_fixpoint,
-                                _ssr_partner, _sub_fixpoint,
+                                _ssr_partner, _sub_fixpoint, bce_fixpoint,
                                 dump_lcnf, l_bve, l_resolve, l_ssr, l_sub,
                                 l_ve, preprocess_lcnf)
 from labelmax.model import (LCNF, LabelledClause, StackEntry,
@@ -484,7 +483,7 @@ def test_passes_match_reference_on_circuits_and_pigeonholes(config):
     for seed in range(6):
         f = tseitin_wcnf(seed)
         assert_matches_reference(lcnf_from_wcnf(f), config)
-        assert_matches_reference(lcnf_from_wcnf(bce_fixpoint(f)[0]), config)
+        assert_matches_reference(bce_fixpoint(lcnf_from_wcnf(f))[0], config)
     for seed, (holes, surplus) in enumerate([(3, 1), (3, 2), (4, 1)]):
         assert_matches_reference(lcnf_from_wcnf(pigeon_wcnf(seed, holes,
                                                             surplus)),
@@ -652,8 +651,10 @@ def prep_digest(f):
     """SHA-256 over the BCE record, and the sorted clauses and BVE record
     of preprocess_lcnf before and after BCE."""
     h = hashlib.sha256()
-    h.update(record_repr(bce_fixpoint(f)[1]).encode())
-    for phi in (lcnf_from_wcnf(f), lcnf_from_wcnf(bce_fixpoint(f)[0])):
+    lifted = lcnf_from_wcnf(f)
+    reduced, record = bce_fixpoint(lifted)
+    h.update(record_repr(record).encode())
+    for phi in (lifted, reduced):
         out, rec = preprocess_lcnf(phi)
         h.update(repr(out.sorted_clauses()).encode())
         h.update(record_repr(rec).encode())
@@ -663,20 +664,24 @@ def prep_digest(f):
 # recorded with the passes before their fast paths, again when the BCE
 # record of a since removed hard-clause-keeping mode left the digest, the
 # first two again when BVE came to count resolvent pairs in place of new
-# clauses, and the tseitin ones again when the BCE record became stack
-# entries, one per distinct clause (its BVE half unchanged); each case
-# keeps the id it was first pinned under: (id digest, instance, digest)
+# clauses, the tseitin ones again when the BCE record became stack
+# entries, one per distinct clause (its BVE half unchanged), and five of
+# them again when BCE moved onto the labelled formula: its record took
+# the new pass's order, and the labels after BCE became the input's
+# soft-clause numbers (the clauses and BVE's choices unchanged, up to
+# that renumbering); each case keeps the id it was first pinned under:
+# (id digest, instance, digest)
 PINNED_DIGESTS = [
     ("130c6d4ee70a6748", lambda: tseitin_wcnf(0), "7706229b245d2dac"),
-    ("704a4e1e3772c08c", lambda: tseitin_wcnf(1), "a862c9bdbeaa036f"),
-    ("2c49643ad6a56b00", lambda: tseitin_wcnf(2), "e4bff9438afa09b3"),
+    ("704a4e1e3772c08c", lambda: tseitin_wcnf(1), "4abe184b7dfa4534"),
+    ("2c49643ad6a56b00", lambda: tseitin_wcnf(2), "ca4aea5cb1e0e270"),
     ("fc245bb8794472ea", lambda: tseitin_wcnf(3), "423cbc62012fd843"),
-    ("a3bd3f57de0f4c3d", lambda: tseitin_wcnf(4), "2f3db62e232856af"),
+    ("a3bd3f57de0f4c3d", lambda: tseitin_wcnf(4), "44c47c37181c9cf1"),
     ("ebc84a2ba21771a4", lambda: tseitin_wcnf(5), "2dfc3890cc323726"),
     ("fc0d2dd8bea70953", lambda: tseitin_wcnf(0, 8, 30),
-     "18ead1771a764410"),
+     "a248afbe992c8feb"),
     ("554dbafc69b7d0ed", lambda: tseitin_wcnf(1, 8, 30),
-     "8fb971901c4ccef8"),
+     "4f04beab19d836d6"),
     ("f8d02515c60729dd", lambda: tseitin_wcnf(2, 8, 30),
      "451d4739acfe28c2"),
     ("6ef2b1bbaf4f7348", lambda: pigeon_wcnf(0, 3, 1),

@@ -1,5 +1,6 @@
 import random
 import re
+import time
 import zlib
 
 import pytest
@@ -810,6 +811,18 @@ def test_min_cost_hitting_set_is_cheapest_on_random_families():
         assert _min_cost_hitting_set(fams, weights, best) is None, seed
         hit = _min_cost_hitting_set(fams, weights, best + 1)
         assert sum(weights[l] for l in hit) == best, seed
+
+
+def test_min_cost_hitting_set_of_disjoint_families_takes_linear_time():
+    # a family is compared only with kept families that share a label
+    # with it, so disjoint ones take linear time
+    fams = [frozenset([2 * i + 1, 2 * i + 2]) for i in range(10_000)]
+    weights = {l: 1 for l in range(1, 20_001)}
+    start = time.process_time()
+    hit = _min_cost_hitting_set(fams, weights)
+    elapsed = time.process_time() - start
+    assert hit == frozenset(range(1, 20_001, 2))
+    assert elapsed < 0.5, f"{elapsed:.2f} s of CPU time"
 
 
 def _chain(n):
