@@ -6,16 +6,14 @@ scheme is quadratic but core sizes here are small.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import FrozenSet, List, Sequence
+from typing import FrozenSet, List, NamedTuple, Sequence
 
 from .model import ClauseT, clause
 
 __all__ = ["Equals1Encoding", "encode_equals1"]
 
 
-@dataclass(frozen=True)
-class Equals1Encoding:
+class Equals1Encoding(NamedTuple):
     clauses: FrozenSet[ClauseT]
 
 

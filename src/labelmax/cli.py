@@ -15,7 +15,6 @@ command-line usage error, with argparse's usage block.
 
 import argparse
 import functools
-import json
 import sys
 from typing import Callable, Dict, List, NamedTuple, Optional
 
@@ -201,6 +200,7 @@ def _cmd_preprocess(args: argparse.Namespace) -> int:
     else:
         sys.stdout.write(text)
     if sidecar_path:
+        import json  # loaded only to write a sidecar
         with open(sidecar_path, "w") as fh:
             json.dump(_sidecar_payload(f, bce_rec + bve_rec, selectors),
                       fh, indent=1)

@@ -24,8 +24,7 @@ Output follows the usual evaluation convention: ``o <cost>``, then an
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from .model import MaxSatSolution, WCNF, clause
 
@@ -40,10 +39,9 @@ class ParseError(ValueError):
         self.line_no = line_no
 
 
-@dataclass
-class ParsedInstance:
+class ParsedInstance(NamedTuple):
     wcnf: WCNF  # num_vars is the header's variable count
-    warnings: List[str] = field(default_factory=list)
+    warnings: List[str]
 
 
 def _int_tokens(tokens: List[str], line_no: int) -> List[int]:
@@ -106,8 +104,8 @@ def _parse(text: str, fmt: Optional[str]) -> ParsedInstance:
     if top is not None and top < 1:
         raise ParseError(line_no, f"top weight must be >= 1, got {top}")
 
-    inst = ParsedInstance(WCNF(num_vars=nv))
-    f = inst.wcnf
+    f = WCNF(num_vars=nv)
+    warnings: List[str] = []
     clause_lines = 0
     for line_no, line in lines:
         nums = _int_tokens(line.split(), line_no)
@@ -134,13 +132,13 @@ def _parse(text: str, fmt: Optional[str]) -> ParsedInstance:
             f.add_soft(lits, w)
         clause_lines += 1
     if clause_lines != nc:
-        inst.warnings.append(
+        warnings.append(
             f"header declares {nc} clauses, file contains {clause_lines}")
     if top is not None and f.soft and f.soft_weight_sum() >= top:
-        inst.warnings.append(
+        warnings.append(
             f"top {top} does not exceed the soft weight sum "
             f"{f.soft_weight_sum()}")
-    return inst
+    return ParsedInstance(f, warnings)
 
 
 def parse_cnf(text: str) -> ParsedInstance:

@@ -41,9 +41,9 @@ The behaviour is fully deterministic for a fixed add/solve history.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import (Dict, FrozenSet, Iterable, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 from .model import Assignment
 
@@ -61,8 +61,7 @@ class BudgetExceededError(RuntimeError):
     """Conflict budget exhausted before an answer was reached."""
 
 
-@dataclass
-class SolveOutcome:
+class SolveOutcome(NamedTuple):
     status: str  # "SAT" | "UNSAT"
     model: Optional[Assignment] = None
     failed_assumptions: FrozenSet[int] = frozenset()

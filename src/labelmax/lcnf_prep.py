@@ -172,7 +172,7 @@ def l_ssr(phi: LCNF, c1: LabelledClause, c2: LabelledClause) -> LCNF:
 #
 # The per-pair tests use built-in set operations instead of building
 # clauses or sets per pair, and each is tested against its spec:
-# ``_blocking_literal`` decides blockedness as ``is_blocked`` does,
+# ``_blocked_on`` decides blockedness as ``is_blocked`` does,
 # ``_ssr_partner`` decides a pair as ``l_ssr`` does, and
 # ``_new_resolvents`` decides an elimination as ``l_bve`` does and
 # returns what ``l_ve`` puts in place of x's clauses.
@@ -232,31 +232,21 @@ class _ClauseStore:
         return {c for c in self.log[mark:] if c in clauses}
 
 
-def _blocking_literal(store: _ClauseStore,
-                      c: LabelledClause) -> Optional[int]:
-    """The first literal of c on which ``is_blocked`` holds over the
-    store's clauses, or None; for c and the store without tautologies.
+def _blocked_on(store: _ClauseStore, c: LabelledClause, l: int) -> bool:
+    """Whether ``is_blocked`` holds for c on its literal l over the
+    store's clauses; for c and the store without tautologies.
 
     A resolvent with a non-tautological clause can only pair a literal
     of c other than l with its complement, so it is tautological iff
     that clause meets the complements of c minus l.
     """
-    occ = store.occ
-    comp = None  # the complements of c, less -l while l is tried
-    for l in c.lits:
-        others = occ.get(-l)
-        if not others:
-            return l
-        if comp is None:
-            comp = {-q for q in c.lits}
-        comp.discard(-l)
+    others = store.occ.get(-l)
+    if others:
+        comp = {-q for q in c.lits if q != l}
         for other in others:
             if comp.isdisjoint(other.lits):
-                break
-        else:
-            return l
-        comp.add(-l)
-    return None
+                return False
+    return True
 
 
 def bce_fixpoint(phi: LCNF) -> Tuple[LCNF, Stack]:
@@ -267,28 +257,31 @@ def bce_fixpoint(phi: LCNF) -> Tuple[LCNF, Stack]:
     Labels and weights play no part: copies of a clause under other
     labels are blocked when it is.
 
-    The first sweep tests every clause; a later one tests the clauses
-    of a touched literal.  Removing C, blocked on l, takes a resolution
-    partner only from the clauses holding -q for another literal q of
-    C, so those literals are touched.  (Its resolvents on l were
-    tautologies, so no clause holding -l gains.)  A sweep tests its
-    clauses before it removes any, then removes those blocked in
-    ``sort_key`` order: removals only block more, so each is still
-    blocked on its literal.  The surviving clauses do not depend on the
-    order (confluence); the record does, and this one is a function of
-    the clause set alone.
+    The first sweep tests every clause on its literals in turn and
+    takes the first that blocks it.  Removing C, blocked on l, takes a
+    resolution partner only from the clauses holding -q for another
+    literal q of C (its resolvents on l were tautologies, so no clause
+    holding -l gains), and only their test on -q can change.  So -q is
+    touched, and a later sweep tests the clauses of a touched literal
+    on that literal alone.  A sweep tests its clauses before it removes
+    any, then removes those blocked in ``sort_key`` order: removals only
+    block more, so each is still blocked on its literal.  The surviving
+    clauses do not depend on the order (confluence); the record does,
+    and this one is a function of the clause set alone.
     """
     store = _ClauseStore(c for c in phi.clauses if not is_tautology(c.lits))
     record: Stack = []
     touched: deque = deque()
     queued: Set[int] = set()
 
-    def sweep(candidates: Iterable[LabelledClause]) -> None:
+    def sweep(candidates: Iterable[LabelledClause],
+              m: Optional[int] = None) -> None:
         blocked = []
         for c in candidates:
-            l = _blocking_literal(store, c)
-            if l is not None:
-                blocked.append((c.sort_key(), c, l))
+            for l in (c.lits if m is None else (m,)):
+                if _blocked_on(store, c, l):
+                    blocked.append((c.sort_key(), c, l))
+                    break
         # keys are distinct per clause, so the sort never compares clauses
         blocked.sort()
         for _, c, l in blocked:
@@ -303,7 +296,7 @@ def bce_fixpoint(phi: LCNF) -> Tuple[LCNF, Stack]:
     while touched:
         m = touched.popleft()
         queued.discard(m)
-        sweep(store.occ.get(m, ()))
+        sweep(store.occ.get(m, ()), m)
     if len(store.clauses) == phi.size():  # no tautology, nothing blocked
         return phi, record
     return LCNF(frozenset(store.clauses), dict(phi.label_weights)), record

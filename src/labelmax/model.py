@@ -21,7 +21,6 @@ Two formula representations live here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import (Dict, FrozenSet, Iterable, List, NamedTuple, Optional,
                     Sequence, Set, Tuple)
 
@@ -94,17 +93,27 @@ def clause_satisfied(c: Sequence[int], tau: Assignment) -> bool:
 # WCNF
 
 
-@dataclass
 class WCNF:
     """Weighted partial CNF.  ``soft[i-1]`` is soft clause *i* (1-based)."""
 
-    hard: List[ClauseT] = field(default_factory=list)
-    soft: List[Tuple[ClauseT, int]] = field(default_factory=list)
-    num_vars: int = 0
-    # ``hard`` and its members as a set, for add_hard's duplicate test;
-    # rebuilt when ``hard`` was replaced or changed elsewhere
-    _hard_index: Optional[Tuple[List[ClauseT], Set[ClauseT]]] = field(
-        default=None, init=False, repr=False, compare=False)
+    def __init__(self, hard: Optional[List[ClauseT]] = None,
+                 soft: Optional[List[Tuple[ClauseT, int]]] = None,
+                 num_vars: int = 0) -> None:
+        self.hard = [] if hard is None else hard
+        self.soft = [] if soft is None else soft
+        self.num_vars = num_vars
+        # ``hard`` and its members as a set, for add_hard's duplicate
+        # test; rebuilt when ``hard`` was replaced or changed elsewhere
+        self._hard_index: Optional[Tuple[List[ClauseT], Set[ClauseT]]] = None
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.hard, self.soft, self.num_vars)
+                == (other.hard, other.soft, other.num_vars))
+
+    def __repr__(self) -> str:
+        return f"WCNF({self.hard!r}, {self.soft!r}, {self.num_vars!r})"
 
     def add_hard(self, lits: Iterable[int]) -> None:
         c = clause(lits)
@@ -169,23 +178,30 @@ class LabelledClause(NamedTuple):
         return f"<{body}>^{{{tags}}}"
 
 
-@dataclass
 class LCNF:
     """Set of labelled clauses plus a weight for every label in use.
 
     Treated as immutable: transformation functions return new instances.
     """
 
-    clauses: FrozenSet[LabelledClause] = frozenset()
-    label_weights: Dict[int, int] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "clauses", frozenset(self.clauses))
+    def __init__(self, clauses: Iterable[LabelledClause] = frozenset(),
+                 label_weights: Optional[Dict[int, int]] = None) -> None:
+        self.clauses: FrozenSet[LabelledClause] = frozenset(clauses)
+        self.label_weights = {} if label_weights is None else label_weights
         missing = self.labels() - set(self.label_weights)
         if missing:
             raise ValueError(f"labels without a weight entry: {sorted(missing)}")
         for l, w in self.label_weights.items():
             check_weight(w)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.clauses, self.label_weights)
+                == (other.clauses, other.label_weights))
+
+    def __repr__(self) -> str:
+        return f"LCNF({self.clauses!r}, {self.label_weights!r})"
 
     def labels(self) -> FrozenSet[int]:
         """Union of all label sets (labels actually constraining clauses)."""
@@ -277,8 +293,7 @@ def reconstruct(stack: Stack, tau: Assignment,
 # solutions
 
 
-@dataclass
-class MaxSatSolution:
+class MaxSatSolution(NamedTuple):
     """Optimum report: a model, its cost, and what was given up.
 
     ``falsified`` holds 1-based soft indices when solving a WCNF and

@@ -64,10 +64,9 @@ bound, or such a round that leaves a gap, is an internal error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import count
-from typing import (Callable, Dict, FrozenSet, Iterable, List, Optional, Set,
-                    Tuple)
+from typing import (Callable, Dict, FrozenSet, Iterable, List, NamedTuple,
+                    Optional, Set, Tuple)
 
 from .cardinality import encode_equals1
 from .engine import BudgetExceededError, CdclSolver, Encoded, encode
@@ -82,8 +81,7 @@ __all__ = [
 MODES = ("noninc", "inc")
 
 
-@dataclass(frozen=True)
-class CoreLabels:
+class CoreLabels(NamedTuple):
     labels: FrozenSet[int]
 
 
@@ -93,8 +91,7 @@ Working = Dict[LabelledClause, Encoded]
 Empty = Dict[LabelledClause, None]
 
 
-@dataclass
-class SolveReport:
+class SolveReport(NamedTuple):
     status: str  # optimum | unsat-hard | unknown
     solution: Optional[MaxSatSolution]
     stats: Dict[str, int]

@@ -6,8 +6,8 @@ from collections import defaultdict
 from hypothesis import given, settings, strategies as st
 
 from labelmax import lcnf_prep
-from labelmax.lcnf_prep import (_blocking_literal, _ClauseStore,
-                                bce_fixpoint, is_blocked)
+from labelmax.lcnf_prep import (_blocked_on, _ClauseStore, bce_fixpoint,
+                                is_blocked)
 from labelmax.model import (LCNF, WCNF, StackEntry, clause, clause_satisfied,
                             is_tautology, lcnf_from_wcnf, reconstruct)
 from labelmax.oracle import brute_force_maxsat, random_wcnf
@@ -272,6 +272,6 @@ def test_fast_blocked_test_matches_is_blocked(hard, soft):
     store = _ClauseStore(live)
     formula = {c.lits for c in live}
     for c in live:
-        first = next((l for l in c.lits if is_blocked(formula, c.lits, l)),
-                     None)
-        assert _blocking_literal(store, c) == first, c
+        for l in c.lits:
+            assert (_blocked_on(store, c, l)
+                    == is_blocked(formula, c.lits, l)), (c, l)

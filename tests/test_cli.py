@@ -654,16 +654,21 @@ def test_importing_the_cli_does_not_load_numpy():
     assert out.stdout.strip() == "False"
 
 
-def test_importing_the_cli_does_not_load_the_oracle():
-    """Only ``oracle`` and ``fuzz`` use the brute-force oracle; ``solve``
-    should not pay for compiling or loading it in a fresh interpreter."""
-    code = ("import sys, labelmax.cli; "
-            "print('labelmax.oracle' in sys.modules)")
+def test_importing_the_cli_loads_only_what_solve_needs():
+    """``solve`` runs in a fresh interpreter per input, so its import
+    should not pay for modules it never uses: ``dataclasses`` (and with
+    it ``inspect``), ``json``, which only ``preprocess``'s sidecar
+    needs, or the brute-force oracle of ``oracle`` and ``fuzz``."""
+    code = ("import sys; before = set(sys.modules); import labelmax.cli; "
+            "print(*sorted(set(sys.modules) - before))")
     src = os.path.dirname(os.path.dirname(labelmax.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=env)
-    assert out.stdout.strip() == "False"
+    loaded = set(out.stdout.split())
+    assert "labelmax.cli" in loaded
+    unused = {"dataclasses", "inspect", "json", "labelmax.oracle"}
+    assert not loaded & unused, sorted(loaded & unused)
 
 
 def test_python_dash_m_runs_the_cli():

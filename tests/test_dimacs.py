@@ -154,6 +154,11 @@ def test_top_not_above_soft_sum_is_a_warning():
     assert any("top 3" in w for w in inst.warnings)
 
 
+def test_parses_share_no_warnings_list():
+    first, second = (parse_wcnf("p wcnf 1 1 9\n1 1 0\n") for _ in range(2))
+    assert first.warnings == [] and first.warnings is not second.warnings
+
+
 def test_declared_variable_count_is_capped():
     # the v line lists every declared variable, so the header sets its size
     assert parse_cnf(f"p cnf {MAX_VARS} 1\n1 0\n").wcnf.num_vars == MAX_VARS

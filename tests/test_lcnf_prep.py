@@ -669,12 +669,15 @@ def prep_digest(f):
 # them again when BCE moved onto the labelled formula: its record took
 # the new pass's order, and the labels after BCE became the input's
 # soft-clause numbers (the clauses and BVE's choices unchanged, up to
-# that renumbering); each case keeps the id it was first pinned under:
+# that renumbering), and tseitin_wcnf(2)'s again when BCE came to test a
+# clause of a touched literal on that literal alone: four of its record's
+# entries moved (same clauses, same literals, same clauses after BCE);
+# each case keeps the id it was first pinned under:
 # (id digest, instance, digest)
 PINNED_DIGESTS = [
     ("130c6d4ee70a6748", lambda: tseitin_wcnf(0), "7706229b245d2dac"),
     ("704a4e1e3772c08c", lambda: tseitin_wcnf(1), "4abe184b7dfa4534"),
-    ("2c49643ad6a56b00", lambda: tseitin_wcnf(2), "ca4aea5cb1e0e270"),
+    ("2c49643ad6a56b00", lambda: tseitin_wcnf(2), "7abf53c8b7a290f2"),
     ("fc245bb8794472ea", lambda: tseitin_wcnf(3), "423cbc62012fd843"),
     ("a3bd3f57de0f4c3d", lambda: tseitin_wcnf(4), "44c47c37181c9cf1"),
     ("ebc84a2ba21771a4", lambda: tseitin_wcnf(5), "2dfc3890cc323726"),

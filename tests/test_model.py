@@ -104,6 +104,16 @@ def test_lcnf_requires_weight_entries():
         LCNF(frozenset([lclause([1], [7])]), {})
 
 
+def test_formulas_share_no_mutable_defaults():
+    a, b = WCNF(), WCNF()
+    assert a.hard is not b.hard and a.soft is not b.soft
+    a.add_hard([1])
+    a.add_soft([2], 3)
+    assert b.hard == [] and b.soft == []
+    p, q = LCNF(), LCNF()
+    assert p.label_weights is not q.label_weights
+
+
 def test_lcnf_set_semantics_on_clause_and_labels():
     # same literals under different label sets are distinct clauses;
     # identical (clause, labels) pairs collapse
