@@ -19,10 +19,11 @@ from .model import (
     cost_of_labels,
     is_tautology,
     lcnf_from_wcnf,
+    lcnf_to_wcnf,
+    lift_reduction_solution,
     reconstruct,
 )
 from .lcnf_prep import bce_fixpoint, preprocess_lcnf
-from .reduction import lcnf_to_wcnf, lift_reduction_solution
 from .solver import SolveReport, solve_lcnf
 from .cli import PipelineError, run_pipeline
 

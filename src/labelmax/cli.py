@@ -22,8 +22,8 @@ from .dimacs import (MAX_VARS, ParseError, parse_auto, write_solution,
                      write_wcnf)
 from .lcnf_prep import bce_fixpoint, dump_lcnf, preprocess_lcnf
 from .model import (LCNF, LabelledClause, MaxSatSolution, Stack, WCNF,
-                    clause_satisfied, lcnf_from_wcnf, reconstruct)
-from .reduction import lcnf_to_wcnf
+                    clause_satisfied, lcnf_from_wcnf, lcnf_to_wcnf,
+                    reconstruct)
 from .solver import MODES, SolveReport, solve_lcnf
 
 PREPS = ("none", "bce", "rs", "bce,rs")

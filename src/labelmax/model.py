@@ -233,6 +233,48 @@ def lcnf_from_wcnf(f: WCNF) -> LCNF:
     return LCNF(frozenset(out), weights)
 
 
+def selector_map(labels: Iterable[int], first: int) -> Dict[int, int]:
+    """Label -> selector: the labels numbered from ``first`` upwards, in
+    ascending label order."""
+    return {l: v for v, l in enumerate(sorted(labels), first)}
+
+
+def guarded(c: LabelledClause, selectors: Dict[int, int]) -> ClauseT:
+    """``c``'s literals plus one negated selector per label, so that the
+    false selector of any of its labels satisfies it."""
+    return c.lits + tuple(-selectors[m] for m in c.labels)
+
+
+def lcnf_to_wcnf(phi: LCNF) -> Tuple[WCNF, Dict[int, int]]:
+    """The selector encoding and its label -> selector map: each clause
+    hard, ``guarded`` by its labels' selectors (numbered above every
+    variable), and each selector a unit soft clause worth its label's
+    weight.  Falsifying that unit is removing the label, so optima
+    transfer in both directions."""
+    nv = phi.max_var()
+    selectors = selector_map(phi.labels(), nv + 1)
+    out = WCNF(num_vars=nv + len(selectors))
+    for c in phi.sorted_clauses():
+        out.add_hard(guarded(c, selectors))
+    for l, v in selectors.items():
+        out.add_soft([v], phi.label_weights[l])
+    return out, selectors
+
+
+def lift_reduction_solution(sol: MaxSatSolution,
+                            selectors: Dict[int, int]) -> MaxSatSolution:
+    """An LCNF solution from one of ``lcnf_to_wcnf``'s WCNF: the labels
+    whose selector is false are removed, at the same cost (the soft
+    clauses are the selector units), and the model is cut below the
+    selectors."""
+    removed = frozenset(l for l, v in selectors.items()
+                        if sol.model.get(v, 0) == 0)
+    boundary = min(selectors.values(), default=None)
+    model = {v: val for v, val in sol.model.items()
+             if boundary is None or v < boundary}
+    return MaxSatSolution(model=model, cost=sol.cost, falsified=removed)
+
+
 def cost_of_labels(phi: LCNF, labels: Iterable[int]) -> int:
     """Checked weight sum of a label set; unknown labels are an error."""
     total = []

@@ -38,12 +38,13 @@ solver is built and whether a round goes on after a core:
 
 The loop keeps each working clause with its encoding, in entry order,
 and files it under its labels when it enters, and under ``empty`` when
-it has no literals.  A clause keeps its selectors while it stays, since
-relaxing a label in place replaces every clause that carries it; so a
-relaxed copy's encoding is its parent's with one selector swapped and
-the relaxation variable added.  The soft clauses, and then the new
-clauses of each relaxed core in ``sort_key`` order, go onto one pending
-batch.  Right before a round's SAT calls ``inc`` loads that batch into
+it has no literals.  ``_encoded`` encodes every clause, relaxed copies
+and exactly-one clauses too: ``guarded`` by its labels' selectors, which
+``selector_map`` numbers as for ``lcnf_to_wcnf``.  A clause keeps its
+selectors while it stays, since relaxing a label in place replaces every
+clause that carries it.  The soft clauses, and then the new clauses of
+each relaxed core in ``sort_key`` order, go onto one pending batch.
+Right before a round's SAT calls ``inc`` loads that batch into
 its live solver, and ``noninc`` builds its fresh solver from the working
 formula whole; a run that ends without another call loads neither.
 
@@ -66,16 +67,16 @@ from __future__ import annotations
 
 from itertools import count
 from typing import (Callable, Dict, FrozenSet, Iterable, List, NamedTuple,
-                    Optional, Set, Tuple)
+                    Optional, Sequence, Set, Tuple)
 
-from .cardinality import encode_equals1
 from .engine import BudgetExceededError, CdclSolver, Encoded, encode
-from .model import (LCNF, Assignment, LabelledClause, MaxSatSolution,
-                    add_weights, clause_satisfied, cost_of_labels)
+from .model import (LCNF, Assignment, ClauseT, LabelledClause,
+                    MaxSatSolution, add_weights, clause_satisfied,
+                    cost_of_labels, guarded, selector_map)
 
 __all__ = [
-    "CoreLabels", "SolveReport", "extract_core_labels", "solve_lcnf",
-    "BudgetExceededError",
+    "CoreLabels", "Equals1Encoding", "SolveReport", "encode_equals1",
+    "extract_core_labels", "solve_lcnf", "BudgetExceededError",
 ]
 
 MODES = ("noninc", "inc")
@@ -110,6 +111,22 @@ def extract_core_labels(failed: Iterable[int],
         raise RuntimeError(
             "empty core although the hard part was satisfiable")
     return CoreLabels(labels)
+
+
+class Equals1Encoding(NamedTuple):
+    clauses: FrozenSet[ClauseT]
+
+
+def encode_equals1(variables: Sequence[int]) -> Equals1Encoding:
+    """Exactly one of ``variables`` true: the at-least-one clause, sorted,
+    and each at-most-one pair ``(-a, -b)`` with ``a < b``."""
+    vs = tuple(sorted(variables))
+    if not vs:
+        raise ValueError("equals1 over no variables is unsatisfiable")
+    if len(set(vs)) != len(vs):
+        raise ValueError("equals1 variables must be distinct")
+    return Equals1Encoding(frozenset(
+        [vs] + [(-a, -b) for i, a in enumerate(vs) for b in vs[i + 1:]]))
 
 
 # ---------------------------------------------------------------------------
@@ -316,17 +333,10 @@ Entry = Tuple[LabelledClause, Encoded]
 
 def _encoded(clauses: Iterable[LabelledClause],
              selectors: Dict[int, int]) -> List[Entry]:
-    """Clauses in ``sort_key`` order, each encoded for ``load`` with one
-    negated selector per label."""
-    return [(c, encode(c.lits + tuple(-selectors[m] for m in c.labels)))
+    """Clauses in ``sort_key`` order, each ``guarded`` by its labels'
+    selectors and encoded for ``load``."""
+    return [(c, encode(guarded(c, selectors)))
             for c in sorted(clauses, key=LabelledClause.sort_key)]
-
-
-def _relaxed(enc: Encoded, old: int, tail: List[int]) -> Encoded:
-    """A relaxed copy's encoding from its parent's: the old selector's
-    index out, and those of r and the copy's selector, above every
-    variable there, appended."""
-    return None if enc is None else [i for i in enc if i != old] + tail
 
 
 def _enter(working: Working, carrying: Dict[int, Set[LabelledClause]],
@@ -360,19 +370,19 @@ def solve_lcnf(phi: LCNF, mode: str = "noninc",
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     used = phi.labels()
+    nv_orig = phi.max_var()
+    # label -> selector; a new label is numbered above every live one, so
+    # insertion order stays ascending label order
+    selectors = selector_map(used, nv_orig + 1)
 
     stats = {"iterations": 0, "rounds": 0, "free_cores": 0,
              "load_events": 0, "clauses_loaded": 0, "solves": 0,
              "conflicts": 0, "restarts": 0, "minimized_literals": 0}
-    nv_orig = phi.max_var()
-    variables = count(nv_orig + 1)
+    variables = count(nv_orig + 1 + len(selectors))
     label_ids = count(max(phi.label_weights, default=0) + 1)
     incremental = mode == "inc"
 
-    weight = {l: phi.label_weights[l] for l in sorted(used)}
-    # label -> selector; a new label is numbered above every live one, so
-    # insertion order stays ascending label order
-    selectors = {l: next(variables) for l in weight}
+    weight = {l: phi.label_weights[l] for l in selectors}
     working: Working = {}
     # label -> the working clauses that carry it
     carrying: Dict[int, Set[LabelledClause]] = {}
@@ -446,13 +456,9 @@ def solve_lcnf(phi: LCNF, mode: str = "noninc",
             else:
                 nl = l
             selectors[nl] = next(variables)
-            # the old selector, r and the new one are numbered in that
-            # order, so ``encode`` gives their indices in that order
-            unit, *tail = encode((-old, r, -selectors[nl]))
             # r is fresh, so each copy's literals stay canonical
-            copies = [(LabelledClause(c.lits + (r,), c.labels if nl == l
-                                      else c.labels - {l} | {nl}),
-                       _relaxed(working[c], unit, tail))
+            copies = [LabelledClause(c.lits + (r,), c.labels if nl == l
+                                     else c.labels - {l} | {nl})
                       for c in carried]
             if nl == l:
                 carrying[l] = set()
@@ -463,15 +469,13 @@ def solve_lcnf(phi: LCNF, mode: str = "noninc",
                     if not c.lits:
                         del empty[c]
                 # the unit finalizes the old selector
-                pending.append([unit])
-            if len(copies) > 1:
-                copies.sort(key=lambda e: e[0].sort_key())
-            pending.extend(_enter(working, carrying, empty, copies))
+                pending.append(encode((-old,)))
+            pending.extend(_enter(working, carrying, empty,
+                                  _encoded(copies, selectors)))
 
-        # exactly-one clauses are hard: lits order is sort_key order
-        pending.extend(_enter(working, carrying, empty, [
-            (LabelledClause(c, frozenset()), encode(c))
-            for c in sorted(encode_equals1(relaxation_vars).clauses)]))
+        pending.extend(_enter(working, carrying, empty, _encoded(
+            [LabelledClause(c, frozenset())
+             for c in encode_equals1(relaxation_vars).clauses], selectors)))
 
     charge(hard.model)
     cores: List[CoreLabels] = []

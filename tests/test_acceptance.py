@@ -37,9 +37,8 @@ from labelmax.cli import PREPS, run_pipeline
 from labelmax.dimacs import ParseError, parse_cnf, parse_wcnf, write_wcnf
 from labelmax.lcnf_prep import bce_fixpoint, l_bve, l_ssr, l_sub
 from labelmax.model import (WCNF, clause, clause_satisfied, is_tautology,
-                            lcnf_from_wcnf, reconstruct)
+                            lcnf_from_wcnf, lcnf_to_wcnf, reconstruct)
 from labelmax.oracle import brute_force_maxsat, random_wcnf
-from labelmax.reduction import lcnf_to_wcnf
 from labelmax.solver import solve_lcnf
 from support import (check_hitting_duality, enumerate_mcs,
                      enumerate_mcs_labels, enumerate_mus,

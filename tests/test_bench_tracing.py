@@ -15,7 +15,8 @@ from labelmax import cli, engine, lcnf_prep, model, solver
 TRACING = (pathlib.Path(__file__).resolve().parent.parent /
            "benchmarks" / "tracing.py")
 
-# entry points the tracer wraps that src/ never calls (ROADMAP item 1)
+# entry points the tracer wraps that src/ never calls (ROADMAP item 2,
+# "Broken now")
 NEVER_CALLED = {"lcnf_prep.l_ve", "engine.add_clause"}
 
 # soft pigeonhole: under the default preprocessing, BVE leaves one

@@ -2,8 +2,8 @@ from itertools import product
 
 import pytest
 
-from labelmax.cardinality import encode_equals1
 from labelmax.model import clause_satisfied
+from labelmax.solver import encode_equals1
 
 
 def test_single_variable():

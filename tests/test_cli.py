@@ -13,9 +13,8 @@ from labelmax.dimacs import parse_wcnf, write_wcnf
 from labelmax.lcnf_prep import bce_fixpoint, preprocess_lcnf
 from labelmax.model import (WCNF, MaxSatSolution, StackEntry,
                             clause_satisfied, is_tautology, lcnf_from_wcnf,
-                            reconstruct)
+                            lift_reduction_solution, reconstruct)
 from labelmax.oracle import brute_force_maxsat, random_wcnf
-from labelmax.reduction import lift_reduction_solution
 from labelmax.solver import MODES
 from support import (lclause, pigeon_wcnf, tseitin_wcnf, unit_soft_formula,
                      with_unit_pairs)

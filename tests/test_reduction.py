@@ -1,9 +1,12 @@
-from labelmax.model import LCNF, cost_of_labels
+from labelmax import solver
+from labelmax.lcnf_prep import preprocess_lcnf
+from labelmax.model import (LCNF, clause, cost_of_labels, is_tautology,
+                            lcnf_from_wcnf, lcnf_to_wcnf,
+                            lift_reduction_solution)
 from labelmax.oracle import brute_force_maxsat
-from labelmax.reduction import lcnf_to_wcnf, lift_reduction_solution
 from support import (brute_force_lcnf_maxsat, induced_subformula,
                      labelled_example, lclause, lcnf_satisfied, random_lcnf,
-                     truth_table_sat)
+                     truth_table_sat, tseitin_wcnf)
 
 
 def test_encoding_of_labelled_example():
@@ -82,3 +85,49 @@ def test_falsified_selector_acts_as_label_removal():
             b = truth_table_sat([c.lits for c in direct.clauses],
                                 max(phi.max_var(), 1)) is not None
             assert a == b, (seed, i)
+
+
+def test_core_loop_loads_the_hard_clauses_of_the_reduction(monkeypatch):
+    """``preprocess --emit-wcnf`` writes ``lcnf_to_wcnf``'s encoding and
+    ``solve`` runs the core loop on the labelled formula; both must
+    encode it alike.  Before its first round the loop has loaded exactly
+    the reduction's hard clauses, decoded from literal indices, under
+    the reduction's selector map."""
+    loaded, maps, rounds = [], [], []  # rounds: one entry per round
+    enter, encoded, free_cores = \
+        solver._enter, solver._encoded, solver._free_cores
+
+    def spy_enter(working, carrying, empty, entries):
+        if not rounds:
+            loaded.extend(enc for _, enc in entries)
+        return enter(working, carrying, empty, entries)
+
+    def spy_encoded(clauses, selectors):
+        maps.append(dict(selectors))
+        return encoded(clauses, selectors)
+
+    def spy_free_cores(empty, selectors):
+        rounds.append(None)
+        return free_cores(empty, selectors)
+
+    monkeypatch.setattr(solver, "_enter", spy_enter)
+    monkeypatch.setattr(solver, "_encoded", spy_encoded)
+    monkeypatch.setattr(solver, "_free_cores", spy_free_cores)
+    instances = [random_lcnf(seed) for seed in range(40)]
+    # tautologies, which the loop encodes as None, labelled and hard
+    instances += [LCNF(phi.clauses | {lclause([1, -1], [min(phi.labels())]),
+                                      lclause([-2, 2, 3])},
+                       phi.label_weights) for phi in instances[:10]]
+    # label sets of up to three labels from label-aware preprocessing
+    instances += [preprocess_lcnf(lcnf_from_wcnf(tseitin_wcnf(seed, *size)))[0]
+                  for seed in range(6) for size in ((5, 12), (8, 30))]
+    for phi in instances:
+        del loaded[:], maps[:], rounds[:]
+        assert solver.solve_lcnf(phi).status == "optimum"
+        f, sel = lcnf_to_wcnf(phi)
+        assert maps[0] == sel
+        hard = [c for c in f.hard if not is_tautology(c)]
+        decoded = [clause(i >> 1 if i & 1 == 0 else -(i >> 1) for i in enc)
+                   for enc in loaded if enc is not None]
+        assert sorted(decoded) == sorted(hard)
+        assert loaded.count(None) == len(f.hard) - len(hard)
