@@ -32,7 +32,7 @@ starts false.  Restarts follow the Luby sequence in units of
 one ``inc`` solver answers many short calls.
 
 Clauses are permanent once added; deactivation happens outside the
-engine by selector literals finalized with unit clauses.  A handle stays
+engine, by selector literals that are no longer assumed.  A handle stays
 usable after every solve call (it backtracks to the root level before
 returning).
 

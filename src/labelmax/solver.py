@@ -4,49 +4,57 @@ One loop, WMSU1 on labelled formulas: solve, and while the answer is
 unsatisfiable, map the failed selector assumptions to core labels, relax
 those labels with fresh relaxation variables, constrain the fresh
 variables to exactly one true, and raise the lower bound.  A label
-costing more than the core's minimum keeps its original clauses and
-sprouts a twin label, worth that minimum, that carries the relaxed
-copies.  With unit weights no label is ever split, and the loop is Fu &
-Malik's algorithm (SAT 2006) as it stands.
+costing more than the core's minimum keeps its selector at the reduced
+weight and sprouts a twin label, worth that minimum, which is relaxed in
+its place.  With unit weights no label is ever split, and the loop is Fu
+& Malik's algorithm (SAT 2006) as it stands.
+
+The loop owns one SAT solver at a time, which loads every input clause
+once, ``guarded`` by one negated selector per label (``selector_map``
+numbers them as for ``lcnf_to_wcnf``), and assumes the selectors of the
+live labels.  Relaxing a label adds one clause: the label, or its twin,
+takes a fresh selector s' and the link ``(-s', old, r)``, where ``old``
+is the label's selector before and r its fresh relaxation variable.
+Assuming s' with r false forces ``old``, which puts the label's clauses
+in force; with r true ``old`` is free, and false it satisfies them all,
+as appending r to each clause would.  So ``old`` becomes the activation
+literal of the clauses the label has (Een & Sorensson, BMC 2003).  Links
+chain when a label is relaxed again, a twin's link points to the
+selector its label keeps assuming, and a clause with several labels is
+in force only while each of them is.
 
 The loop runs in rounds; each round yields the cores that are then
 relaxed one after another, in the order found, unless they close the
 gap to the upper bound (below).  A round takes its free cores first:
-every assignment falsifies a working clause without literals, so its
-labels are a core without a SAT call.  It takes them in entry order,
-each one whose labels are disjoint from those already taken, then
-makes its mode's SAT calls.  The loop owns one SAT solver
-at a time, which loads every labelled clause with one negated selector
-per label and assumes the selectors positively.  The hard check solves
-the hard clauses alone in a fresh solver.  The modes differ in when a
-solver is built and whether a round goes on after a core:
+every assignment falsifies an input clause without literals, so its
+labels are a core without a SAT call, until one of them is relaxed in
+place.  It takes them in ``sort_key`` order, each one whose labels are
+disjoint from those already taken, then makes its mode's SAT calls.
+The hard check solves the hard clauses alone in a fresh solver.  The
+modes differ in when a solver is built and whether a round goes on
+after a core:
 
-* ``noninc`` — a fresh solver per round that asks, loaded with the
-  whole working formula, assuming the selectors of the labels the free
-  cores left; no solver when they left none.  After each unsatisfiable
-  call the core's selectors are dropped from the assumptions and the
-  same solver is asked again, until it answers SAT or no selector is
-  left, so the cores of one round are label-disjoint (Davies &
-  Bacchus, CP 2011).  A core refutes only the clauses whose labels it
-  contains, so relaxing an earlier core of the round leaves a later one
+* ``noninc`` — a fresh solver per round that asks, loaded with every
+  clause so far, assuming the selectors of the labels the free cores
+  left; no solver when they left none.  After each unsatisfiable call
+  the core's selectors are dropped from the assumptions and the same
+  solver is asked again, until it answers SAT or no selector is left,
+  so the cores of one round are label-disjoint (Davies & Bacchus, CP
+  2011).  Relaxing an earlier core of the round only adds clauses and
+  leaves a later core's selectors as they were, so the later one stays
   a core: the round does what one iteration per core would.
 * ``inc`` — the hard check's solver for the whole run, no SAT call in a
-  round with free cores, and otherwise one core per round.  Relaxing a
-  label in place gives it a new selector: a unit clause finalizes the
-  old one (which deactivates every loaded copy carrying it) and fresh
-  copies are loaded under the new one.  Nothing is ever reloaded.
+  round with free cores, and otherwise one core per round.  Nothing is
+  ever reloaded, and a selector that is no longer assumed needs no
+  clause to retire it.
 
-The loop keeps each working clause with its encoding, in entry order,
-and files it under its labels when it enters, and under ``empty`` when
-it has no literals.  ``_encoded`` encodes every clause, relaxed copies
-and exactly-one clauses too: ``guarded`` by its labels' selectors, which
-``selector_map`` numbers as for ``lcnf_to_wcnf``.  A clause keeps its
-selectors while it stays, since relaxing a label in place replaces every
-clause that carries it.  The soft clauses, and then the new clauses of
-each relaxed core in ``sort_key`` order, go onto one pending batch.
-Right before a round's SAT calls ``inc`` loads that batch into
-its live solver, and ``noninc`` builds its fresh solver from the working
-formula whole; a run that ends without another call loads neither.
+The loop keeps the encodings of the input's clauses, hard then soft,
+each in ``sort_key`` order, and then each relaxation's link clauses and
+exactly-one clauses in the order they were made.  The soft clauses, and
+then each relaxation's clauses, go onto one pending batch.  Right
+before a round's SAT calls ``inc`` loads that batch into its live
+solver, and ``noninc`` builds its fresh solver from every encoding so
+far; a run that ends without another call loads neither.
 
 The run keeps the cheapest model it holds as its upper bound.  A model
 is charged independently, by the cheapest label removal that covers the
@@ -67,7 +75,7 @@ from __future__ import annotations
 
 from itertools import count
 from typing import (Callable, Dict, FrozenSet, Iterable, List, NamedTuple,
-                    Optional, Sequence, Set, Tuple)
+                    Optional, Sequence, Set)
 
 from .engine import BudgetExceededError, CdclSolver, Encoded, encode
 from .model import (LCNF, Assignment, ClauseT, LabelledClause,
@@ -84,12 +92,6 @@ MODES = ("noninc", "inc")
 
 class CoreLabels(NamedTuple):
     labels: FrozenSet[int]
-
-
-# the working formula in entry order: clause -> encoding with selectors
-Working = Dict[LabelledClause, Encoded]
-# its clauses without literals, in entry order (a dict as ordered set)
-Empty = Dict[LabelledClause, None]
 
 
 class SolveReport(NamedTuple):
@@ -148,12 +150,12 @@ def _count(stats: Dict[str, int], eng: CdclSolver) -> None:
         stats[k] += eng.stats[k]
 
 
-def _free_cores(empty: Empty, selectors: Dict[int, int]
+def _free_cores(empty: List[LabelledClause], selectors: Dict[int, int]
                 ) -> List[CoreLabels]:
-    """The round's free cores: the labels of each working clause without
-    literals, in entry order, when disjoint from those already taken.
-    Such a clause is loaded as its negated selectors alone, so its
-    selectors are the failed assumptions a SAT call would report."""
+    """The round's free cores: the labels of each clause in ``empty``, in
+    order, when disjoint from those already taken.  Such a clause is
+    loaded as its negated selectors alone, so its selectors are the
+    failed assumptions a SAT call would report."""
     cores: List[CoreLabels] = []
     taken: Set[int] = set()
     for c in empty:
@@ -327,36 +329,12 @@ def _certify(orig: LCNF, tau: Dict[int, int],
                           falsified=removed)
 
 
-# a clause with its encoding, as ``_enter`` takes it
-Entry = Tuple[LabelledClause, Encoded]
-
-
 def _encoded(clauses: Iterable[LabelledClause],
-             selectors: Dict[int, int]) -> List[Entry]:
+             selectors: Dict[int, int]) -> List[Encoded]:
     """Clauses in ``sort_key`` order, each ``guarded`` by its labels'
     selectors and encoded for ``load``."""
-    return [(c, encode(guarded(c, selectors)))
+    return [encode(guarded(c, selectors))
             for c in sorted(clauses, key=LabelledClause.sort_key)]
-
-
-def _enter(working: Working, carrying: Dict[int, Set[LabelledClause]],
-           empty: Empty, entries: List[Entry]) -> List[Encoded]:
-    """Put clauses with their encodings, given in ``sort_key`` order,
-    into the working formula, each filed in ``carrying`` under its
-    labels and, without literals, in ``empty``; return the encodings in
-    that order."""
-    batch = []
-    for c, enc in entries:
-        working[c] = enc
-        batch.append(enc)
-        for m in c.labels:
-            if m in carrying:
-                carrying[m].add(c)
-            else:
-                carrying[m] = {c}
-        if not c.lits:
-            empty[c] = None
-    return batch
 
 
 def solve_lcnf(phi: LCNF, mode: str = "noninc",
@@ -383,13 +361,14 @@ def solve_lcnf(phi: LCNF, mode: str = "noninc",
     incremental = mode == "inc"
 
     weight = {l: phi.label_weights[l] for l in selectors}
-    working: Working = {}
-    # label -> the working clauses that carry it
-    carrying: Dict[int, Set[LabelledClause]] = {}
-    empty: Empty = {}
-    eng = _fresh_solver(nv_orig, stats, _enter(
-        working, carrying, empty,
-        _encoded([c for c in phi.clauses if c.hard], selectors)))
+    # the input's clauses without literals, each a free core while its
+    # labels keep the selectors they were loaded with; a label relaxed
+    # in place does not, and its clauses leave before the next round
+    empty = [c for c in phi.sorted_clauses() if not c.lits]
+    inplace: Set[int] = set()
+    # the encodings every solver so far was given, in the order made
+    loaded = _encoded([c for c in phi.clauses if c.hard], selectors)
+    eng = _fresh_solver(nv_orig, stats, loaded)
 
     def finish(status: str, solution=None) -> SolveReport:
         _count(stats, eng)
@@ -401,11 +380,9 @@ def solve_lcnf(phi: LCNF, mode: str = "noninc",
         return finish("unknown")
     if not hard.sat:
         return finish("unsat-hard")
-    # the clauses the live solver lacks, loaded by ``inc`` right before
-    # its next SAT call; the soft clauses come first
-    pending = _enter(working, carrying, empty,
-                     _encoded([c for c in phi.clauses if not c.hard],
-                              selectors))
+    # the encodings made since, loaded right before the next SAT call;
+    # the soft clauses come first
+    pending = _encoded([c for c in phi.clauses if not c.hard], selectors)
 
     # every bound is a sum of these weights, so they must sum within the cap
     add_weights(*(phi.label_weights[l] for l in used))
@@ -438,44 +415,29 @@ def solve_lcnf(phi: LCNF, mode: str = "noninc",
         return w_mins
 
     def relax(core: CoreLabels, w_min: int) -> None:
-        """Relax every clause of the core's labels, splitting off a twin
-        worth ``w_min`` from a heavier label, and add the exactly-one
-        constraint over the relaxation variables, all onto ``pending``."""
+        """Relax the core's labels in ascending order, splitting off a
+        twin worth ``w_min`` from a heavier label: the label, or its
+        twin, takes a fresh selector s' and the link ``(-s', old, r)``
+        with a fresh r.  Then the exactly-one clauses over the r's, all
+        onto ``pending``."""
         relaxation_vars: List[int] = []
         for l in sorted(core.labels):
             r = next(variables)
             relaxation_vars.append(r)
-            carried = carrying[l]
             old = selectors[l]
             if weight[l] > w_min:
-                # split: the label keeps its clauses at reduced weight;
-                # a twin label worth w_min owns the relaxed copies
+                # split: the label keeps its selector at reduced weight;
+                # a twin label worth w_min is relaxed
                 nl = next(label_ids)
                 weight[l] -= w_min
                 weight[nl] = w_min
             else:
                 nl = l
+                inplace.add(l)
             selectors[nl] = next(variables)
-            # r is fresh, so each copy's literals stay canonical
-            copies = [LabelledClause(c.lits + (r,), c.labels if nl == l
-                                     else c.labels - {l} | {nl})
-                      for c in carried]
-            if nl == l:
-                carrying[l] = set()
-                for c in carried:
-                    del working[c]
-                    for m in c.labels:
-                        carrying[m].discard(c)
-                    if not c.lits:
-                        del empty[c]
-                # the unit finalizes the old selector
-                pending.append(encode((-old,)))
-            pending.extend(_enter(working, carrying, empty,
-                                  _encoded(copies, selectors)))
-
-        pending.extend(_enter(working, carrying, empty, _encoded(
-            [LabelledClause(c, frozenset())
-             for c in encode_equals1(relaxation_vars).clauses], selectors)))
+            pending.append(encode((-selectors[nl], old, r)))
+        pending.extend([encode(c) for c in
+                        sorted(encode_equals1(relaxation_vars).clauses)])
 
     charge(hard.model)
     cores: List[CoreLabels] = []
@@ -486,6 +448,7 @@ def solve_lcnf(phi: LCNF, mode: str = "noninc",
         # minimum, as taken
         for core, w_min in zip(cores, w_mins):
             relax(core, w_min)
+        empty = [c for c in empty if inplace.isdisjoint(c.labels)]
         stats["rounds"] += 1
         cores = _free_cores(empty, selectors)
         free = len(cores)
@@ -493,6 +456,7 @@ def solve_lcnf(phi: LCNF, mode: str = "noninc",
         w_mins = take(cores, "free core")
         asked = _left_to_ask(selectors, cores, incremental)
         if asked is not None and lb < best.cost:
+            loaded += pending
             if incremental:
                 eng.load(pending)
             else:
@@ -501,7 +465,7 @@ def solve_lcnf(phi: LCNF, mode: str = "noninc",
                 # slows the run
                 _count(stats, eng)
                 del eng
-                eng = _fresh_solver(nv_orig, stats, list(working.values()))
+                eng = _fresh_solver(nv_orig, stats, loaded)
             pending = []
             try:
                 model = _solve_round(eng, asked, conflict_budget,

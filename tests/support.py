@@ -55,6 +55,42 @@ def lcnf_satisfied(phi: LCNF, tau: Assignment) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# relaxation by copies
+
+
+def relax_by_copies(phi: LCNF, core: Iterable[int],
+                    rs: Sequence[int]) -> LCNF:
+    """WMSU1's relaxation of ``core`` by clause copies, the i-th label in
+    ascending order with the fresh relaxation variable ``rs[i]``.  A
+    label worth more than the core's least weight keeps its clauses at
+    the weight reduced by it, and a twin label worth that least weight,
+    numbered above every label in ``phi``'s weight map, carries a copy
+    of each with r added; any other label's clauses are replaced by such
+    copies under the label itself.  Then the hard exactly-one clauses
+    over ``rs``.  The core loop's relaxation must agree with this."""
+    weights = dict(phi.label_weights)
+    labels = sorted(core)
+    w_min = min(weights[l] for l in labels)
+    clauses = set(phi.clauses)
+    for l, r in zip(labels, rs):
+        carried = {c for c in clauses if l in c.labels}
+        if weights[l] > w_min:
+            twin = max(weights) + 1
+            weights[l] -= w_min
+            weights[twin] = w_min
+        else:
+            twin = l
+            clauses -= carried
+        clauses |= {LabelledClause.make(c.lits + (r,),
+                                        c.labels - {l} | {twin})
+                    for c in carried}
+    clauses.add(LabelledClause.make(rs))
+    clauses |= {LabelledClause.make((-a, -b))
+                for a, b in combinations(rs, 2)}
+    return LCNF(clauses, weights)
+
+
+# ---------------------------------------------------------------------------
 # brute force
 
 

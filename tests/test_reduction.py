@@ -1,4 +1,5 @@
 from labelmax import solver
+from labelmax.engine import CdclSolver
 from labelmax.lcnf_prep import preprocess_lcnf
 from labelmax.model import (LCNF, clause, cost_of_labels, is_tautology,
                             lcnf_from_wcnf, lcnf_to_wcnf,
@@ -90,29 +91,33 @@ def test_falsified_selector_acts_as_label_removal():
 def test_core_loop_loads_the_hard_clauses_of_the_reduction(monkeypatch):
     """``preprocess --emit-wcnf`` writes ``lcnf_to_wcnf``'s encoding and
     ``solve`` runs the core loop on the labelled formula; both must
-    encode it alike.  Before its first round the loop has loaded exactly
-    the reduction's hard clauses, decoded from literal indices, under
-    the reduction's selector map."""
-    loaded, maps, rounds = [], [], []  # rounds: one entry per round
-    enter, encoded, free_cores = \
-        solver._enter, solver._encoded, solver._free_cores
-
-    def spy_enter(working, carrying, empty, entries):
-        if not rounds:
-            loaded.extend(enc for _, enc in entries)
-        return enter(working, carrying, empty, entries)
+    encode it alike.  The loop encodes the input before its first round,
+    under the reduction's selector map, and those batches hold exactly
+    the reduction's hard clauses, decoded from literal indices.  The
+    hard check loads the first of them, and round 1's fresh ``noninc``
+    solver, when it asks, loads them all in one batch."""
+    made, maps, loads, rounds = [], [], [], []  # rounds: one per round
+    encoded, free_cores, load = \
+        solver._encoded, solver._free_cores, CdclSolver.load
 
     def spy_encoded(clauses, selectors):
+        assert not rounds
         maps.append(dict(selectors))
-        return encoded(clauses, selectors)
+        batch = encoded(clauses, selectors)
+        made.append(list(batch))
+        return batch
 
     def spy_free_cores(empty, selectors):
-        rounds.append(None)
+        rounds.append(len(loads))
         return free_cores(empty, selectors)
 
-    monkeypatch.setattr(solver, "_enter", spy_enter)
+    def spy_load(eng, batch):
+        loads.append(list(batch))
+        return load(eng, batch)
+
     monkeypatch.setattr(solver, "_encoded", spy_encoded)
     monkeypatch.setattr(solver, "_free_cores", spy_free_cores)
+    monkeypatch.setattr(CdclSolver, "load", spy_load)
     instances = [random_lcnf(seed) for seed in range(40)]
     # tautologies, which the loop encodes as None, labelled and hard
     instances += [LCNF(phi.clauses | {lclause([1, -1], [min(phi.labels())]),
@@ -121,13 +126,21 @@ def test_core_loop_loads_the_hard_clauses_of_the_reduction(monkeypatch):
     # label sets of up to three labels from label-aware preprocessing
     instances += [preprocess_lcnf(lcnf_from_wcnf(tseitin_wcnf(seed, *size)))[0]
                   for seed in range(6) for size in ((5, 12), (8, 30))]
+    asked = 0
     for phi in instances:
-        del loaded[:], maps[:], rounds[:]
+        del made[:], maps[:], loads[:], rounds[:]
         assert solver.solve_lcnf(phi).status == "optimum"
         f, sel = lcnf_to_wcnf(phi)
-        assert maps[0] == sel
+        assert maps and all(m == sel for m in maps)
+        every = [enc for batch in made for enc in batch]
         hard = [c for c in f.hard if not is_tautology(c)]
         decoded = [clause(i >> 1 if i & 1 == 0 else -(i >> 1) for i in enc)
-                   for enc in loaded if enc is not None]
+                   for enc in every if enc is not None]
         assert sorted(decoded) == sorted(hard)
-        assert loaded.count(None) == len(f.hard) - len(hard)
+        assert every.count(None) == len(f.hard) - len(hard)
+        assert loads[0] == made[0]
+        # round 1 built a solver
+        if rounds and len(loads) > rounds[0]:
+            assert loads[rounds[0]] == every
+            asked += 1
+    assert asked >= 40, asked

@@ -10,14 +10,14 @@ from labelmax.cli import run_pipeline
 from labelmax.engine import CdclSolver, encode
 from labelmax.lcnf_prep import preprocess_lcnf
 from labelmax.model import (LCNF, WCNF, MaxSatSolution, cost_of_labels,
-                            lcnf_from_wcnf, reconstruct)
+                            guarded, lcnf_from_wcnf, reconstruct)
 from labelmax.oracle import brute_force_maxsat, random_wcnf
 from labelmax.solver import (CoreLabels, _min_cost_hitting_set,
                              extract_core_labels, solve_lcnf)
 from support import (brute_force_lcnf_maxsat, induced_subformula,
                      labelled_example, lclause, lcnf_satisfied,
-                     minimal_hitting_sets, random_lcnf, unit_pairs_wcnf,
-                     unit_soft_formula, with_unit_pairs)
+                     minimal_hitting_sets, random_lcnf, relax_by_copies,
+                     unit_pairs_wcnf, unit_soft_formula, with_unit_pairs)
 
 
 def optimum(phi, mode):
@@ -232,41 +232,42 @@ class _RelaxationCounter:
 
 
 class _RunSpy:
-    """Captures, from ``solver._enter``, the working formula, its label
-    index and its clauses without literals, and from
-    ``solver._free_cores`` the live selectors and each round's cores:
-    the list ``_free_cores`` returns, which ``_solve_round`` extends.
-    The same dicts serve the whole run.  Each round's free cores must be
-    the labels of the working clauses without literals, taken in entry
-    order while disjoint from those already taken."""
+    """Captures, from ``solver._free_cores``, the live selectors and each
+    round's cores: the list ``_free_cores`` returns, which
+    ``_solve_round`` extends.  The same dict serves the whole run.  Each
+    round's free cores must be the labels of the input's clauses without
+    literals whose labels keep the selectors of round 1, taken in
+    ``sort_key`` order while disjoint from those already taken.  Call
+    ``start`` with each run's formula."""
 
     def __init__(self, monkeypatch):
-        self.working = self.carrying = self.empty = self.selectors = None
+        self.phi = self.first = self.selectors = None
         self.rounds = []  # (live labels, number of free cores, cores)
-        enter = solver._enter
         free_cores = solver._free_cores
 
-        def spy_enter(working, carrying, empty, entries):
-            self.working, self.carrying = working, carrying
-            self.empty = empty
-            return enter(working, carrying, empty, entries)
-
         def spy_free_cores(empty, selectors):
-            assert empty is self.empty
-            assert list(empty) == [c for c in self.working if not c.lits]
             self.selectors = selectors
+            if not self.rounds:
+                self.first = dict(selectors)
+            assert empty == [c for c in self.phi.sorted_clauses()
+                             if not c.lits and all(
+                                 selectors[m] == self.first[m]
+                                 for m in c.labels)]
             cores = free_cores(empty, selectors)
             taken, want = set(), []
-            for c in self.working:
-                if not c.lits and not taken & c.labels:
+            for c in empty:
+                if not taken & c.labels:
                     taken |= c.labels
                     want.append(c.labels)
             assert [k.labels for k in cores] == want
             self.rounds.append((set(selectors), len(cores), cores))
             return cores
 
-        monkeypatch.setattr(solver, "_enter", spy_enter)
         monkeypatch.setattr(solver, "_free_cores", spy_free_cores)
+
+    def start(self, phi):
+        self.phi = phi
+        self.rounds.clear()
 
 
 def _with_empty_clauses(phi, seed):
@@ -299,23 +300,33 @@ def _free_core_instances(n):
 
 
 def test_noninc_loads_each_fresh_solver_with_fresh_encodings(monkeypatch):
-    """Each fresh ``noninc`` solver gets one ``load`` batch: the working
-    formula in entry order, each clause with one negated selector
-    per label, exactly as encoding it from scratch gives, on runs that
-    both split labels and relax them in place.  A round that begins with
-    free cores asks under the selectors of the labels they leave, and
-    builds no solver when they leave none."""
+    """Each fresh ``noninc`` solver gets one ``load`` batch: the input's
+    clauses in ``sort_key`` order, each with one negated selector of
+    round 1 per label, exactly as encoding them from scratch gives,
+    followed by every relaxation so far in order, on runs that both
+    split labels and relax them in place.  A relaxation is one link per
+    label, holding its relaxation variable, then the exactly-one clauses
+    over those variables.  A round that begins with free cores asks
+    under the selectors of the labels they leave, and builds no solver
+    when they leave none."""
     loaded = []  # (solver, batch)
     asked = []  # the rounds of the current run that built a solver
+    equals1 = []  # (variables, encoding) of each relaxation of the run
     relaxations = _RelaxationCounter()
     run = _RunSpy(monkeypatch)
     solve_round = solver._solve_round
+    encode_equals1 = solver.encode_equals1
     load = CdclSolver.load
     seen = {"free, then asked": 0, "no solver": 0}
 
     def spy_load(eng, batch):
-        loaded.append((eng, batch))
+        loaded.append((eng, list(batch)))
         return load(eng, batch)
+
+    def spy_equals1(variables):
+        out = encode_equals1(variables)
+        equals1.append((list(variables), out))
+        return out
 
     def spy_round(eng, selectors, budget, disjoint, cores):
         live, free, round_cores = run.rounds[-1]
@@ -327,25 +338,36 @@ def test_noninc_loads_each_fresh_solver_with_fresh_encodings(monkeypatch):
         seen["free, then asked"] += bool(cores)
         relaxations.round(run.selectors)
         want = [encode(list(c.lits) +
-                       [-run.selectors[m] for m in sorted(c.labels)])
-                for c in run.working]
+                       [-run.first[m] for m in sorted(c.labels)])
+                for c in run.phi.sorted_clauses()]
         # a fresh solver that took this one batch
         assert eng.stats["solves"] == 0
-        assert [b for e, b in loaded if e is eng] == [want]
+        batches = [b for e, b in loaded if e is eng]
+        assert len(batches) == 1
+        batch = batches[0]
+        for rs, out in equals1:
+            links = batch[len(want):len(want) + len(rs)]
+            assert len(links) == len(rs)
+            for r, link in zip(rs, links):
+                assert len(link) == 3 and r << 1 in link
+            want += links + [encode(c) for c in sorted(out.clauses)]
+        assert batch == want
         loaded.clear()
         asked.append(len(run.rounds))
         return solve_round(eng, selectors, budget, disjoint, cores)
 
     monkeypatch.setattr(CdclSolver, "load", spy_load)
     monkeypatch.setattr(solver, "_solve_round", spy_round)
+    monkeypatch.setattr(solver, "encode_equals1", spy_equals1)
     phis = ([lcnf_from_wcnf(random_wcnf(seed, max_weight=4))
              for seed in range(40)] +
             [random_lcnf(seed, nlabels=8) for seed in range(40)])
     cases = ([(phi, brute_force_lcnf_maxsat(phi)) for phi in phis] +
              _free_core_instances(20))
     for phi, expect in cases:
-        run.rounds.clear()
+        run.start(phi)
         asked.clear()
+        equals1.clear()
         report = solve_lcnf(phi, mode="noninc")
         if expect is None:
             assert report.status == "unsat-hard"
@@ -363,39 +385,50 @@ def test_noninc_loads_each_fresh_solver_with_fresh_encodings(monkeypatch):
     assert min(seen.values()) >= 10, seen
 
 
-def _label_index(working):
-    index = {}
-    for c in working:
-        for m in c.labels:
-            index.setdefault(m, set()).add(c)
-    return index
-
-
-def _refuted(clauses):
+def _sat(batch, assumptions, load=CdclSolver.load):
+    """Whether ``batch`` is satisfiable under ``assumptions`` in a fresh
+    solver, loaded by the unpatched ``load`` whatever a spy replaces."""
     eng = CdclSolver()
-    eng.load([encode(c.lits) for c in clauses])
-    return not eng.solve().sat
+    load(eng, batch)
+    return eng.solve(assumptions).sat
 
 
 def test_noninc_round_cores_are_disjoint_and_stay_cores(monkeypatch):
     """Each ``noninc`` round yields pairwise label-disjoint cores drawn
     from the live labels, its free cores first, and relaxing the earlier
-    cores of a round leaves each later one a core: the hard clauses plus
-    the working clauses labelled within it stay unsatisfiable.  Costs
-    equal the oracle's on weighted instances that split labels, with and
-    without clauses that have no literals."""
+    cores of a round leaves each later one a core: a fresh solver loaded
+    with everything the loop has loaded, plus what it made since, stays
+    unsatisfiable under that core's selectors.  Costs equal the oracle's
+    on weighted instances that split labels, with and without clauses
+    that have no literals."""
     run = _RunSpy(monkeypatch)
     solve_round = solver._solve_round
     equals1 = solver.encode_equals1
+    encode_ = solver.encode
+    load = CdclSolver.load
     relaxed = {}  # round index -> cores of it relaxed so far
+    # the last solver's batch, the encodings the loop made since it was
+    # loaded, and (length of those, core's selectors) to check there
+    last, made, checks = [], [], []
     seen = {"multi": 0, "free": 0, "free and found": 0}
     relaxations = _RelaxationCounter()
+
+    def spy_load(eng, batch):
+        last[:] = batch
+        del made[:]
+        return load(eng, batch)
+
+    def spy_encode(lits):
+        made.append(encode_(lits))
+        while checks and checks[0][0] == len(made):
+            _, assumptions = checks.pop(0)
+            assert not _sat(last + made, assumptions)
+        return made[-1]
 
     def spy_round(eng, selectors, budget, disjoint, cores):
         assert disjoint
         relaxations.round(run.selectors)
         assert list(selectors) == sorted(selectors)
-        assert run.carrying == _label_index(run.working)
         model = solve_round(eng, selectors, budget, disjoint, cores)
         # the round ends on SAT, or when its cores leave no selector
         left = selectors.keys() - set().union(*(k.labels for k in cores))
@@ -406,16 +439,19 @@ def test_noninc_round_cores_are_disjoint_and_stay_cores(monkeypatch):
         k = len(run.rounds) - 1
         live, free, cores = run.rounds[k]
         i = relaxed[k] = relaxed.get(k, 0) + 1  # cores[i - 1] relaxed
+        out = equals1(variables)
         if i < len(cores):
-            labels = cores[i].labels
-            assert _refuted(c for c in run.working if c.labels <= labels)
-        return equals1(variables)
+            # once cores[i - 1]'s exactly-one clauses are made
+            checks.append((len(made) + len(out.clauses),
+                           [run.selectors[l] for l in cores[i].labels]))
+        return out
 
     def check(phi, expect):
-        run.rounds.clear()
+        run.start(phi)
         relaxed.clear()
+        del last[:], made[:]
         sol = optimum(phi, "noninc")
-        assert sol.cost == expect.cost
+        assert sol.cost == expect.cost and not checks
         for live, free, cores in run.rounds:
             for j, core in enumerate(cores):
                 assert core.labels <= live
@@ -429,6 +465,8 @@ def test_noninc_round_cores_are_disjoint_and_stay_cores(monkeypatch):
             [len(cores) for _, _, cores in run.rounds[:-1]] + [0] * bool(
                 run.rounds)
 
+    monkeypatch.setattr(CdclSolver, "load", spy_load)
+    monkeypatch.setattr(solver, "encode", spy_encode)
     monkeypatch.setattr(solver, "_solve_round", spy_round)
     monkeypatch.setattr(solver, "encode_equals1", spy_equals1)
     for seed in range(30):
@@ -442,6 +480,96 @@ def test_noninc_round_cores_are_disjoint_and_stay_cores(monkeypatch):
         check(phi, expect)
     assert seen["multi"] >= 20 and relaxations.splits >= 20, \
         (seen, relaxations.splits)
+    assert min(seen.values()) >= 20, seen
+
+
+def _relaxation_cases(n):
+    """Labelled formulas whose runs relax labels, with their optima:
+    random labelled ones, with and without clauses that have no
+    literals, and random weighted ones; their weights split labels and
+    relax some more than once."""
+    for seed in range(n):
+        phi = random_lcnf(seed, nvars=6, nclauses=24, nlabels=8,
+                          hard_fraction=0.1)
+        empties = _with_empty_clauses(phi, seed)
+        f = random_wcnf(seed, nvars=6, nclauses=24, max_weight=4,
+                        hard_fraction=0.1)
+        yield phi, brute_force_lcnf_maxsat(phi).cost
+        yield empties, brute_force_lcnf_maxsat(empties).cost
+        yield lcnf_from_wcnf(f), brute_force_maxsat(f).cost
+
+
+@pytest.mark.parametrize("mode", ["noninc", "inc"])
+def test_relaxation_agrees_with_the_copy_rule(monkeypatch, mode):
+    """Before each round's SAT calls, the clauses the loop has loaded
+    into its solver and the copy rule of ``relax_by_copies``, driven
+    with the same cores and guarded by the loop's selectors, are
+    equisatisfiable under random subsets of the live selectors, each
+    checked in a fresh solver.  The cores and the selectors come from
+    spies on ``_free_cores`` and ``_solve_round``, what the loop loaded
+    from a spy on ``CdclSolver.load``, and each core's relaxation
+    variables from ``encode_equals1``, which the loop calls once per
+    relaxed core."""
+    rng = random.Random(1)
+    loads = []  # (solver, batch) of the run
+    rounds = []  # (number of free cores, cores) per round
+    rs = []  # the relaxation variables of each relaxed core, in order
+    run = {}  # "phi": the copy rule's formula, "done": cores it relaxed
+    seen = {"split": 0, "relaxed again": 0, "free core relaxed": 0,
+            "sat": 0, "unsat": 0}
+    free_cores, solve_round = solver._free_cores, solver._solve_round
+    equals1, load = solver.encode_equals1, CdclSolver.load
+
+    def spy_free_cores(empty, selectors):
+        run["live"] = selectors
+        cores = free_cores(empty, selectors)
+        rounds.append((len(cores), cores))
+        return cores
+
+    def spy_load(eng, batch):
+        loads.append((eng, list(batch)))
+        return load(eng, batch)
+
+    def spy_equals1(variables):
+        rs.append(list(variables))
+        return equals1(variables)
+
+    def spy_round(eng, selectors, budget, disjoint, cores):
+        # every core of the earlier rounds is relaxed, in order
+        relaxed = [(i < free, k) for free, ks in rounds[:-1]
+                   for i, k in enumerate(ks)]
+        assert len(relaxed) == len(rs)
+        for (free, core), r in list(zip(relaxed, rs))[run["done"]:]:
+            before = run["phi"].label_weights
+            run["phi"] = relax_by_copies(run["phi"], core.labels, r)
+            twins = run["phi"].label_weights.keys() - before.keys()
+            seen["split"] += bool(twins)
+            # a label relaxed before, or the twin of one
+            seen["relaxed again"] += bool(core.labels & run["relaxed"])
+            seen["free core relaxed"] += free
+            run["relaxed"] |= core.labels | twins
+        run["done"] = len(rs)
+        live = run["live"]
+        assert run["phi"].labels() == set(live)
+        ours = [enc for e, b in loads if e is eng for enc in b]
+        copies = [encode(guarded(c, live)) for c in run["phi"].clauses]
+        every = list(live.values())
+        subsets = [rng.sample(every, rng.randint(1, len(every)))
+                   for _ in range(6)]
+        for assumed in [every] + subsets:
+            sat = _sat(ours, assumed)
+            assert sat == _sat(copies, assumed), assumed
+            seen["sat" if sat else "unsat"] += 1
+        return solve_round(eng, selectors, budget, disjoint, cores)
+
+    monkeypatch.setattr(solver, "_free_cores", spy_free_cores)
+    monkeypatch.setattr(solver, "_solve_round", spy_round)
+    monkeypatch.setattr(solver, "encode_equals1", spy_equals1)
+    monkeypatch.setattr(CdclSolver, "load", spy_load)
+    for phi, cost in _relaxation_cases(40):
+        del loads[:], rounds[:], rs[:]
+        run.update(phi=phi, done=0, relaxed=set())
+        assert optimum(phi, mode).cost == cost
     assert min(seen.values()) >= 20, seen
 
 
@@ -527,25 +655,26 @@ def _soft_pigeons(p, h):
 
 # (kind, seed, cost, iterations, conflicts, solves, clauses loaded, CRC of
 # the model), recorded with the engine that saves phases, minimizes
-# learnt clauses and restarts on the Luby sequence; costs are the
-# optima, the other fields pin the search
+# learnt clauses and restarts on the Luby sequence, and with each relaxed
+# label linked to its old selector by one clause; costs are the optima,
+# the other fields pin the search
 INC_PINS = [
-    ("wcnf", 0, 9, 7, 1, 9, 109, 1796908317),
-    ("wcnf", 1, 8, 5, 3, 7, 138, 2861857501),
-    ("wcnf", 2, 8, 8, 1, 10, 313, 2699443385),
-    ("wcnf", 3, 10, 7, 2, 9, 92, 2641720432),
-    ("wcnf", 4, 1, 1, 0, 3, 58, 2428972196),
-    ("wcnf", 5, 12, 4, 0, 6, 71, 2861857501),
-    ("lcnf", 0, 5, 4, 2, 6, 433, 1638295203),
-    ("lcnf", 1, 5, 3, 0, 5, 82, 1211730713),
-    ("lcnf", 2, 5, 2, 0, 4, 55, 2254829286),
-    ("lcnf", 3, 4, 3, 0, 5, 218, 3641350029),
-    ("lcnf", 4, 1, 1, 0, 3, 53, 3604493746),
-    ("lcnf", 5, 2, 2, 2, 4, 81, 2275908817),
-    ("pigeon", 4, 2, 2, 5, 4, 38, 468213067),
-    ("pigeon", 5, 2, 2, 16, 4, 73, 2073198877),
-    ("pigeon", 6, 2, 2, 68, 4, 133, 3063210389),
-    ("pigeon", 7, 2, 2, 481, 4, 187, 2440576270),
+    ("wcnf", 0, 9, 7, 1, 9, 97, 1796908317),
+    ("wcnf", 1, 8, 5, 3, 7, 128, 2861857501),
+    ("wcnf", 2, 8, 8, 1, 10, 289, 2699443385),
+    ("wcnf", 3, 10, 7, 2, 9, 84, 2641720432),
+    ("wcnf", 4, 1, 1, 0, 3, 56, 2428972196),
+    ("wcnf", 5, 12, 4, 0, 6, 66, 2861857501),
+    ("lcnf", 0, 5, 4, 2, 6, 107, 1638295203),
+    ("lcnf", 1, 5, 3, 0, 5, 45, 1211730713),
+    ("lcnf", 2, 5, 2, 0, 4, 36, 2254829286),
+    ("lcnf", 3, 4, 3, 0, 5, 68, 3641350029),
+    ("lcnf", 4, 1, 1, 0, 3, 37, 3604493746),
+    ("lcnf", 5, 2, 2, 2, 4, 43, 2275908817),
+    ("pigeon", 4, 2, 2, 5, 4, 34, 468213067),
+    ("pigeon", 5, 2, 2, 17, 4, 67, 2073198877),
+    ("pigeon", 6, 2, 2, 68, 4, 110, 2745015070),
+    ("pigeon", 7, 2, 2, 492, 4, 170, 435145533),
 ]
 
 
@@ -554,22 +683,22 @@ INC_PINS = [
 # ``noninc``, recorded with the same engine and with each run ending as
 # soon as a model it holds costs the lower bound
 NONINC_PINS = [
-    ("wcnf", 0, 9, 7, 3, 2, 11, 215, 4, 1796908317),
-    ("wcnf", 1, 8, 5, 4, 3, 10, 300, 5, 1796908317),
-    ("wcnf", 2, 8, 6, 4, 4, 11, 372, 5, 2699443385),
-    ("wcnf", 3, 10, 7, 3, 2, 11, 185, 4, 2641720432),
+    ("wcnf", 0, 9, 7, 3, 3, 11, 233, 4, 1796908317),
+    ("wcnf", 1, 8, 5, 4, 4, 10, 323, 5, 1796908317),
+    ("wcnf", 2, 8, 6, 4, 4, 11, 395, 5, 2699443385),
+    ("wcnf", 3, 10, 7, 3, 2, 11, 195, 4, 2641720432),
     ("wcnf", 4, 1, 1, 1, 0, 3, 42, 2, 2428972196),
-    ("wcnf", 5, 12, 4, 2, 0, 7, 103, 3, 2861857501),
-    ("lcnf", 0, 5, 4, 4, 2, 9, 356, 5, 1638295203),
-    ("lcnf", 1, 5, 3, 2, 0, 6, 80, 3, 1211730713),
-    ("lcnf", 2, 5, 2, 2, 0, 5, 71, 3, 2254829286),
-    ("lcnf", 3, 4, 3, 3, 0, 7, 211, 4, 3641350029),
-    ("lcnf", 4, 1, 1, 2, 0, 4, 70, 3, 20624874),
-    ("lcnf", 5, 2, 2, 2, 3, 5, 86, 3, 2275908817),
-    ("pigeon", 4, 2, 2, 2, 6, 5, 49, 3, 705374049),
-    ("pigeon", 5, 2, 2, 2, 20, 4, 114, 3, 2605828263),
-    ("pigeon", 6, 2, 2, 3, 93, 5, 316, 4, 3229588162),
-    ("pigeon", 7, 2, 2, 3, 728, 5, 524, 4, 1063979363),
+    ("wcnf", 5, 12, 4, 2, 0, 7, 108, 3, 2861857501),
+    ("lcnf", 0, 5, 4, 4, 4, 9, 188, 5, 1638295203),
+    ("lcnf", 1, 5, 3, 2, 0, 6, 72, 3, 1211730713),
+    ("lcnf", 2, 5, 2, 2, 0, 5, 68, 3, 2254829286),
+    ("lcnf", 3, 4, 3, 3, 0, 7, 128, 4, 3641350029),
+    ("lcnf", 4, 1, 1, 2, 0, 4, 67, 3, 20624874),
+    ("lcnf", 5, 2, 2, 2, 3, 5, 73, 3, 2275908817),
+    ("pigeon", 4, 2, 2, 2, 6, 5, 51, 3, 705374049),
+    ("pigeon", 5, 2, 2, 2, 20, 4, 116, 3, 2605828263),
+    ("pigeon", 6, 2, 2, 3, 114, 5, 324, 4, 901565875),
+    ("pigeon", 7, 2, 2, 2, 561, 4, 358, 3, 208813656),
 ]
 
 
